@@ -1,32 +1,28 @@
-"""EXP-T9 — batch fan-out economics: the shared-memory artifact plane.
+"""EXP-T9 — batch fan-out economics.
 
 The paper's §V economics assume the expensive once-per-grammar build is
-paid *once*.  Parallel batch execution threatens that: every worker
-process used to rehydrate the grammar artifacts from the build cache
-(disk reads + CRC verification per worker).  The artifact plane
-(``repro.buildcache.shm``, see docs/performance.md) serializes the
-built translator into one shared-memory segment that every worker
-attaches to zero-copy, so adding a worker costs an attach, not a
-rebuild.  This benchmark quantifies the fan-out:
+paid *once*.  Parallel batch execution keeps that promise through the
+build cache: the driver builds (or rehydrates) the translator, and
+every worker process rehydrates it from the cache entries the driver
+has just written, so adding a worker costs a cache read and an
+``exec``-compile of the cached pass text, not a rebuild.  This
+benchmark quantifies the fan-out:
 
 * **scaling** — wall-clock throughput of ``translate_many`` at
   ``jobs=1`` (in-process sequential) vs ``jobs=2`` and ``jobs=4``
   (supervised workers, pipelined), with byte-identical outputs
   asserted across all of them;
-* **warm startup** — per-worker hydration cost: plane attach vs
-  build-cache rehydration, best-of-N in-process (the same code path a
-  freshly spawned or supervisor-restarted worker runs);
-* **rehydration work at zero** — a plane-attached worker's metrics
-  show exactly one ``batch.shm.attach`` and *no* ``cache.*`` traffic.
+* **warm startup** — per-worker build-cache rehydration cost,
+  best-of-N in-process (the same code path a freshly spawned or
+  supervisor-restarted batch worker runs).
 
 The scaling-efficiency assertion only fires when the machine actually
-has ≥4 CPUs (a single-core container cannot exhibit parallel speedup);
-the byte-identity and zero-rehydration assertions always fire.  The
-regression gate (``check_regression.py``) tracks ``batch_attach_ms``
-and enforces the efficiency floor on CI hardware.
+has ≥4 CPUs (a single-core host cannot exhibit parallel speedup); the
+byte-identity assertion always fires.  The regression gate
+(``check_regression.py``) enforces the efficiency floor on CI hardware
+and the exact cache counts of a worker's start.
 """
 
-import dataclasses
 import os
 import time
 
@@ -36,7 +32,7 @@ N_INPUTS = 48
 N_STATEMENTS = 60
 SEED = 900
 JOBS = (1, 2, 4)
-ATTACH_ROUNDS = 7
+REHYDRATE_ROUNDS = 7
 #: Minimum parallel efficiency (speedup / jobs) demanded at -j 4 when
 #: the hardware can express it (mirrors check_regression.py).
 EFFICIENCY_FLOOR = 0.75
@@ -53,17 +49,7 @@ def _summarize(report):
 
 
 def test_t9_batch_scaling(report, tmp_path):
-    from repro.batch import (
-        WorkerSpec,
-        build_batch_translator,
-        build_worker_translator,
-    )
-    from repro.buildcache.shm import (
-        attach_translator,
-        export_translator_plane,
-        plane_segments,
-    )
-    from repro.obs import MetricsRegistry
+    from repro.batch import WorkerSpec, build_batch_translator
 
     texts = [
         generate_calc_program(N_STATEMENTS, seed=SEED + i)
@@ -80,7 +66,6 @@ def test_t9_batch_scaling(report, tmp_path):
     translator = build_batch_translator(spec)
     translator.translate_many(texts[:2], jobs=1)  # warm the hot path
 
-    segments_before = set(plane_segments())
     elapsed = {}
     reports = {}
     for jobs in JOBS:
@@ -88,9 +73,6 @@ def test_t9_batch_scaling(report, tmp_path):
         reports[jobs] = translator.translate_many(texts, jobs=jobs)
         elapsed[jobs] = time.perf_counter() - start
         assert reports[jobs].ok, f"-j {jobs} run failed"
-    assert set(plane_segments()) == segments_before, (
-        "a run leaked its plane segment"
-    )
     # Byte-identical outputs at every parallelism level.
     reference = _summarize(reports[1])
     for jobs in JOBS[1:]:
@@ -101,40 +83,18 @@ def test_t9_batch_scaling(report, tmp_path):
     speedup4 = elapsed[1] / elapsed[4]
     efficiency4 = speedup4 / 4
 
-    # Warm startup per extra worker: plane attach vs cache rehydration,
-    # in-process (the exact hydration code a spawned worker runs).
-    plane = export_translator_plane(translator)
-    try:
-        plane_spec = dataclasses.replace(spec, shm_plane=plane.name)
-        attach_translator(plane_spec)  # warm
-        build_worker_translator(spec)  # warm
-        attach_best = rehydrate_best = float("inf")
-        for _ in range(ATTACH_ROUNDS):
-            t0 = time.perf_counter()
-            attach_translator(plane_spec)
-            attach_best = min(attach_best, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            build_worker_translator(spec)
-            rehydrate_best = min(rehydrate_best, time.perf_counter() - t0)
-
-        # Rehydration work measured at zero: the attached worker's only
-        # counter is the attach itself — no cache reads, no code gen.
-        metrics = MetricsRegistry()
-        worker = build_worker_translator(plane_spec, metrics=metrics)
-        snapshot = metrics.snapshot()
-        cache_counters = sorted(k for k in snapshot if k.startswith("cache."))
-        assert snapshot["batch.shm.attach"] == 1
-        assert not cache_counters, (
-            f"plane attach did cache work: {cache_counters}"
-        )
-        assert getattr(worker.linguist, "from_plane", False)
-        plane_bytes = plane.used_bytes
-    finally:
-        plane.unlink()
+    # Warm startup per extra worker, in-process (the exact hydration
+    # code a spawned batch worker runs).
+    build_batch_translator(spec)  # warm
+    rehydrate_best = float("inf")
+    for _ in range(REHYDRATE_ROUNDS):
+        t0 = time.perf_counter()
+        build_batch_translator(spec)
+        rehydrate_best = min(rehydrate_best, time.perf_counter() - t0)
 
     cpus = os.cpu_count() or 1
     lines = [
-        f"EXP-T9: batch fan-out over the shared-memory artifact plane "
+        f"EXP-T9: batch fan-out over the build cache "
         f"({N_INPUTS} inputs x {N_STATEMENTS} statements, "
         f"{n_lines} lines total, {cpus} CPU(s))",
     ]
@@ -149,11 +109,8 @@ def test_t9_batch_scaling(report, tmp_path):
     lines += [
         f"  -j 4 scaling efficiency: {efficiency4:.2f} "
         f"(floor {EFFICIENCY_FLOOR} enforced when CPUs >= 4)",
-        f"  plane: {plane_bytes:,} bytes, one export per run, "
-        f"swept on completion",
-        f"  warm worker startup: plane attach {attach_best * 1000:.2f} ms "
-        f"vs cache rehydration {rehydrate_best * 1000:.2f} ms "
-        f"(best of {ATTACH_ROUNDS}; attach does zero cache/codegen work)",
+        f"  warm worker startup: cache rehydration "
+        f"{rehydrate_best * 1000:.2f} ms (best of {REHYDRATE_ROUNDS})",
     ]
     if cpus >= 4:
         assert efficiency4 >= EFFICIENCY_FLOOR, (
@@ -166,4 +123,4 @@ def test_t9_batch_scaling(report, tmp_path):
             "parallel speedup)"
         )
     report("t9_batch_scaling", "\n".join(lines))
-    assert attach_best > 0 and rehydrate_best > 0
+    assert rehydrate_best > 0

@@ -37,13 +37,13 @@ amortizes), then compares throughput against the committed baseline in
   provenance disabled-mode gate, which times the same ``translate``
   path with both opt-in features off;
 * **batch-scaling gate** — fail when parallel batch efficiency
-  (speedup/jobs at ``-j 4`` over the shared-memory artifact plane —
-  see ``bench_t9_batch_scaling.py`` and docs/performance.md) drops
-  below ``SCALING_FLOOR`` (skipped on hosts with fewer than 4 CPUs,
-  which cannot express parallel speedup), when the warm per-worker
-  plane attach grows more than ``ATTACH_HEADROOM`` above the baseline,
-  or when a plane-attached worker does *any* build-cache work (the
-  zero-rehydration invariant, enforced on every host).
+  (speedup/jobs at ``-j 4`` — see ``bench_t9_batch_scaling.py`` and
+  docs/performance.md) drops below ``SCALING_FLOOR`` (skipped on hosts
+  with fewer than 4 CPUs, which cannot express parallel speedup);
+* **worker-start gate** — fail unless a forkserver batch worker's
+  start does exactly ``WORKER_CACHE_COUNTS``: one build-cache hit per
+  entry kind (alias, grammar, scanner), no miss and no write
+  (deterministic, so enforced exactly on every host).
 
 Usage::
 
@@ -83,9 +83,14 @@ PROVENANCE_THRESHOLD = 0.03
 #: only on hosts with >= 4 CPUs.
 SCALING_FLOOR = 0.75
 
-#: Tolerated growth of the warm per-worker plane attach over baseline
-#: (a millisecond-scale operation, so the headroom is generous).
-ATTACH_HEADROOM = 1.0
+#: The ``cache.*`` counters a batch worker's start must bump, exactly:
+#: it rehydrates from the cache the driver has just written.
+WORKER_CACHE_COUNTS = {
+    "cache.hit": 3,
+    "cache.alias.hit": 1,
+    "cache.grammar.hit": 1,
+    "cache.scanner.hit": 1,
+}
 
 #: Minimum fraction of output records a single-token-edit re-run must
 #: splice from the memo (deterministic, so the floor is tight).
@@ -300,22 +305,32 @@ def measure_serve(n_requests: int = 60, workers: int = 2) -> dict:
     }
 
 
-def measure_batch_scaling(
-    n_inputs: int = 24, n_statements: int = 40, attach_rounds: int = 7
-) -> dict:
-    """Parallel batch fan-out over the shared-memory artifact plane
-    (see bench_t9_batch_scaling.py for the full experiment): -j 1 vs
-    -j 4 wall time, warm per-worker attach cost, and the
-    zero-rehydration invariant of a plane-attached worker."""
-    import dataclasses
-
-    from repro.batch import (
-        WorkerSpec,
-        build_batch_translator,
-        build_worker_translator,
-    )
-    from repro.buildcache.shm import attach_translator, export_translator_plane
+def _worker_cache_counts(spec) -> dict:
+    """Hydrate a translator exactly as a batch worker does and return
+    the ``cache.*`` counters that bumped."""
+    from repro.batch import build_batch_translator
     from repro.obs import MetricsRegistry
+
+    metrics = MetricsRegistry()
+    build_batch_translator(spec, metrics=metrics)
+    return {
+        key: value
+        for key, value in metrics.snapshot().items()
+        if key.startswith("cache.")
+    }
+
+
+def measure_batch_scaling(
+    n_inputs: int = 24, n_statements: int = 40, rehydrate_rounds: int = 7
+) -> dict:
+    """Parallel batch fan-out (see bench_t9_batch_scaling.py for the
+    full experiment): -j 1 vs -j 4 wall time, warm per-worker cache
+    rehydration cost, and the cache counters of a forkserver worker's
+    start."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.batch import WorkerSpec, build_batch_translator
     from repro.workloads import generate_calc_program
 
     texts = [
@@ -340,30 +355,14 @@ def measure_batch_scaling(
         par_seconds = time.perf_counter() - start
         assert seq.ok and par.ok, "batch scaling reference run failed"
 
-        plane = export_translator_plane(translator)
-        try:
-            plane_spec = dataclasses.replace(spec, shm_plane=plane.name)
-            attach_translator(plane_spec)  # warm both hydration paths
-            build_worker_translator(spec)
-            attach_best = rehydrate_best = float("inf")
-            for _ in range(attach_rounds):
-                t0 = time.perf_counter()
-                attach_translator(plane_spec)
-                attach_best = min(attach_best, time.perf_counter() - t0)
-                t0 = time.perf_counter()
-                build_worker_translator(spec)
-                rehydrate_best = min(
-                    rehydrate_best, time.perf_counter() - t0
-                )
-            metrics = MetricsRegistry()
-            build_worker_translator(plane_spec, metrics=metrics)
-            snapshot = metrics.snapshot()
-            cache_counters = sorted(
-                k for k in snapshot if k.startswith("cache.")
-            )
-            attach_count = snapshot.get("batch.shm.attach", 0)
-        finally:
-            plane.unlink()
+        rehydrate_best = float("inf")
+        for _ in range(rehydrate_rounds):
+            t0 = time.perf_counter()
+            build_batch_translator(spec)
+            rehydrate_best = min(rehydrate_best, time.perf_counter() - t0)
+        ctx = multiprocessing.get_context("forkserver")
+        with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+            cache_counts = pool.submit(_worker_cache_counts, spec).result()
     speedup = seq_seconds / par_seconds
     return {
         "n_inputs": n_inputs,
@@ -371,10 +370,8 @@ def measure_batch_scaling(
         "par_seconds": par_seconds,
         "speedup": speedup,
         "efficiency": speedup / 4,
-        "attach_ms": attach_best * 1000.0,
         "rehydrate_ms": rehydrate_best * 1000.0,
-        "attach_count": attach_count,
-        "cache_counters": cache_counters,
+        "cache_counts": cache_counts,
     }
 
 
@@ -482,9 +479,8 @@ def main(argv=None) -> int:
         f"batch scaling: -j 1 {scaling['seq_seconds']:.2f} s, "
         f"-j 4 {scaling['par_seconds']:.2f} s "
         f"({scaling['speedup']:.2f}x, efficiency "
-        f"{scaling['efficiency']:.2f}); warm worker attach "
-        f"{scaling['attach_ms']:.2f} ms (cache rehydration "
-        f"{scaling['rehydrate_ms']:.2f} ms)"
+        f"{scaling['efficiency']:.2f}); warm worker cache rehydration "
+        f"{scaling['rehydrate_ms']:.2f} ms"
     )
     print(
         f"incremental: from-scratch {incremental['cold_seconds'] * 1000:.1f}"
@@ -512,7 +508,6 @@ def main(argv=None) -> int:
             "serve_rps": serve["serve_rps"],
             "serve_p99_ms": serve["p99_ms"],
             "batch_scaling_floor": SCALING_FLOOR,
-            "batch_attach_ms": scaling["attach_ms"],
             "incremental_speedup": incremental["speedup"],
             "incremental_hit_rate": incremental["hit_rate"],
         }
@@ -645,20 +640,20 @@ def main(argv=None) -> int:
                 f"p99 {serve['p99_ms']:.1f} ms)"
             )
 
-    # Batch-scaling gates (bench_t9_batch_scaling.py): the
-    # zero-rehydration invariant always holds; the efficiency floor
-    # needs real cores; the attach bound needs a committed baseline.
-    if scaling["attach_count"] != 1 or scaling["cache_counters"]:
+    # Batch gates (bench_t9_batch_scaling.py): a worker's cache counts
+    # are exact on every host; the efficiency floor needs real cores.
+    if scaling["cache_counts"] != WORKER_CACHE_COUNTS:
         print(
-            f"FAIL zero-rehydration: plane-attached worker counted "
-            f"batch.shm.attach={scaling['attach_count']} and cache "
-            f"traffic {scaling['cache_counters']} (must be 1 and none)",
+            f"FAIL worker start: a forkserver batch worker counted "
+            f"{scaling['cache_counts']} (must be exactly "
+            f"{WORKER_CACHE_COUNTS})",
             file=sys.stderr,
         )
         ok = False
     else:
         print(
-            "PASS zero-rehydration: plane attach did no build-cache work"
+            "PASS worker start: one cache hit per entry kind, no miss, "
+            "no write"
         )
     scaling_floor = baseline.get("batch_scaling_floor", SCALING_FLOOR)
     n_cpus = os.cpu_count() or 1
@@ -716,25 +711,6 @@ def main(argv=None) -> int:
                 f">= floor {INCREMENTAL_HIT_FLOOR:.0%}"
             )
 
-    base_attach = baseline.get("batch_attach_ms")
-    if base_attach is not None:
-        attach_ceiling = base_attach * (1.0 + ATTACH_HEADROOM)
-        if scaling["attach_ms"] > attach_ceiling:
-            print(
-                f"FAIL worker startup: warm plane attach "
-                f"{scaling['attach_ms']:.2f} ms exceeds ceiling "
-                f"{attach_ceiling:.2f} ms (baseline {base_attach:.2f} + "
-                f"{100 * ATTACH_HEADROOM:.0f}%)",
-                file=sys.stderr,
-            )
-            ok = False
-        else:
-            print(
-                f"PASS worker startup: warm plane attach "
-                f"{scaling['attach_ms']:.2f} ms <= ceiling "
-                f"{attach_ceiling:.2f} ms (baseline {base_attach:.2f} ms; "
-                f"cache rehydration {scaling['rehydrate_ms']:.2f} ms)"
-            )
     return 0 if ok else 1
 
 

@@ -1,9 +1,9 @@
-"""Parallel batch translation over a zero-copy shared artifact plane.
+"""Parallel batch translation over the build cache.
 
 The paper's economics (§V) — expensive once-per-grammar build, cheap
 streaming per-input translation — invite exactly one scaling move for
 serving many inputs: **build the artifacts once, then fan the
-independent inputs out across worker processes that attach to them
+independent inputs out across worker processes that rehydrate them
 instead of rebuilding**.  This module is that batch driver:
 
 * :func:`build_batch_translator` constructs a
@@ -12,14 +12,12 @@ instead of rebuilding**.  This module is that batch driver:
   (:class:`WorkerSpec`) workers need to reconstruct it;
 * :func:`run_batch` (surfaced as
   :meth:`repro.core.Translator.translate_many` and the ``repro batch``
-  CLI) seals the built artifacts into a **shared-memory artifact
-  plane** (:mod:`repro.buildcache.shm`) and fans inputs across
-  **supervised** worker processes
+  CLI) fans inputs across **supervised** worker processes
   (:class:`repro.serve.workers.WorkerHandle` — the same lifecycle the
   serve daemon uses) started through a **forkserver**; each worker
-  attaches to the plane zero-copy (:func:`build_worker_translator`)
-  instead of paying a per-worker cache rehydration, and falls back to
-  the build cache when the plane is unavailable — slower, never wrong;
+  rehydrates the translator through :func:`build_batch_translator`
+  from the build cache the driver has just written, so no worker
+  rebuilds;
 * execution is **pipelined** at two levels: the driver keeps up to
   ``pipeline_depth`` inputs in flight per worker, and inside each
   worker a scan-ahead thread lexes input N+1 while input N is being
@@ -33,21 +31,20 @@ instead of rebuilding**.  This module is that batch driver:
   and restarted, so one pathological input never stalls the pool
   (deadlines collapse the pipeline to depth 1 so a queued input's
   clock never runs while its predecessor executes);
-* ``KeyboardInterrupt`` terminates the workers, unlinks the plane, and
+* ``KeyboardInterrupt`` terminates the workers and
   returns a *partial* :class:`BatchReport` (``interrupted=True``)
   instead of hanging in the pool join;
 * telemetry lands in the ``batch.*`` counters/gauges (including
-  ``batch.shm.*`` and ``batch.pipeline.*``) and ``batch.*`` trace
-  instants (see ``docs/performance.md``).
+  ``batch.pipeline.*``) and ``batch.*`` trace instants (see
+  ``docs/performance.md``).
 
 Sequential (``jobs <= 1``) and parallel executions produce identical
-results; the differential suite pins that down — including a dedicated
-shm-attached axis.
+results; the differential suite's ``cached`` axis pins the workers'
+cache-rehydrated path to the others.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
 import sys
@@ -59,8 +56,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     EvaluationError,
-    PlaneError,
-    ReproError,
     TranslationTimeout,
     WorkerCrashed,
 )
@@ -83,12 +78,9 @@ class WorkerSpec:
     """Everything a worker process needs to reconstruct the translator.
 
     Deliberately tiny and picklable: the *source text* and knobs, never
-    live objects.  ``shm_plane`` (stamped by the driver) names the
-    shared-memory artifact plane the worker attaches to zero-copy;
-    without it — or when the plane is gone — workers rehydrate the
-    expensive artifacts from the on-disk build cache at ``cache_dir``
-    (a cold worker would rebuild and re-seal them, so correctness never
-    depends on cache *or* plane state).
+    live objects.  Workers rehydrate the expensive artifacts from the
+    on-disk build cache at ``cache_dir`` (a cold worker would rebuild
+    and re-seal them, so correctness never depends on cache state).
     """
 
     source: str
@@ -97,13 +89,11 @@ class WorkerSpec:
     direction: str  # "r2l" | "l2r" | "auto"
     cache_dir: str
     backend: str = "generated"
-    #: Shared-memory segment name of the exported artifact plane, or
-    #: None to hydrate from the build cache.
-    shm_plane: Optional[str] = None
     #: Incremental-memo root for this grammar, or None to translate
-    #: cold.  Worker processes write to a per-pid subdirectory (one
-    #: MEMO1 writer per directory); the sequential path uses the
-    #: directory itself.
+    #: cold.  Each worker slot writes to its own ``w<worker_id>``
+    #: subdirectory (one MEMO1 writer per directory), so a restarted
+    #: worker re-warms from its predecessor's generation; the
+    #: sequential path uses the directory itself.
     memo_dir: Optional[str] = None
 
 
@@ -202,27 +192,6 @@ def build_batch_translator(
     return translator
 
 
-def build_worker_translator(spec: WorkerSpec, metrics=None, tracer=None):
-    """Hydrate a worker's translator: plane attach first, cache second.
-
-    The zero-copy path (:func:`repro.buildcache.shm.attach_translator`)
-    reads every artifact out of the shared segment named by
-    ``spec.shm_plane`` — no disk, no unpickle of cache entries, no
-    NFA/LALR/plan reconstruction.  Any :class:`~repro.errors.PlaneError`
-    (segment gone, corrupt frame) degrades to the classic build-cache
-    rehydration so a worker always comes up.
-    """
-    if spec.shm_plane:
-        from repro.buildcache.shm import attach_translator
-
-        try:
-            return attach_translator(spec, metrics=metrics, tracer=tracer)
-        except PlaneError:
-            if metrics is not None:
-                metrics.counter("batch.shm.attach_fallback").inc()
-    return build_batch_translator(spec, metrics=metrics, tracer=tracer)
-
-
 # ---------------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------------
@@ -230,7 +199,7 @@ def build_worker_translator(spec: WorkerSpec, metrics=None, tracer=None):
 # The worker lifecycle itself lives in repro.serve.workers (WorkerHandle
 # + worker_main): the serve daemon and the batch driver share one
 # supervised-subprocess implementation, so a batch worker and a serve
-# worker are the same code path producing byte-identical results.
+# worker run the same job loop and produce byte-identical results.
 
 
 def _item_from_tuple(data: Tuple[Any, ...]) -> BatchItem:
@@ -257,7 +226,6 @@ def run_batch(
     metrics=None,
     tracer=None,
     timeout: Optional[float] = None,
-    use_shm: bool = True,
     pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
 ) -> BatchReport:
     """Translate ``texts`` through ``translator``; see
@@ -269,11 +237,9 @@ def run_batch(
     timeout the batch still runs through one supervised subprocess
     (same results, enforceable deadline) rather than in-process.
 
-    ``use_shm=False`` skips the shared-memory artifact plane (workers
-    rehydrate from the build cache as before); ``pipeline_depth`` caps
-    the inputs in flight per worker (ignored — collapsed to 1 — under a
-    timeout, so a queued input's deadline clock never runs while its
-    predecessor executes).
+    ``pipeline_depth`` caps the inputs in flight per worker (ignored —
+    collapsed to 1 — under a timeout, so a queued input's deadline
+    clock never runs while its predecessor executes).
     """
     texts = list(texts)
     started = time.perf_counter()
@@ -291,37 +257,14 @@ def run_batch(
                 "repro.batch.build_batch_translator (or the `repro batch` "
                 "CLI) so workers know how to reconstruct it"
             )
-        plane = None
-        if use_shm:
-            try:
-                from repro.buildcache.shm import (
-                    export_translator_plane,
-                    install_signal_cleanup,
-                )
-
-                install_signal_cleanup()
-                plane = export_translator_plane(
-                    translator, metrics=metrics, tracer=tracer
-                )
-                spec = dataclasses.replace(spec, shm_plane=plane.name)
-            except (PlaneError, ReproError):
-                if metrics is not None:
-                    metrics.counter("batch.shm.export_failed").inc()
-                plane = None
-        try:
-            items, interrupted = _run_supervised(
-                spec,
-                texts,
-                max(1, jobs),
-                timeout,
-                metrics,
-                max(1, pipeline_depth),
-            )
-        finally:
-            # Guaranteed unlink on every exit path (normal, Ctrl-C,
-            # raise); SIGTERM/atexit are covered by the shm registry.
-            if plane is not None:
-                plane.unlink()
+        items, interrupted = _run_supervised(
+            spec,
+            texts,
+            max(1, jobs),
+            timeout,
+            metrics,
+            max(1, pipeline_depth),
+        )
     else:
         seq_spec = getattr(translator, "spawn_spec", None)
         items = _run_sequential(

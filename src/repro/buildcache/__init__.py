@@ -17,11 +17,9 @@ text.
   parse-free :func:`source_key` alias level).
 * :mod:`repro.buildcache.store` — :class:`BuildCache`, the sealed
   (header + CRC32 + atomic-rename) entry store with
-  corruption-is-a-miss semantics and ``cache.*`` telemetry.
-* :mod:`repro.buildcache.shm` — the shared-memory **artifact plane**:
-  the same sealed-frame discipline applied to one POSIX shared-memory
-  segment, so batch/serve worker processes attach to a built
-  translator zero-copy instead of rehydrating the cache per worker.
+  corruption-is-a-miss semantics and ``cache.*`` telemetry.  Batch
+  worker processes rehydrate their translator from it; serve workers
+  inherit the daemon's warm instance through ``fork``.
 
 See ``docs/performance.md`` for the cache layout, key derivation, and
 invalidation rules.

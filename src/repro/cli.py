@@ -706,10 +706,8 @@ def cmd_batch(args) -> int:
     """Translate many inputs through the persistent build cache.
 
     The grammar is built (or cache-rehydrated) exactly once; with
-    ``-j N`` the built artifacts are sealed into a shared-memory plane
-    and the inputs fan out across ``N`` worker processes that attach to
-    it zero-copy (``--no-shm`` falls back to per-worker cache
-    rehydration).  Exit status: 0 when every input translated, 1 when
+    ``-j N`` the inputs fan out across ``N`` worker processes that
+    rehydrate it from the cache just written.  Exit status: 0 when every input translated, 1 when
     any input failed (other inputs still complete — per-input
     isolation).
     """
@@ -742,7 +740,7 @@ def cmd_batch(args) -> int:
     ]
     report = translator.translate_many(
         texts, jobs=args.jobs, metrics=metrics, timeout=args.timeout,
-        use_shm=not args.no_shm, pipeline_depth=args.pipeline_depth,
+        pipeline_depth=args.pipeline_depth,
     )
 
     if args.output_dir:
@@ -838,7 +836,6 @@ def cmd_serve(args) -> int:
         cache_dir=cache_dir,
         cache_max_bytes=int(args.cache_max_mb * (1 << 20)),
         startup_doctor=not args.no_doctor,
-        use_shm=not args.no_shm,
     )
     return asyncio.run(_serve_main(specs, config, metrics))
 
@@ -1211,12 +1208,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(implies supervised subprocess execution even with -j 1)",
     )
     p_batch.add_argument(
-        "--no-shm", action="store_true",
-        help="skip the shared-memory artifact plane: workers rehydrate "
-        "the translator from the build cache per process instead of "
-        "attaching zero-copy (see docs/performance.md)",
-    )
-    p_batch.add_argument(
         "--pipeline-depth", type=int, default=None, metavar="N",
         help="inputs kept in flight per worker so scan of input N+1 "
         "overlaps evaluation of input N (default 2; --timeout forces 1 "
@@ -1306,12 +1297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--backend", choices=["interp", "generated"], default="generated",
         help="evaluator backend (default generated)",
-    )
-    p_serve.add_argument(
-        "--no-shm", action="store_true",
-        help="skip the shared-memory artifact plane: workers (and "
-        "supervised restarts) rehydrate from the build cache instead "
-        "of attaching zero-copy",
     )
     p_serve.add_argument(
         "--memo-dir", metavar="DIR",

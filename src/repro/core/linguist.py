@@ -475,12 +475,6 @@ class Translator:
 
     def _make_scanner(self, spec: ScannerSpec) -> Scanner:
         """Generate (or cache-rehydrate) the described language's scanner."""
-        # Plane-attached builds (repro.buildcache.shm.PlaneBuild) carry
-        # the already-minimized DFA in shared memory: seed the generator
-        # directly — no NFA pipeline, no build-cache traffic.
-        plane_dfa = getattr(self.linguist, "scanner_dfa", None)
-        if plane_dfa is not None:
-            return ScannerGenerator(spec, dfa=plane_dfa).generate()
         cache = self.linguist.cache
         if cache is None:
             return spec.generate()
@@ -571,30 +565,28 @@ class Translator:
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
         timeout: Optional[float] = None,
-        use_shm: bool = True,
         pipeline_depth: Optional[int] = None,
     ):
         """Translate many independent inputs, optionally in parallel.
 
         With ``jobs <= 1`` the inputs run sequentially in-process; with
         ``jobs > 1`` they fan out across supervised worker subprocesses
-        (:mod:`repro.serve.workers`) that *attach to this translator's
-        shared-memory artifact plane* zero-copy (falling back to
-        build-cache rehydration, which is why the translator must be
-        built through :func:`repro.batch.build_batch_translator` or
-        ``repro batch``).  Each input is isolated — one failure is
+        (:mod:`repro.serve.workers`) that rehydrate this translator from
+        the build cache it was built through, which is why it must be
+        built with :func:`repro.batch.build_batch_translator` or
+        ``repro batch``.  Each input is isolated — one failure is
         reported in its :class:`repro.batch.BatchItem` while the others
         complete.  ``timeout`` bounds every input (enforced by killing
         and restarting the worker, so it implies the supervised path
-        even for ``jobs=1``).  ``use_shm``/``pipeline_depth`` are the
-        plane and pipelining knobs of :func:`repro.batch.run_batch`.
+        even for ``jobs=1``).  ``pipeline_depth`` is the pipelining knob
+        of :func:`repro.batch.run_batch`.
         Returns a :class:`repro.batch.BatchReport`.
         """
         from repro.batch import DEFAULT_PIPELINE_DEPTH, run_batch
 
         return run_batch(
             self, texts, jobs=jobs, metrics=metrics, tracer=tracer,
-            timeout=timeout, use_shm=use_shm,
+            timeout=timeout,
             pipeline_depth=(
                 DEFAULT_PIPELINE_DEPTH
                 if pipeline_depth is None

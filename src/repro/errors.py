@@ -250,54 +250,6 @@ class CacheCorruptionError(ReproError):
         self.reason = reason
 
 
-class PlaneError(ReproError):
-    """A shared-memory artifact plane could not be created or attached.
-
-    The plane (:mod:`repro.buildcache.shm`) is the zero-copy channel
-    that ships a built translator's read-only artifacts to worker
-    processes.  This error covers *operational* failures — the segment
-    does not exist (already unlinked, or the exporter died), the
-    platform lacks POSIX shared memory, or a payload cannot be
-    serialized.  Callers treat it as "plane unavailable" and fall back
-    to the build cache, never a crash.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        segment: Optional[str] = None,
-        diagnostics: Optional[List[Diagnostic]] = None,
-    ):
-        super().__init__(message, diagnostics=diagnostics)
-        self.segment = segment
-
-
-class PlaneCorruptionError(PlaneError):
-    """A shared-memory artifact plane failed an integrity check.
-
-    Plane segments are sealed with the same header + per-frame CRC +
-    footer discipline as build-cache entries (``L86SEAL``); any damage
-    — bad magic, version skew, checksum failure, truncation, frame
-    overrun, or an undecodable payload — raises this error so an
-    attaching worker *never* hydrates a wrong artifact.  ``reason`` is
-    a short machine-readable tag (``"header"``, ``"footer"``,
-    ``"checksum"``, ``"truncated"``, ``"framing"``, ``"version"``,
-    ``"payload"``).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        segment: Optional[str] = None,
-        reason: str = "corrupt",
-        diagnostics: Optional[List[Diagnostic]] = None,
-    ):
-        super().__init__(message, segment=segment, diagnostics=diagnostics)
-        self.reason = reason
-
-
 class ProvenanceError(ReproError):
     """The attribute-provenance subsystem could not record or answer a
     query (missing log, malformed node path, unknown attribute)."""

@@ -431,30 +431,6 @@ class GeneratedEvaluator:
         self._compile_artifacts()
         return self
 
-    @classmethod
-    def from_pass_texts(
-        cls,
-        ag: AttributeGrammar,
-        pass_plans: List[PassPlan],
-        pass_texts: List[Tuple[int, str, int, int, int]],
-    ) -> "GeneratedEvaluator":
-        """Rehydrate from bare pass source text plus size accounting
-        (``(pass_k, text, husk_bytes, sem_bytes, n_subsumed)`` tuples —
-        the shared-memory artifact plane's wire shape): reconstructs
-        the :class:`CodeArtifact` records and ``exec``-compiles the
-        shared bytes directly, with no code generation and no disk."""
-        artifacts = [
-            CodeArtifact(
-                pass_k=pass_k,
-                text=text,
-                husk_bytes=husk_bytes,
-                sem_bytes=sem_bytes,
-                n_subsumed=n_subsumed,
-            )
-            for pass_k, text, husk_bytes, sem_bytes, n_subsumed in pass_texts
-        ]
-        return cls.from_artifacts(ag, pass_plans, artifacts)
-
     def _compile_artifacts(self) -> None:
         self._classes: Dict[int, type] = {}
         for artifact in self.artifacts:

@@ -37,7 +37,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     GrammarUnavailable,
-    ReproError,
     ServeError,
     ServerOverloaded,
     TranslationTimeout,
@@ -88,11 +87,6 @@ class ServeConfig:
     #: directories before serving, so a crashed predecessor's debris is
     #: classified and cleaned before new artifacts land next to it.
     startup_doctor: bool = True
-    #: Export each grammar's built artifacts into a shared-memory plane
-    #: (:mod:`repro.buildcache.shm`) so workers — including every
-    #: supervised *restart* — attach zero-copy instead of rehydrating
-    #: the build cache per process.  ``repro serve --no-shm`` disables.
-    use_shm: bool = True
 
 
 @dataclass
@@ -156,13 +150,9 @@ class GrammarService:
         self.in_flight: Dict[int, Request] = {}
         #: EWMA of request service time, for Retry-After estimates.
         self.ewma_seconds = 0.05
-        self.translator = None  # the daemon-side warm instance
-        #: Shared-memory artifact plane exported from the warm instance
-        #: (repro.buildcache.shm.ArtifactPlane), unlinked at drain.
-        self.plane = None
-        #: The spec workers actually start from: ``spec`` plus the
-        #: plane's segment name, so restarts attach instead of rebuild.
-        self.worker_spec = spec
+        #: The daemon-side warm instance; forked workers (restarts
+        #: included) inherit it instead of hydrating their own.
+        self.translator = None
 
     def observe_seconds(self, seconds: float) -> None:
         self.ewma_seconds = 0.8 * self.ewma_seconds + 0.2 * max(
@@ -240,8 +230,8 @@ class TranslationServer:
         loop = asyncio.get_running_loop()
         for service in self.services.values():
             # The warm per-grammar instance: builds (or rehydrates) the
-            # whole artifact set through the cache ONCE, so workers and
-            # restarts rehydrate instead of rebuilding.
+            # whole artifact set through the cache ONCE; workers and
+            # restarts fork from it instead of rebuilding.
             from repro.batch import build_batch_translator
 
             service.translator = await loop.run_in_executor(
@@ -250,33 +240,12 @@ class TranslationServer:
                     s.spec, metrics=self.metrics
                 ),
             )
-            if cfg.use_shm:
-                # Seal the warm artifacts into a shared-memory plane:
-                # every worker start — and every supervised *restart* —
-                # becomes a near-instant zero-copy attach instead of a
-                # per-process cache rehydration.  Export failure is
-                # non-fatal (workers fall back to the cache).
-                import dataclasses as _dataclasses
-
-                from repro.buildcache.shm import export_translator_plane
-
-                try:
-                    service.plane = export_translator_plane(
-                        service.translator, metrics=self.metrics
-                    )
-                    service.worker_spec = _dataclasses.replace(
-                        service.spec, shm_plane=service.plane.name
-                    )
-                except ReproError:
-                    if self.metrics is not None:
-                        self.metrics.counter(
-                            "batch.shm.export_failed"
-                        ).inc()
-                    service.plane = None
-                    service.worker_spec = service.spec
             for wid in range(max(1, cfg.workers)):
                 handle = WorkerHandle(
-                    service.worker_spec, worker_id=wid, metrics=self.metrics
+                    service.spec,
+                    worker_id=wid,
+                    metrics=self.metrics,
+                    translator=service.translator,
                 )
                 handle.start()
                 service.workers.append(handle)
@@ -372,12 +341,6 @@ class TranslationServer:
         for service in self.services.values():
             for handle in service.workers:
                 handle.stop()
-            # Workers are down: the shared artifact plane has no
-            # readers left.  Unlink so no segment outlives the drain
-            # (the shm atexit registry is only the crash safety net).
-            if service.plane is not None:
-                service.plane.unlink()
-                service.plane = None
         if self.journal is not None:
             self.journal.seal()
         if self._executor is not None:

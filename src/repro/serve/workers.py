@@ -20,14 +20,15 @@ supervisor needs to manage it:
   markers and knobs set *after* a shared forkserver came up still
   reach every fresh incarnation.
 
-The worker side (:func:`worker_main`) hydrates its translator from the
-shared-memory artifact plane named by its
-:class:`~repro.batch.WorkerSpec` (zero-copy attach; see
-:mod:`repro.buildcache.shm`), falling back to the build cache — exactly
-the ``repro batch`` recipe, so a serve worker and a batch worker
-produce byte-identical results by construction.  Inside the worker the
-stages are **pipelined**: a scan-ahead thread lexes input N+1 while the
-main thread parses/evaluates input N and flushes its response, with
+The worker side (:func:`worker_main`) runs the translator its
+supervisor handed over when the process was forked — the serve daemon's
+warm instance, inherited with no hydration at all — and otherwise
+rehydrates it from the build cache named by its
+:class:`~repro.batch.WorkerSpec`, exactly the ``repro batch`` recipe,
+so a serve worker and a batch worker produce byte-identical results by
+construction.  Inside the worker the stages are **pipelined**: a
+scan-ahead thread lexes input N+1 while the main thread
+parses/evaluates input N and flushes its response, with
 per-input failure isolation preserved (a stage failure is reported on
 that input's response tuple only).  Result tuples use the batch wire
 shape ``(job_id, ok, root_attrs, n_passes, error_type, error,
@@ -84,16 +85,26 @@ def _apply_env_snapshot(env) -> None:
 
 
 def worker_main(
-    spec, request_q, response_q, beat, heartbeat_interval, env=None
+    spec,
+    request_q,
+    response_q,
+    beat,
+    heartbeat_interval,
+    env=None,
+    translator=None,
 ) -> None:
     """Subprocess entry point: hydrate, then serve jobs until the
     ``None`` sentinel (graceful stop) or the process is killed.
 
-    Hydration prefers the zero-copy shared-memory plane and falls back
-    to the build cache (:func:`repro.batch.build_worker_translator`).
-    Any failure — including a failure to *build* the translator — is
-    reported through the response queue with per-job isolation; the
-    loop itself only exits on the sentinel.
+    ``translator`` is the supervisor's own instance, passed only under
+    the ``fork`` start method (the child inherits it, nothing is
+    pickled).  Without it the worker rehydrates from the build cache
+    (:func:`repro.batch.build_batch_translator`).  Translation takes
+    its metrics and tracer per call, so an inherited instance never
+    reports into the supervisor's registry.  Any failure — including a
+    failure to *build* the translator — is reported through the
+    response queue with per-job isolation; the loop itself only exits
+    on the sentinel.
 
     Execution is pipelined: the scan stage runs on its own thread,
     lexing up to :data:`SCAN_AHEAD` inputs past the one the main
@@ -112,14 +123,14 @@ def worker_main(
             args=(beat, heartbeat_interval, stop),
             daemon=True,
         ).start()
-    translator = None
     build_error: Optional[BaseException] = None
-    try:
-        from repro.batch import build_worker_translator
+    if translator is None:
+        try:
+            from repro.batch import build_batch_translator
 
-        translator = build_worker_translator(spec)
-    except BaseException as exc:  # reported per-job below
-        build_error = exc
+            translator = build_batch_translator(spec)
+        except BaseException as exc:  # reported per-job below
+            build_error = exc
     # Incremental memo: WorkerHandle already slotted the grammar's memo
     # root per worker id, so this process is the directory's only writer.
     memo_dir = getattr(spec, "memo_dir", None)
@@ -213,6 +224,7 @@ class WorkerHandle:
         metrics=None,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         mp_context: Optional[str] = None,
+        translator=None,
     ):
         if getattr(spec, "memo_dir", None):
             # One MEMO1 writer per directory: each worker slot keeps
@@ -231,6 +243,10 @@ class WorkerHandle:
         if mp_context is None:
             mp_context = "fork" if os.name == "posix" else "spawn"
         self._ctx = multiprocessing.get_context(mp_context)
+        #: A built translator for ``fork`` children to inherit (every
+        #: restart included); other start methods rehydrate from
+        #: ``spec`` instead of pickling it.
+        self.translator = translator if mp_context == "fork" else None
         self.process = None
         self.request_q = None
         self.response_q = None
@@ -262,6 +278,7 @@ class WorkerHandle:
                 self._beat,
                 self.heartbeat_interval,
                 env,
+                self.translator,
             ),
             daemon=True,
             name=f"repro-serve-worker-{self.worker_id}",

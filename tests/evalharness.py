@@ -151,15 +151,10 @@ class BackendSuite:
       no passes, no spools),
     * ``cached``    — a *cache-rehydrated* translator (built through a
       warm :class:`repro.buildcache.BuildCache`, so its pass modules
-      come from cached source text and its scanner from a cached DFA),
+      come from cached source text and its scanner from a cached DFA
+      — the path every batch worker process takes),
     * ``unfused``   — the interpretive evaluator with pass fusion
       disabled, running the original (pre-fusion) pass partition,
-    * ``shm``       — a *plane-attached* translator
-      (:func:`repro.buildcache.shm.attach_translator`): every artifact
-      hydrated from a shared-memory segment exactly as a batch/serve
-      worker would, with zero cache traffic,
-    * ``shm_unfused`` — the plane-attached path over the fusion-off
-      build, so the zero-copy axis is pinned fused *and* unfused.
     * ``incremental`` — a memo-equipped translator
       (``translate(..., memo_dir=)``): the text is translated once to
       warm the memo, then translated again with clean subtrees
@@ -211,41 +206,6 @@ class BackendSuite:
             spec, library=library, backend="generated"
         )
 
-        # The shm-attached axes: export each build's artifacts into a
-        # shared-memory plane and hydrate a translator from the segment
-        # — the exact zero-copy path batch/serve workers take.  The
-        # planes live as long as the suite (module-level caching) and
-        # are swept by the shm atexit registry.
-        from repro.batch import WorkerSpec
-        from repro.buildcache.shm import (
-            attach_translator,
-            export_translator_plane,
-        )
-
-        def plane_spec(plane) -> WorkerSpec:
-            return WorkerSpec(
-                source=source,
-                filename=f"<{grammar_name}>",
-                grammar_name=grammar_name,
-                direction="r2l",
-                cache_dir=cache_dir,
-                backend="generated",
-                shm_plane=plane.name,
-            )
-
-        self._plane = export_translator_plane(self.generated)
-        self.shm = attach_translator(plane_spec(self._plane))
-        assert getattr(self.shm.linguist, "from_plane", False), (
-            "shm axis did not hydrate from the artifact plane"
-        )
-        unfused_generated = plain.make_translator(
-            spec, library=library, backend="generated"
-        )
-        self._plane_unfused = export_translator_plane(unfused_generated)
-        self.shm_unfused = attach_translator(
-            plane_spec(self._plane_unfused)
-        )
-
         # The incremental axis: its own translator (so memo executor
         # variants never leak into the plain axes) + a per-suite memo
         # directory under the cache dir.
@@ -274,10 +234,6 @@ class BackendSuite:
         generated = canonical_attrs(self.generated.translate(text).root_attrs)
         cached = canonical_attrs(self.cached.translate(text).root_attrs)
         unfused = canonical_attrs(self.unfused.translate(text).root_attrs)
-        shm = canonical_attrs(self.shm.translate(text).root_attrs)
-        shm_unfused = canonical_attrs(
-            self.shm_unfused.translate(text).root_attrs
-        )
         # Warm the memo, then re-translate: the second run splices the
         # sealed output of every clean subtree instead of re-evaluating.
         self.incremental.translate(text, memo_dir=self.memo_dir)
@@ -291,8 +247,6 @@ class BackendSuite:
             "generated": generated,
             "cached": cached,
             "unfused": unfused,
-            "shm": shm,
-            "shm_unfused": shm_unfused,
             "incremental": incremental,
             "oracle": oracle,
         }
@@ -301,7 +255,7 @@ class BackendSuite:
 def run_all_backends(grammar_name: str, text: str, cache_dir: str) -> dict:
     """Translate ``text`` with ``grammar_name`` through every
     evaluator path (interp / generated / oracle / cache-rehydrated /
-    shm-attached, fused and unfused); return
+    unfused / incremental); return
     ``{path: canonical root attrs}`` for differential comparison.
     """
     return BackendSuite(grammar_name, cache_dir).run(text)

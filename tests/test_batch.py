@@ -280,19 +280,9 @@ class TestBatchCLI:
         assert "1/2 ok" in captured.err
 
 
-def shm_segments():
-    """Names of live ``l86plane`` segments under /dev/shm (a sweep set:
-    tests capture it before a run and assert it is unchanged after, so
-    planes held by *other* suites in the same process don't flake us)."""
-    from repro.buildcache.shm import plane_segments
-
-    return set(plane_segments())
-
-
 class TestBatchPipelineIsolation:
     """Failure isolation under the pipelined (scan-ahead) worker loop:
-    a worker dying *mid-input* must cost exactly that input, and no
-    shared-memory segment may outlive the batch."""
+    a worker dying *mid-input* must cost exactly that input."""
 
     def test_worker_death_mid_pipelined_input_is_isolated(
         self, tmp_path, monkeypatch
@@ -300,11 +290,10 @@ class TestBatchPipelineIsolation:
         """SIGKILL-equivalent death (``os._exit(3)`` in the scan stage)
         while inputs are pipelined behind the dying one: the culprit
         fails as ``WorkerCrashed`` after its bounded re-dispatch,
-        every innocent queue-mate completes, and the plane is swept."""
+        and every innocent queue-mate completes."""
         from repro.testing.faults import DIE_MARKER_ENV
 
         monkeypatch.setenv(DIE_MARKER_ENV, "@@die@@")
-        before = shm_segments()
         metrics = MetricsRegistry()
         translator = make_translator(tmp_path)
         die_index = 6
@@ -332,11 +321,10 @@ class TestBatchPipelineIsolation:
             (item.ok, canonical_attrs(item.result.root_attrs))
             for item in seq.items
         ]
-        assert shm_segments() == before, "batch leaked a plane segment"
 
     def test_interrupt_during_pipelined_batch(self, tmp_path, monkeypatch):
         """Ctrl-C mid-pipelined-batch: a partial report of only
-        completed items comes back and no segment is left behind."""
+        completed items comes back."""
         import _thread
         import threading
 
@@ -344,7 +332,6 @@ class TestBatchPipelineIsolation:
 
         monkeypatch.setenv(HANG_MARKER_ENV, "@@hang@@")
         monkeypatch.setenv(HANG_SECONDS_ENV, "60")
-        before = shm_segments()
         translator = make_translator(tmp_path)
         texts = [*INPUTS[:4], "@@hang@@", *INPUTS[4:8]]
         timer = threading.Timer(2.0, _thread.interrupt_main)
@@ -358,7 +345,6 @@ class TestBatchPipelineIsolation:
         assert report.interrupted
         assert len(report.items) < len(texts)
         assert all(item.ok for item in report.items)
-        assert shm_segments() == before, "interrupt leaked a plane segment"
 
     def test_deep_pipeline_matches_sequential(self, tmp_path):
         """``pipeline_depth=4`` reorders nothing observable: the report
@@ -370,78 +356,35 @@ class TestBatchPipelineIsolation:
         assert summarize(seq) == summarize(deep)
 
 
-class TestBatchShmPlane:
-    """The zero-copy artifact plane: attach does no cache or build
-    work, the exporter sweeps its segment, and losing the plane
-    degrades to cache rehydration — never a failure."""
+def _worker_cache_counts(spec: WorkerSpec) -> dict:
+    """Hydrate a translator exactly as a batch worker does and return
+    the ``cache.*`` counters that bumped."""
+    metrics = MetricsRegistry()
+    build_batch_translator(spec, metrics=metrics)
+    return {
+        key: value
+        for key, value in metrics.snapshot().items()
+        if key.startswith("cache.")
+    }
 
-    def test_parallel_run_exports_and_sweeps_plane(self, tmp_path):
-        before = shm_segments()
-        metrics = MetricsRegistry()
-        translator = make_translator(tmp_path)
-        report = translator.translate_many(INPUTS[:6], jobs=2, metrics=metrics)
-        assert report.ok
-        snap = metrics.snapshot()
-        assert snap["batch.shm.export"] == 1
-        assert snap["batch.shm.export_bytes"] > 0
-        assert snap["batch.shm.frames"] >= 6
-        assert shm_segments() == before, "run_batch left its plane linked"
 
-    def test_attach_is_zero_rehydration_work(self, tmp_path):
-        """A worker attaching to the plane does *zero* cache traffic
-        and zero code generation: the only counter it bumps is
-        ``batch.shm.attach``, and its output is byte-identical."""
-        import dataclasses
-
-        from repro.buildcache.shm import export_translator_plane
-        from repro.batch import build_worker_translator
+class TestBatchWorkerStart:
+    def test_forkserver_worker_reads_the_build_cache(self, tmp_path):
+        """A forkserver batch worker rehydrates from the cache the driver
+        has just written: one hit per entry kind (alias, grammar,
+        scanner), no miss and no write."""
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
         translator = make_translator(tmp_path)
-        plane = export_translator_plane(translator)
-        try:
-            metrics = MetricsRegistry()
-            spec = dataclasses.replace(
-                translator.spawn_spec, shm_plane=plane.name
-            )
-            worker = build_worker_translator(spec, metrics=metrics)
-            snap = metrics.snapshot()
-            assert snap["batch.shm.attach"] == 1
-            assert "batch.shm.attach_fallback" not in snap
-            cache_work = [k for k in snap if k.startswith("cache.")]
-            assert not cache_work, f"plane attach touched the cache: {cache_work}"
-            assert getattr(worker.linguist, "from_plane", False)
-            assert worker.linguist.cache is None
-            for text in INPUTS[:3]:
-                assert canonical_attrs(
-                    worker.translate(text).root_attrs
-                ) == canonical_attrs(translator.translate(text).root_attrs)
-        finally:
-            plane.unlink()
-
-    def test_missing_plane_falls_back_to_cache(self, tmp_path):
-        """A bogus / already-unlinked segment name degrades to the
-        build-cache path (counted), never an error."""
-        import dataclasses
-
-        from repro.batch import build_worker_translator
-
-        translator = make_translator(tmp_path)
-        metrics = MetricsRegistry()
-        spec = dataclasses.replace(
-            translator.spawn_spec, shm_plane="l86plane_nosuch_0"
-        )
-        worker = build_worker_translator(spec, metrics=metrics)
-        assert metrics.snapshot()["batch.shm.attach_fallback"] == 1
-        assert not getattr(worker.linguist, "from_plane", False)
-        text = INPUTS[0]
-        assert canonical_attrs(worker.translate(text).root_attrs) == (
-            canonical_attrs(translator.translate(text).root_attrs)
-        )
-
-    def test_no_shm_flag_changes_nothing_observable(self, tmp_path):
-        """``--no-shm`` (cache-rehydrating workers) produces the same
-        report, byte for byte."""
-        translator = make_translator(tmp_path)
-        with_plane = translator.translate_many(INPUTS[:6], jobs=2)
-        without = translator.translate_many(INPUTS[:6], jobs=2, use_shm=False)
-        assert summarize(with_plane) == summarize(without)
+        ctx = multiprocessing.get_context("forkserver")
+        with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+            counts = pool.submit(
+                _worker_cache_counts, translator.spawn_spec
+            ).result()
+        assert counts == {
+            "cache.hit": 3,
+            "cache.alias.hit": 1,
+            "cache.grammar.hit": 1,
+            "cache.scanner.hit": 1,
+        }

@@ -1,6 +1,6 @@
 """Differential fuzz harness: every evaluator path must agree, byte for byte.
 
-Eight ways to compute a translation exist in this codebase:
+Six ways to compute a translation exist in this codebase:
 
 * the **interpretive** pass evaluator (walks the plans at runtime),
 * the **generated** pass modules (exec-compiled Python),
@@ -8,20 +8,15 @@ Eight ways to compute a translation exist in this codebase:
   semantic functions — no passes, no spools),
 * the **cache-rehydrated** translator (pass modules compiled from
   cached source text, scanner from a cached DFA — the warm path of
-  ``repro.buildcache``),
+  ``repro.buildcache``, which every batch worker process takes),
 * the **unfused** interpretive evaluator (pass fusion disabled — the
   original alternating-pass partition, one pass per fixpoint level),
-* the **shm-attached** translator (every artifact hydrated zero-copy
-  from a shared-memory plane, :mod:`repro.buildcache.shm` — the path
-  batch/serve worker processes take),
-* the **shm-attached unfused** translator (the zero-copy path over the
-  fusion-off build),
 * the **incremental** translator (``memo_dir=``): after a warming run,
   a re-translation splices sealed spool records for every clean
   subtree and re-evaluates only the dirty spine
   (:mod:`repro.passes.incremental`).
 
-They are eight implementations of one semantics, so on every input the
+They are six implementations of one semantics, so on every input the
 root attributes must be *byte-identical* (canonicalized through
 :func:`tests.evalharness.canonical_attrs`).  The workloads are seeded
 generators from :mod:`repro.workloads.generators` — deterministic, so a
@@ -107,13 +102,6 @@ def test_all_backends_agree(grammar, workload_id, text, suite_cache_root):
     assert results["unfused"] == interp, (
         f"{workload_id}: unfused evaluation disagrees with the fused one"
     )
-    assert results["shm"] == interp, (
-        f"{workload_id}: shm-attached backend disagrees with interpretive"
-    )
-    assert results["shm_unfused"] == interp, (
-        f"{workload_id}: shm-attached unfused backend disagrees with "
-        "interpretive"
-    )
     assert results["incremental"] == interp, (
         f"{workload_id}: memo-spliced re-translation disagrees with "
         "from-scratch evaluation"
@@ -129,14 +117,12 @@ def test_run_all_backends_helper(tmp_path):
         "calc", generate_calc_program(6, seed=99), str(tmp_path / "cache")
     )
     assert set(results) == {"interp", "generated", "cached", "unfused",
-                            "shm", "shm_unfused", "incremental", "oracle"}
+                            "incremental", "oracle"}
     assert (
         results["interp"]
         == results["generated"]
         == results["cached"]
         == results["unfused"]
-        == results["shm"]
-        == results["shm_unfused"]
         == results["incremental"]
         == results["oracle"]
     )
@@ -189,13 +175,3 @@ def test_cached_suite_really_rehydrated(suite_cache_root):
     """The 'cached' path is not a silent cold rebuild."""
     suite = suite_for("calc", suite_cache_root)
     assert suite.cached.linguist.from_cache
-
-
-def test_shm_suite_really_plane_attached(suite_cache_root):
-    """The 'shm' axes are genuine zero-copy hydrations, not rebuilds:
-    the husk behind each translator is a PlaneBuild with no cache."""
-    suite = suite_for("calc", suite_cache_root)
-    for translator in (suite.shm, suite.shm_unfused):
-        assert getattr(translator.linguist, "from_plane", False)
-        assert not translator.linguist.from_cache
-        assert translator.linguist.cache is None

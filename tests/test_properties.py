@@ -485,147 +485,3 @@ def _binary_pipe():
 
         _PIPE_CACHE["binary"] = Pipeline(knuth_binary())
     return _PIPE_CACHE["binary"]
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory artifact plane: sealed-segment codec invariants
-# ---------------------------------------------------------------------------
-
-_frame_names = st.text(
-    string.ascii_lowercase + string.digits + "._-", min_size=1, max_size=24
-)
-
-_json_values = st.recursive(
-    st.one_of(
-        st.none(),
-        st.booleans(),
-        st.integers(-10**6, 10**6),
-        st.text(max_size=16),
-    ),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.dictionaries(st.text(max_size=8), children, max_size=4),
-    ),
-    max_leaves=12,
-)
-
-_pickle_values = st.recursive(
-    st.one_of(
-        st.none(),
-        st.booleans(),
-        st.integers(-10**9, 10**9),
-        st.text(max_size=16),
-        st.binary(max_size=16),
-    ),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.tuples(children, children),
-        st.dictionaries(st.text(max_size=8), children, max_size=4),
-    ),
-    max_leaves=12,
-)
-
-
-def _plane_payloads():
-    from repro.buildcache.shm import (
-        CODEC_JSON,
-        CODEC_PICKLE,
-        CODEC_RAW,
-        CODEC_TEXT,
-    )
-
-    return st.one_of(
-        st.tuples(st.just(CODEC_RAW), st.binary(max_size=256)),
-        st.tuples(st.just(CODEC_TEXT), st.text(max_size=128)),
-        st.tuples(st.just(CODEC_JSON), _json_values),
-        st.tuples(st.just(CODEC_PICKLE), _pickle_values),
-    )
-
-
-_plane_frames = st.dictionaries(
-    _frame_names, st.deferred(_plane_payloads), min_size=0, max_size=6
-)
-
-
-class TestArtifactPlaneProperties:
-    @given(_plane_frames)
-    @settings(max_examples=40, deadline=None)
-    def test_encode_attach_decode_round_trip(self, frames):
-        """Every frame written through ``create_plane`` comes back equal
-        through a fresh ``attach_plane`` — all four codecs, any mix."""
-        from repro.buildcache.shm import CODEC_RAW, attach_plane, create_plane
-
-        plane = create_plane(frames)
-        try:
-            attached = attach_plane(plane.name)
-            try:
-                assert sorted(attached.names()) == sorted(frames)
-                for frame_name, (codec, obj) in frames.items():
-                    assert frame_name in attached
-                    value = attached.get(frame_name)
-                    if codec == CODEC_RAW:
-                        assert value == bytes(obj)
-                    else:
-                        assert value == obj
-            finally:
-                attached.close()
-        finally:
-            plane.unlink()
-
-    @given(_plane_frames, st.integers(0, 2**31 - 1), st.integers(0, 7))
-    @settings(max_examples=60, deadline=None)
-    def test_bit_flip_anywhere_is_typed_corruption(self, frames, pos_seed,
-                                                   bit):
-        """Flip one bit anywhere in the sealed image: attach must raise
-        ``PlaneCorruptionError`` — never hand back a wrong artifact.
-        Every byte (header, frame bodies, footer, and the CRC fields
-        themselves) is covered by some checksum, so unlike the spool
-        there is no harmless-flip escape hatch."""
-        from repro.buildcache.shm import attach_plane, create_plane
-        from repro.errors import PlaneCorruptionError
-
-        plane = create_plane(frames)
-        try:
-            offset = pos_seed % plane.used_bytes
-            plane._shm.buf[offset] ^= 1 << bit
-            with pytest.raises(PlaneCorruptionError) as excinfo:
-                attach_plane(plane.name)
-            assert excinfo.value.segment == plane.name
-            assert excinfo.value.reason in {
-                "header", "footer", "checksum", "truncated", "framing",
-                "version", "payload",
-            }
-            # Undo the flip: the segment must validate again, proving the
-            # detection was the flipped bit and nothing else.
-            plane._shm.buf[offset] ^= 1 << bit
-            attach_plane(plane.name).close()
-        finally:
-            plane.unlink()
-
-    def test_attach_after_unlink_fails_cleanly(self):
-        """Attaching to an unlinked segment raises the plain (typed,
-        non-corruption) ``PlaneError`` — a lifecycle error, not damage."""
-        from repro.buildcache.shm import CODEC_TEXT, attach_plane, create_plane
-        from repro.errors import PlaneCorruptionError, PlaneError
-
-        plane = create_plane({"x": (CODEC_TEXT, "hello")})
-        name = plane.name
-        plane.unlink()
-        with pytest.raises(PlaneError) as excinfo:
-            attach_plane(name)
-        assert not isinstance(excinfo.value, PlaneCorruptionError)
-        assert excinfo.value.segment == name
-
-    def test_unlink_is_idempotent(self):
-        from repro.buildcache.shm import CODEC_RAW, create_plane
-
-        plane = create_plane({"blob": (CODEC_RAW, b"\x00\x01")})
-        plane.unlink()
-        plane.unlink()  # second unlink must be a no-op, not an error
-
-    def test_unknown_codec_rejected_at_create(self):
-        from repro.buildcache.shm import create_plane
-        from repro.errors import PlaneError
-
-        with pytest.raises(PlaneError):
-            create_plane({"bad": (99, b"payload")})

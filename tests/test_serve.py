@@ -683,34 +683,27 @@ class TestTranslationServer:
         }
 
 
-class TestServeArtifactPlane:
-    """The daemon's shared-memory artifact plane: supervised restarts
-    attach to the existing segment (near-instant, zero rehydration)
-    and drain sweeps every segment."""
+class TestServeWorkerStart:
+    """Serve workers are forked from the daemon after its warm build and
+    run the translator they inherit, so a supervised restart needs no
+    build cache."""
 
-    def test_restart_attaches_to_plane_without_rebuild(self, tmp_path):
+    def test_restart_inherits_translator_without_cache(self, tmp_path):
         """Kill a worker mid-request with the build cache *deleted*:
-        the supervisor's replacement incarnation can only come up by
-        attaching to the plane.  The cache directory staying absent is
-        the proof — any rebuild/rehydration path would recreate it via
-        ``BuildCache.store``."""
+        the replacement incarnation can only come up by running the
+        daemon's inherited translator.  The cache directory staying
+        absent is the proof — any rebuild/rehydration path would
+        recreate it via ``BuildCache.store``."""
         import shutil
 
-        from repro.buildcache.shm import plane_segments
-
         metrics = MetricsRegistry()
-        before = set(plane_segments())
         os.environ[DIE_MARKER_ENV] = "diemarker"
         cache_dir = str(tmp_path / "cache")
 
         async def body(server):
             del os.environ[DIE_MARKER_ENV]
-            service = server.services["calc"]
-            assert service.plane is not None, "daemon exported no plane"
-            assert service.worker_spec.shm_plane == service.plane.name
-            assert service.plane.name in set(plane_segments()) - before
-            # Ambush every rebuild path: without the plane, a restarted
-            # worker would have to rebuild through the cache dir.
+            # Ambush every rebuild path: a restarted worker that
+            # hydrated its own translator would need the cache dir.
             shutil.rmtree(cache_dir)
             result = await server.submit(
                 "calc", "let diemarker = 3 ; print diemarker"
@@ -719,7 +712,7 @@ class TestServeArtifactPlane:
             assert result.retries == 1  # the crash really happened
             assert not os.path.exists(cache_dir), (
                 "restarted worker rehydrated through the build cache "
-                "instead of attaching to the artifact plane"
+                "instead of running the inherited translator"
             )
 
         try:
@@ -728,29 +721,7 @@ class TestServeArtifactPlane:
             )
         finally:
             os.environ.pop(DIE_MARKER_ENV, None)
-        snap = metrics.snapshot()
-        assert snap["serve.worker_restarts"] >= 1
-        assert snap["batch.shm.export"] == 1
-        assert set(plane_segments()) == before, (
-            "drain left a plane segment linked"
-        )
-
-    def test_no_shm_config_still_serves(self, tmp_path):
-        """``use_shm=False`` (the ``--no-shm`` escape hatch) serves
-        identically with cache-rehydrating workers and no segments."""
-        from repro.buildcache.shm import plane_segments
-
-        before = set(plane_segments())
-
-        async def body(server):
-            assert server.services["calc"].plane is None
-            assert set(plane_segments()) == before
-            result = await server.submit("calc", "let a = 6 ; print a * 7")
-            assert result.ok
-            return result.output
-
-        output = run_server(tmp_path, body, use_shm=False)
-        assert "OUT = [42]" in output
+        assert metrics.snapshot()["serve.worker_restarts"] >= 1
 
 
 class TestHttpFrontend:
