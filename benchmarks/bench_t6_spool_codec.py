@@ -1,32 +1,24 @@
-"""EXP-T6 — spool codec economics: v2 pickle framing vs the v3 codec.
+"""EXP-T6 — spool codec economics of the v3 block format.
 
 The paper's evaluator is I/O bound by construction: every pass streams
 the attributed parse tree through secondary storage, so bytes-per-APT-
 record is the constant that multiplies through the whole §V cost model.
-This benchmark measures the two shipped on-disk encodings over a *real*
-record stream (the initial APT of a generated Pascal program):
-
-* **v2** — one pickle + one CRC32 per record (format 2),
-* **v3** — struct-packed node records, interned names, block-framed
-  CRCs (format 3, the default),
-
-reporting bytes/record, write and read throughput, and the v3 block
-economics (records per block, name-table size).  A second table prices
-the adaptive spooling policy: the same translation with the default
-in-memory budget versus ``--spool-memory-budget 0`` (every intermediate
-spool forced to sealed v3 disk files).
+This benchmark measures the on-disk encoding (struct-packed node
+records, interned names, block-framed CRCs) over a *real* record
+stream (the initial APT of a generated Pascal program), reporting
+bytes/record, write and backward-read throughput, and the block
+economics (records per block, name-table size).  The retired v2
+pickle-per-record format's column is frozen in EXPERIMENTS.md.  A
+second table prices the adaptive spooling policy: the same translation
+with the default in-memory budget versus ``--spool-memory-budget 0``
+(every intermediate spool forced to sealed v3 disk files).
 """
 
 import os
 import time
 
 from repro.apt.build import APTBuilder
-from repro.apt.storage import (
-    FORMAT_V2,
-    FORMAT_V3,
-    DiskSpool,
-    MemorySpool,
-)
+from repro.apt.storage import DiskSpool, MemorySpool
 from repro.core import Linguist
 from repro.grammars import library_for, load_source
 from repro.grammars.scanners import pascal_scanner_spec
@@ -45,7 +37,7 @@ def _initial_apt_records(linguist, translator, n_statements=400, seed=31):
     return list(spool.read_forward())
 
 
-def _spool_cost(records, fmt, path, repeats=3):
+def _spool_cost(records, path, repeats=3):
     """Best-of-``repeats`` write/read timings + sealed file size."""
     write_best = read_best = float("inf")
     size = 0
@@ -53,7 +45,7 @@ def _spool_cost(records, fmt, path, repeats=3):
         if os.path.exists(path):
             os.remove(path)
         start = time.perf_counter()
-        spool = DiskSpool(path, format_version=fmt)
+        spool = DiskSpool(path)
         for record in records:
             spool.append(record)
         spool.finalize()
@@ -71,8 +63,7 @@ def test_t6_codec_bytes_and_throughput(tmp_path, report, linguist_pascal,
                                        pascal_translator):
     records = _initial_apt_records(linguist_pascal, pascal_translator)
     n = len(records)
-    v2 = _spool_cost(records, FORMAT_V2, str(tmp_path / "v2.spool"))
-    v3 = _spool_cost(records, FORMAT_V3, str(tmp_path / "v3.spool"))
+    v3 = _spool_cost(records, str(tmp_path / "v3.spool"))
 
     # v3 block economics from a metrics-instrumented write.
     metrics = MetricsRegistry()
@@ -87,27 +78,20 @@ def test_t6_codec_bytes_and_throughput(tmp_path, report, linguist_pascal,
     def krps(seconds):
         return n / seconds / 1000.0 if seconds > 0 else float("inf")
 
-    shrink = v2["file_bytes"] / v3["file_bytes"]
     lines = [
         f"EXP-T6: spool codec economics ({n} APT records, "
         "pascal initial spool)",
         f"{'format':<26} {'bytes/rec':>10} {'write krec/s':>13} "
         f"{'read krec/s':>12}",
-        f"{'v2 pickle-per-record':<26} {v2['file_bytes'] / n:>10.1f} "
-        f"{krps(v2['write_s']):>13,.0f} {krps(v2['read_s']):>12,.0f}",
         f"{'v3 block codec (default)':<26} {v3['file_bytes'] / n:>10.1f} "
         f"{krps(v3['write_s']):>13,.0f} {krps(v3['read_s']):>12,.0f}",
-        f"v3 shrinks the on-disk APT {shrink:.2f}x "
-        f"({v2['file_bytes']:,} -> {v3['file_bytes']:,} bytes)",
+        f"v3 sealed file: {v3['file_bytes']:,} bytes",
         f"v3 blocks: {n_blocks} written "
         f"({n / max(1, n_blocks):.0f} records/block), "
         f"name table {nt_bytes:,} bytes (one copy per spool)",
     ]
     report("t6_spool_codec", "\n".join(lines))
 
-    assert v3["file_bytes"] < v2["file_bytes"], (
-        "v3 codec must beat pickle-per-record on bytes"
-    )
     assert n_blocks >= 1 and nt_bytes > 0
 
 
@@ -152,7 +136,7 @@ def test_t6_codec_benchmark(benchmark, tmp_path, linguist_pascal,
     def round_trip():
         if os.path.exists(path):
             os.remove(path)
-        spool = DiskSpool(path, format_version=FORMAT_V3)
+        spool = DiskSpool(path)
         for record in records:
             spool.append(record)
         spool.finalize()

@@ -12,9 +12,11 @@ amortizes), then compares throughput against the committed baseline in
   construction is measurably faster than a cold build (< half the
   cold time; in practice it is ~20x faster, so this margin absorbs CI
   noise);
-* **codec gate** — fail when the on-disk bytes/record of a sealed v3
-  spool grows more than ``THRESHOLD`` above the baseline (the APT
-  encoding is the constant that multiplies through every pass's I/O);
+* **codec gate** — fail unless the calc initial-APT stream has exactly
+  the baseline record count and its sealed spool exactly the baseline
+  file bytes (the APT encoding is the constant that multiplies through
+  every pass's I/O; both numbers are deterministic, so enforced exactly
+  on every host);
 * **fusion gate** — fail when the calc grammar's scheduled pass count
   exceeds the baseline (a fusion regression silently doubles the
   streaming work per translation);
@@ -153,16 +155,11 @@ def measure_cold_vs_warm(rounds: int = 3) -> dict:
 
 
 def measure_spool_codec(n_statements: int = 200) -> dict:
-    """On-disk bytes/record of the sealed v3 spool format versus the v2
-    pickle-per-record framing, over a real calc initial-APT stream, and
-    the fused pass count the scheduler produced for calc."""
+    """Record count and sealed file bytes of a real calc initial-APT
+    stream spooled to disk, and the fused pass count the scheduler
+    produced for calc."""
     from repro.apt.build import APTBuilder
-    from repro.apt.storage import (
-        FORMAT_V2,
-        FORMAT_V3,
-        DiskSpool,
-        MemorySpool,
-    )
+    from repro.apt.storage import DiskSpool, MemorySpool
     from repro.core import Linguist
     from repro.grammars import load_source, scanner_and_library
     from repro.workloads import generate_calc_program
@@ -178,21 +175,17 @@ def measure_spool_codec(n_statements: int = 200) -> dict:
     builder.finish()
     records = list(mem.read_forward())
 
-    sizes = {}
     with tempfile.TemporaryDirectory() as root:
-        for name, fmt in (("v2", FORMAT_V2), ("v3", FORMAT_V3)):
-            path = os.path.join(root, f"{name}.spool")
-            spool = DiskSpool(path, format_version=fmt)
-            for record in records:
-                spool.append(record)
-            spool.finalize()
-            sizes[name] = os.path.getsize(path)
-    n = len(records)
+        path = os.path.join(root, "calc.spool")
+        spool = DiskSpool(path)
+        for record in records:
+            spool.append(record)
+        spool.finalize()
+        file_bytes = os.path.getsize(path)
     return {
-        "n_records": n,
-        "v2_bytes_per_record": sizes["v2"] / n,
-        "v3_bytes_per_record": sizes["v3"] / n,
-        "shrink": sizes["v2"] / sizes["v3"],
+        "n_records": len(records),
+        "file_bytes": file_bytes,
+        "bytes_per_record": file_bytes / len(records),
         "calc_n_passes": linguist.n_passes,
     }
 
@@ -459,9 +452,9 @@ def main(argv=None) -> int:
         f"({cache['speedup']:.1f}x speedup from the artifact cache)"
     )
     print(
-        f"spool codec: v3 {codec['v3_bytes_per_record']:.1f} bytes/record "
-        f"vs v2 {codec['v2_bytes_per_record']:.1f} "
-        f"({codec['shrink']:.2f}x shrink, {codec['n_records']} records); "
+        f"spool codec: {codec['n_records']} records in "
+        f"{codec['file_bytes']:,} bytes "
+        f"({codec['bytes_per_record']:.1f} bytes/record); "
         f"calc schedules {codec['calc_n_passes']} fused pass(es)"
     )
     print(
@@ -498,8 +491,8 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "cold_seconds": cache["cold_seconds"],
             "warm_seconds": cache["warm_seconds"],
-            "spool_v3_bytes_per_record": codec["v3_bytes_per_record"],
-            "spool_v2_over_v3_shrink": codec["shrink"],
+            "spool_n_records": codec["n_records"],
+            "spool_v3_file_bytes": codec["file_bytes"],
             "calc_n_passes": codec["calc_n_passes"],
             "provenance_off_lines_per_minute": provenance[
                 "off_lines_per_minute"
@@ -564,22 +557,22 @@ def main(argv=None) -> int:
             f"{cache['cold_seconds'] * 1000:.1f} ms"
         )
 
-    base_bpr = baseline.get("spool_v3_bytes_per_record")
-    if base_bpr is not None:
-        ceiling = base_bpr * (1.0 + THRESHOLD)
-        if codec["v3_bytes_per_record"] > ceiling:
+    base_codec = (baseline.get("spool_n_records"),
+                  baseline.get("spool_v3_file_bytes"))
+    if None not in base_codec:
+        got_codec = (codec["n_records"], codec["file_bytes"])
+        if got_codec != base_codec:
             print(
-                f"FAIL codec bloat: v3 spool now "
-                f"{codec['v3_bytes_per_record']:.1f} bytes/record, more than "
-                f"{100 * THRESHOLD:.0f}% above baseline {base_bpr:.1f}",
+                f"FAIL codec: calc stream is {got_codec[0]} records in "
+                f"{got_codec[1]:,} spool bytes, baseline {base_codec[0]} "
+                f"records in {base_codec[1]:,} bytes (exact gate)",
                 file=sys.stderr,
             )
             ok = False
         else:
             print(
-                f"PASS codec: {codec['v3_bytes_per_record']:.1f} <= ceiling "
-                f"{ceiling:.1f} bytes/record (baseline {base_bpr:.1f} + "
-                f"{100 * THRESHOLD:.0f}%)"
+                f"PASS codec: {got_codec[0]} records in {got_codec[1]:,} "
+                f"spool bytes, exactly the baseline"
             )
 
     base_passes = baseline.get("calc_n_passes")

@@ -2,9 +2,9 @@
 
 The per-input economics of §II/§IV are dominated by streaming the APT
 through intermediate files, so bytes-per-record is a first-order lever.
-Formats v1/v2 pickled every node record (`pickle.dumps` per record,
-~100+ bytes for a small node); the v3 codec instead writes a tagged
-binary encoding in which **symbol and attribute names are name-table
+Earlier spool formats pickled every node record (`pickle.dumps` per
+record, ~100+ bytes for a small node); the v3 codec instead writes a
+tagged binary encoding in which **symbol and attribute names are name-table
 ids, not strings, on disk** — the same move the paper's overlay 1 makes
 for identifiers ("intrinsic attributes … carry name-table indexes"),
 now applied to the spool stream itself.
@@ -64,9 +64,8 @@ __all__ = [
 class RecordAddress(NamedTuple):
     """Random-access address of one node record in a sealed spool set:
     ``(pass, block, record)`` — which pass's spool, which v3 block
-    frame, and which record slot inside that block's payload.  v1/v2
-    spools are a single implicit block, so their addresses are always
-    ``(pass, 0, record)``.  Rendered ``pass:block:record``."""
+    frame, and which record slot inside that block's payload.
+    Rendered ``pass:block:record``."""
 
     pass_k: int
     block: int

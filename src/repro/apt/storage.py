@@ -7,39 +7,11 @@ paradigm rests on reading the previous pass's output file backwards.
 :class:`MemorySpool` is the fast equivalent for tests.  Both charge
 every transfer to an :class:`~repro.util.iotrack.IOAccountant`.
 
-Durable format v2
------------------
+On-disk format (v3)
+-------------------
 
 Real secondary storage fails — torn writes, truncation, bit rot — so
-the on-disk format carries integrity metadata end to end::
-
-    header   "APTSPL2\\n" magic + u16 version + u16 flags       (12 B)
-    record   <u32 len> <u32 crc32> <blob> <u32 crc32> <u32 len> (16 B + blob)
-    ...
-    footer   "APTSEAL\\n" magic + u64 n_records + u64 data_bytes
-             + u32 stream_crc + u32 footer_crc                  (32 B)
-
-The record framing is *mirrored* (length outermost, checksum inner on
-both sides) so a backward reader hops record-to-record with two seeks
-and still cross-checks the leading words against the trailing ones.
-The footer seals the file: record count, payload byte count, a running
-CRC32 over every blob in write order, and a CRC32 of the footer itself.
-``finalize()`` is atomic — records stream into ``<path>.tmp``, the
-footer is written, the file is flushed + fsync'ed, and only then
-renamed over ``<path>`` — so a finalized spool is either completely
-present or absent, never half-sealed.
-
-Legacy **v1** files (bare ``<u32 len> blob <u32 len>`` framing, no
-header/footer/checksums) remain readable: the readers sniff the magic
-and fall back to the v1 framing walk, now with the leading/trailing
-length cross-check the original backward reader skipped.
-
-Compact format v3 (the default)
--------------------------------
-
-v2 pays ``pickle.dumps`` plus 16 framing bytes and a CRC32 *per
-record* — on a million-node APT that is a million checksum and write
-calls per pass.  Format v3 attacks both costs::
+the one on-disk format carries integrity metadata end to end::
 
     header   "APTSPL3\\n" magic + u16 version + u16 flags       (12 B)
     block    <u32 payload_len> <u32 n_records> <u32 crc32>
@@ -54,21 +26,27 @@ calls per pass.  Format v3 attacks both costs::
 Records are encoded by the struct-packed
 :class:`~repro.apt.codec.RecordCodec` (symbol/attribute names become
 name-table ids on disk) and framed into ~32 KiB *blocks* with **one**
-CRC32 per block — checksum and write-call overhead amortize across
-every record in the block, while the mirrored block frame keeps the
-two-seek backward hop of v2 (a backward reader decodes one block at a
-time, so memory stays bounded by the block size, not the file).  The
-name table is sealed into its own checksummed section before the
-footer.  ``finalize()`` keeps the v2 atomic tmp+fsync+rename
-discipline, and v1/v2 files remain fully readable and salvageable —
-the readers sniff the magic.
+CRC32 per block, so checksum and write-call overhead amortize across
+every record in the block.  The block frame is *mirrored* (length
+outermost on both sides), so a backward reader hops block-to-block
+with two seeks and still cross-checks the leading words against the
+trailing ones; it decodes one block at a time, so memory stays bounded
+by the block size, not the file.  The name table is sealed into its
+own checksummed section before the footer.  The footer seals the file:
+record, payload-byte and block counts, the name-table location, a
+running CRC32 over every record in write order, and a CRC32 of the
+footer itself.  ``finalize()`` is atomic — blocks stream into
+``<path>.tmp``, the name table and footer are written, the file is
+flushed + fsync'ed, and only then renamed over ``<path>`` — so a
+finalized spool is either completely present or absent, never
+half-sealed.  A file without the v3 header is not a spool: readers
+raise a ``header`` corruption for it.
 
 Every integrity failure raises :class:`~repro.errors.SpoolCorruptionError`
-naming the 0-based record index and byte offset (block-framed spools
-also carry the block index and block-relative offset);
-:func:`scan_spool` and :func:`salvage_spool` give ``repro fsck`` a
-non-raising sweep and a longest-valid-prefix recovery path for all
-three formats.
+naming the 0-based record index, byte offset, block index and
+block-relative offset; :func:`scan_spool` and :func:`salvage_spool`
+give ``repro fsck`` a non-raising sweep and a longest-valid-prefix
+recovery path.
 
 :class:`AdaptiveSpool` (the default evaluation spool since pass
 fusion) keeps small APTs entirely in memory — raw records, no
@@ -80,6 +58,7 @@ filesystem entirely.
 
 from __future__ import annotations
 
+import bisect
 import io
 import os
 import pickle
@@ -101,51 +80,32 @@ from repro.util.iotrack import IOAccountant
 
 _LEN = struct.Struct("<I")
 
-#: v2 file header: magic, format version, flags (reserved).
-MAGIC = b"APTSPL2\n"
-#: v3 file header magic (same header struct as v2).
+#: File header: magic, format version, flags (reserved).
 MAGIC_V3 = b"APTSPL3\n"
 _HEADER = struct.Struct("<8sHH")
-#: v2 record head (length, crc32) and mirrored tail (crc32, length).
-_REC_HEAD = struct.Struct("<II")
-_REC_TAIL = struct.Struct("<II")
-#: v2 sealed footer: magic, n_records, data_bytes, stream crc, footer crc.
-FOOTER_MAGIC = b"APTSEAL\n"
-_FOOTER = struct.Struct("<8sQQII")
-#: v3 block head (payload_len, n_records, crc32) and mirrored tail
+#: Block head (payload_len, n_records, crc32) and mirrored tail
 #: (crc32, n_records, payload_len).
 _BLOCK_HEAD = struct.Struct("<III")
 _BLOCK_TAIL = struct.Struct("<III")
-#: v3 name-table section head: payload length, payload crc32.
+#: Name-table section head: payload length, payload crc32.
 _NT_HEAD = struct.Struct("<II")
-#: v3 sealed footer: magic, n_records, data_bytes, n_blocks, nt_offset,
+#: Sealed footer: magic, n_records, data_bytes, n_blocks, nt_offset,
 #: nt_bytes, stream crc, footer crc.
 FOOTER_MAGIC_V3 = b"APTSEL3\n"
 _FOOTER3 = struct.Struct("<8sQQQQIII")
 
-FORMAT_V1 = 1
-FORMAT_V2 = 2
 FORMAT_V3 = 3
 
-#: Target (uncompressed) payload bytes per v3 block: one CRC32 and two
+#: Target (uncompressed) payload bytes per block: one CRC32 and two
 #: write calls amortize across every record that fits.
 DEFAULT_BLOCK_SIZE = 32 * 1024
 
-#: Per-record framing overhead in bytes, by format version (v3 charges
-#: only the in-block length prefix per record; block framing is
-#: per-*block* and amortized).
-RECORD_OVERHEAD = {FORMAT_V1: 2 * _LEN.size,
-                   FORMAT_V2: _REC_HEAD.size + _REC_TAIL.size,
-                   FORMAT_V3: _LEN.size}
+#: Per-record framing overhead in bytes: only the in-block length
+#: prefix (block framing is per-*block* and amortized).
+RECORD_OVERHEAD = _LEN.size
 
-#: v3 per-block framing overhead (mirrored head + tail).
+#: Per-block framing overhead (mirrored head + tail).
 BLOCK_OVERHEAD = _BLOCK_HEAD.size + _BLOCK_TAIL.size
-
-
-def _footer_bytes(n_records: int, data_bytes: int, stream_crc: int) -> bytes:
-    body = _FOOTER.pack(FOOTER_MAGIC, n_records, data_bytes, stream_crc, 0)
-    crc = zlib.crc32(body[: _FOOTER.size - 4])
-    return body[: _FOOTER.size - 4] + _LEN.pack(crc)
 
 
 def _footer3_bytes(
@@ -161,17 +121,8 @@ def _footer3_bytes(
 
 
 @dataclass
-class SpoolFooter:
-    """Decoded v2 footer."""
-
-    n_records: int
-    data_bytes: int
-    stream_crc: int
-
-
-@dataclass
 class SpoolFooterV3:
-    """Decoded v3 footer."""
+    """Decoded footer."""
 
     n_records: int
     data_bytes: int
@@ -217,7 +168,7 @@ class Spool:
         self.append_blob(self._encode(record))
 
     def _encode(self, record: Any) -> bytes:
-        """Serialize one record (pickle by default; v3 uses the codec)."""
+        """Serialize one record (pickle by default; DiskSpool uses the codec)."""
         return pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
 
     def _decode(self, blob: bytes) -> Any:
@@ -597,15 +548,12 @@ def adaptive_spool_factory(
 
 
 class DiskSpool(Spool):
-    """Spool on real secondary storage (compact block format v3 by default).
+    """Spool on real secondary storage, in the sealed block format v3.
 
     While being written, records stream into ``<path>.tmp``;
     :meth:`finalize` seals the footer, fsyncs, and atomically renames
-    the temp file over ``path``.  Pass ``format_version=2`` for the
-    per-record-checksummed v2 layout or ``format_version=1`` for the
-    legacy checksum-free framing (back-compat tests); all versions are
-    auto-detected on read.  Use :meth:`DiskSpool.open` to attach to an
-    existing finalized spool file (checkpoint resume, fsck).
+    the temp file over ``path``.  Use :meth:`DiskSpool.open` to attach
+    to an existing finalized spool file (checkpoint resume, fsck).
     """
 
     def __init__(
@@ -615,15 +563,11 @@ class DiskSpool(Spool):
         channel: str = "",
         tracer=None,
         metrics=None,
-        format_version: int = FORMAT_V3,
         block_size: int = DEFAULT_BLOCK_SIZE,
         seed_names=None,
         durable: bool = True,
     ):
         super().__init__(accountant, channel, tracer, metrics)
-        if format_version not in (FORMAT_V1, FORMAT_V2, FORMAT_V3):
-            raise ValueError(f"unknown spool format version {format_version}")
-        self.format_version = format_version
         self.block_size = max(1, block_size)
         #: ``durable=False`` skips the fsync at :meth:`finalize` (flush +
         #: atomic rename only).  Correct only for *cache* artifacts — the
@@ -639,39 +583,29 @@ class DiskSpool(Spool):
             self._owns_file = False
         self.path = path
         self._stream_crc = 0
-        #: v3 writer state: the codec (doubles as the read codec of a
+        #: Writer state: the codec (doubles as the read codec of a
         #: freshly written spool), the current block buffer, and counts.
-        self._codec: Optional[RecordCodec] = None
-        self._block_buf: Optional[bytearray] = None
+        #: ``seed_names`` pre-populates the codec's name table with a
+        #: copy of another (sealed) spool's table, so blobs encoded
+        #: against the source decode identically here — the raw
+        #: cross-generation splice of the incremental memo.
+        self._codec: Optional[RecordCodec] = RecordCodec(
+            seed_names.copy() if seed_names is not None else None
+        )
+        self._block_buf: Optional[bytearray] = bytearray()
         self._block_records = 0
         self._n_blocks = 0
         self._nt_bytes = 0
-        if format_version == FORMAT_V3:
-            # ``seed_names`` pre-populates the codec's name table with a
-            # copy of another (sealed) spool's table, so blobs encoded
-            # against the source decode identically here — the raw
-            # cross-generation splice of the incremental memo.
-            self._codec = RecordCodec(
-                seed_names.copy() if seed_names is not None else None
-            )
-            self._block_buf = bytearray()
-            self._tmp_path: Optional[str] = path + ".tmp"
-            self._writer: Optional[io.BufferedWriter] = _aw.open_file(
-                self._tmp_path, "wb"
-            )
-            self._writer.write(_HEADER.pack(MAGIC_V3, FORMAT_V3, 0))
-        elif format_version == FORMAT_V2:
-            self._tmp_path = path + ".tmp"
-            self._writer = _aw.open_file(self._tmp_path, "wb")
-            self._writer.write(_HEADER.pack(MAGIC, FORMAT_V2, 0))
-        else:
-            self._tmp_path = None
-            self._writer = _aw.open_file(path, "wb")
+        self._tmp_path: Optional[str] = path + ".tmp"
+        self._writer: Optional[io.BufferedWriter] = _aw.open_file(
+            self._tmp_path, "wb"
+        )
+        self._writer.write(_HEADER.pack(MAGIC_V3, FORMAT_V3, 0))
 
     # -- attach to an existing file ---------------------------------------
 
     @classmethod
-    def open(
+    def _readonly(
         cls,
         path: str,
         accountant: Optional[IOAccountant] = None,
@@ -679,12 +613,8 @@ class DiskSpool(Spool):
         tracer=None,
         metrics=None,
     ) -> "DiskSpool":
-        """Attach (read-only) to an existing finalized spool file.
-
-        Sniffs the format version, verifies the v2 footer, and fills
-        ``n_records``/``data_bytes`` from it; v1 files get counts by a
-        framing walk (no checksums to verify).
-        """
+        """A finalized read-only shell over ``path`` that has not read
+        the file yet, so it works on arbitrarily damaged inputs."""
         spool = cls.__new__(cls)
         Spool.__init__(spool, accountant, channel, tracer, metrics)
         spool.path = path
@@ -700,80 +630,67 @@ class DiskSpool(Spool):
         spool._n_blocks = 0
         spool._nt_bytes = 0
         spool.block_size = DEFAULT_BLOCK_SIZE
+        return spool
+
+    @classmethod
+    def open(
+        cls,
+        path: str,
+        accountant: Optional[IOAccountant] = None,
+        channel: str = "",
+        tracer=None,
+        metrics=None,
+    ) -> "DiskSpool":
+        """Attach (read-only) to an existing finalized spool file.
+
+        Verifies the header and the sealed footer, and fills
+        ``n_records``/``data_bytes`` from the footer.
+        """
+        spool = cls._readonly(path, accountant, channel, tracer, metrics)
         if not os.path.exists(path):
             raise spool._corrupt("spool file missing", reason="truncated")
         with open(path, "rb") as f:
             size = f.seek(0, os.SEEK_END)
-            spool.format_version = spool._sniff_version(f, size)
-            if spool.format_version == FORMAT_V3:
-                footer = spool._read_footer3(f, size)
-                spool.n_records = footer.n_records
-                spool.data_bytes = footer.data_bytes
-                spool._stream_crc = footer.stream_crc
-                spool._n_blocks = footer.n_blocks
-                spool._nt_bytes = footer.nt_bytes
-            elif spool.format_version == FORMAT_V2:
-                footer = spool._read_footer(f, size)
-                spool.n_records = footer.n_records
-                spool.data_bytes = footer.data_bytes
-                spool._stream_crc = footer.stream_crc
-            else:
-                n, nbytes = 0, 0
-                for blob in spool._iter_v1_forward(f, size):
-                    n += 1
-                    nbytes += len(blob)
-                spool.n_records = n
-                spool.data_bytes = nbytes
+            spool._check_header(f, size)
+            footer = spool._read_footer3(f, size)
+        spool.n_records = footer.n_records
+        spool.data_bytes = footer.data_bytes
+        spool._stream_crc = footer.stream_crc
+        spool._n_blocks = footer.n_blocks
+        spool._nt_bytes = footer.nt_bytes
         return spool
 
     # -- writing ----------------------------------------------------------
 
     def _encode(self, record: Any) -> bytes:
-        if self.format_version == FORMAT_V3:
-            return self._codec.encode(record)
-        return super()._encode(record)
+        return self._codec.encode(record)
 
     def _decode(self, blob: bytes) -> Any:
-        if self.format_version == FORMAT_V3:
-            codec = self._codec
-            if codec is None:
-                codec = self._codec = self._load_codec()
-            return codec.decode(blob)
-        return super()._decode(blob)
+        codec = self._codec
+        if codec is None:
+            codec = self._codec = self._load_codec()
+        return codec.decode(blob)
 
     def _write_blob(self, blob: bytes) -> None:
         if self._writer is None:
             raise EvaluationError(f"spool {self.channel!r} is not open for writing")
-        if self.format_version == FORMAT_V3:
-            buf = self._block_buf
-            buf += _LEN.pack(len(blob))
-            buf += blob
-            self._block_records += 1
-            self._stream_crc = zlib.crc32(blob, self._stream_crc)
-            if len(buf) >= self.block_size:
-                self._flush_block()
-        elif self.format_version == FORMAT_V2:
-            crc = zlib.crc32(blob)
-            self._writer.write(_REC_HEAD.pack(len(blob), crc))
-            self._writer.write(blob)
-            self._writer.write(_REC_TAIL.pack(crc, len(blob)))
-            self._stream_crc = zlib.crc32(blob, self._stream_crc)
-        else:
-            self._writer.write(_LEN.pack(len(blob)))
-            self._writer.write(blob)
-            self._writer.write(_LEN.pack(len(blob)))
+        buf = self._block_buf
+        buf += _LEN.pack(len(blob))
+        buf += blob
+        self._block_records += 1
+        self._stream_crc = zlib.crc32(blob, self._stream_crc)
+        if len(buf) >= self.block_size:
+            self._flush_block()
 
     def append_blobs(self, blobs: List[bytes]) -> None:
         """Bulk raw append: one accounting charge and one trace event
-        for the whole batch, with the v3 framing loop kept local.  The
+        for the whole batch, with the framing loop kept local.  The
         incremental memo splices thousands of sealed blobs per hit
         through here; per-record overhead is the price of a splice."""
         if self._finalized:
             raise EvaluationError(f"spool {self.channel!r} already finalized")
-        if self.format_version != FORMAT_V3 or self._writer is None:
-            for blob in blobs:
-                self.append_blob(blob)
-            return
+        if self._writer is None:
+            raise EvaluationError(f"spool {self.channel!r} is not open for writing")
         pack = _LEN.pack
         block_size = self.block_size
         # The stream CRC chains per appended blob, which is by definition
@@ -842,53 +759,35 @@ class DiskSpool(Spool):
         # ``close()`` unlink it immediately).
         if self._writer is not None:
             try:
-                if self.format_version == FORMAT_V3:
-                    self._flush_block()
-                    nt_payload = serialize_names(self._codec.names)
-                    nt_offset = self._writer.tell()
-                    self._nt_bytes = len(nt_payload)
-                    self._writer.write(
-                        _NT_HEAD.pack(len(nt_payload), zlib.crc32(nt_payload))
+                self._flush_block()
+                nt_payload = serialize_names(self._codec.names)
+                nt_offset = self._writer.tell()
+                self._nt_bytes = len(nt_payload)
+                self._writer.write(
+                    _NT_HEAD.pack(len(nt_payload), zlib.crc32(nt_payload))
+                )
+                self._writer.write(nt_payload)
+                self._writer.write(
+                    _footer3_bytes(
+                        self.n_records, self.data_bytes, self._n_blocks,
+                        nt_offset, len(nt_payload), self._stream_crc,
                     )
-                    self._writer.write(nt_payload)
-                    self._writer.write(
-                        _footer3_bytes(
-                            self.n_records, self.data_bytes, self._n_blocks,
-                            nt_offset, len(nt_payload), self._stream_crc,
-                        )
-                    )
-                    if self._durable:
-                        _aw.fsync_file(self._writer)
-                    else:
-                        self._writer.flush()
-                    self._writer.close()
-                    self._writer = None
-                    _aw.atomic_replace(self._tmp_path, self.path)
-                    self._tmp_path = None
-                    if self.metrics is not None:
-                        self.metrics.counter("spool.codec.records_written").inc(
-                            self.n_records
-                        )
-                        self.metrics.counter("spool.codec.nametable_bytes").inc(
-                            len(nt_payload)
-                        )
-                elif self.format_version == FORMAT_V2:
-                    self._writer.write(
-                        _footer_bytes(
-                            self.n_records, self.data_bytes, self._stream_crc
-                        )
-                    )
-                    if self._durable:
-                        _aw.fsync_file(self._writer)
-                    else:
-                        self._writer.flush()
-                    self._writer.close()
-                    self._writer = None
-                    _aw.atomic_replace(self._tmp_path, self.path)
-                    self._tmp_path = None
+                )
+                if self._durable:
+                    _aw.fsync_file(self._writer)
                 else:
-                    self._writer.close()
-                    self._writer = None
+                    self._writer.flush()
+                self._writer.close()
+                self._writer = None
+                _aw.atomic_replace(self._tmp_path, self.path)
+                self._tmp_path = None
+                if self.metrics is not None:
+                    self.metrics.counter("spool.codec.records_written").inc(
+                        self.n_records
+                    )
+                    self.metrics.counter("spool.codec.nametable_bytes").inc(
+                        len(nt_payload)
+                    )
             except BaseException:
                 if self._writer is not None:
                     try:
@@ -899,70 +798,32 @@ class DiskSpool(Spool):
                 raise
         super().finalize()
 
-    # -- format sniffing ---------------------------------------------------
+    # -- header, footer, name table ----------------------------------------
 
-    def _sniff_version(self, f, size: int) -> int:
-        if size >= _HEADER.size:
-            f.seek(0)
-            magic, version, _flags = _HEADER.unpack(f.read(_HEADER.size))
-            if magic == MAGIC:
-                if version != FORMAT_V2:
-                    raise self._corrupt(
-                        f"unsupported spool format version {version}",
-                        byte_offset=0,
-                        reason="header",
-                    )
-                return FORMAT_V2
-            if magic == MAGIC_V3:
-                if version != FORMAT_V3:
-                    raise self._corrupt(
-                        f"unsupported spool format version {version}",
-                        byte_offset=0,
-                        reason="header",
-                    )
-                return FORMAT_V3
-        return FORMAT_V1
-
-    def _read_footer(self, f, size: int) -> SpoolFooter:
-        """Read and verify the sealed v2 footer (raises on any damage)."""
-        if size < _HEADER.size + _FOOTER.size:
+    def _check_header(self, f, size: int) -> None:
+        """Verify the file header; any other file is a ``header``
+        corruption, never a spool of some other kind."""
+        f.seek(0)
+        head = f.read(_HEADER.size)
+        if len(head) != _HEADER.size:
             raise self._corrupt(
-                f"file too short for a sealed spool ({size} bytes)",
-                byte_offset=size,
-                reason="truncated",
+                f"file too short for a spool header ({size} bytes)",
+                byte_offset=0, reason="header",
             )
-        f.seek(size - _FOOTER.size)
-        raw = f.read(_FOOTER.size)
-        magic, n_records, data_bytes, stream_crc, footer_crc = _FOOTER.unpack(raw)
-        if magic != FOOTER_MAGIC:
+        magic, version, _flags = _HEADER.unpack(head)
+        if magic != MAGIC_V3:
             raise self._corrupt(
-                "missing footer seal (truncated file or crash before finalize)",
-                byte_offset=size - _FOOTER.size,
-                reason="footer",
+                f"bad header magic {magic!r} (not a v3 spool)",
+                byte_offset=0, reason="header",
             )
-        if zlib.crc32(raw[: _FOOTER.size - 4]) != footer_crc:
+        if version != FORMAT_V3:
             raise self._corrupt(
-                "footer checksum mismatch",
-                byte_offset=size - _FOOTER.size,
-                reason="footer",
+                f"unsupported spool format version {version}",
+                byte_offset=0, reason="header",
             )
-        expected = (
-            _HEADER.size
-            + data_bytes
-            + RECORD_OVERHEAD[FORMAT_V2] * n_records
-            + _FOOTER.size
-        )
-        if expected != size:
-            raise self._corrupt(
-                f"footer inconsistent with file size "
-                f"({size} bytes on disk, {expected} sealed)",
-                byte_offset=size - _FOOTER.size,
-                reason="footer",
-            )
-        return SpoolFooter(n_records, data_bytes, stream_crc)
 
     def _read_footer3(self, f, size: int) -> SpoolFooterV3:
-        """Read and verify the sealed v3 footer (raises on any damage)."""
+        """Read and verify the sealed footer (raises on any damage)."""
         min_size = _HEADER.size + _NT_HEAD.size + 4 + _FOOTER3.size
         if size < min_size:
             raise self._corrupt(
@@ -990,7 +851,7 @@ class DiskSpool(Spool):
         data_region = nt_offset - _HEADER.size
         expected_data = (
             data_bytes
-            + RECORD_OVERHEAD[FORMAT_V3] * n_records
+            + RECORD_OVERHEAD * n_records
             + BLOCK_OVERHEAD * n_blocks
         )
         if expected != size or nt_offset < _HEADER.size or \
@@ -1050,13 +911,31 @@ class DiskSpool(Spool):
     def _iter_blobs_forward(self) -> Iterator[bytes]:
         with open(self.path, "rb") as f:
             size = f.seek(0, os.SEEK_END)
-            version = self._sniff_version(f, size)
-            if version == FORMAT_V3:
-                yield from self._iter_v3_forward(f, size)
-            elif version == FORMAT_V2:
-                yield from self._iter_v2_forward(f, size)
-            else:
-                yield from self._iter_v1_forward(f, size)
+            self._check_header(f, size)
+            footer = self._read_footer3(f, size)
+            index = 0
+            block_index = 0
+            crc = 0
+            for blobs, _end in self._walk_blocks(f, footer.nt_offset):
+                for blob in blobs:
+                    crc = zlib.crc32(blob, crc)
+                    yield blob
+                index += len(blobs)
+                block_index += 1
+            if index != footer.n_records or block_index != footer.n_blocks:
+                raise self._corrupt(
+                    f"footer promises {footer.n_records} records in "
+                    f"{footer.n_blocks} blocks, walked {index} in "
+                    f"{block_index}",
+                    record_index=index, byte_offset=footer.nt_offset,
+                    block_index=block_index, reason="footer",
+                )
+            if crc != footer.stream_crc:
+                raise self._corrupt(
+                    "whole-file stream checksum mismatch",
+                    record_index=index, byte_offset=footer.nt_offset,
+                    reason="footer",
+                )
 
     def _split_block(
         self, payload: bytes, n_records: int,
@@ -1151,282 +1030,99 @@ class DiskSpool(Spool):
         )
         return blobs, pos + BLOCK_OVERHEAD + payload_len
 
-    def _iter_v3_forward(self, f, size: int) -> Iterator[bytes]:
-        footer = self._read_footer3(f, size)
-        data_end = footer.nt_offset
+    def _walk_blocks(
+        self, f, data_end: int
+    ) -> Iterator[Tuple[List[bytes], int]]:
+        """Verify the blocks between the header and ``data_end`` in file
+        order, yielding ``(blobs, end)`` per block — its records and the
+        file offset one past it — and raising at the first damage.
+
+        The one forward block walk: the forward reader, fsck's scan and
+        salvage all consume it.
+        """
         pos = _HEADER.size
         f.seek(pos)
         index = 0
         block_index = 0
-        crc = 0
         while pos < data_end:
-            blobs, pos = self._read_block_forward(
+            blobs, end = self._read_block_forward(
                 f, pos, data_end, block_index, index
             )
-            for blob in blobs:
-                crc = zlib.crc32(blob, crc)
-                yield blob
-                index += 1
+            yield blobs, end
+            pos = end
+            index += len(blobs)
             block_index += 1
-        if index != footer.n_records or block_index != footer.n_blocks:
-            raise self._corrupt(
-                f"footer promises {footer.n_records} records in "
-                f"{footer.n_blocks} blocks, walked {index} in {block_index}",
-                record_index=index, byte_offset=pos,
-                block_index=block_index, reason="footer",
-            )
-        if crc != footer.stream_crc:
-            raise self._corrupt(
-                "whole-file stream checksum mismatch",
-                record_index=index, byte_offset=pos, reason="footer",
-            )
-
-    def _iter_v2_forward(self, f, size: int) -> Iterator[bytes]:
-        footer = self._read_footer(f, size)
-        data_end = size - _FOOTER.size
-        pos = _HEADER.size
-        f.seek(pos)
-        index = 0
-        crc = 0
-        overhead = RECORD_OVERHEAD[FORMAT_V2]
-        while pos < data_end:
-            head = f.read(_REC_HEAD.size)
-            if len(head) != _REC_HEAD.size:
-                raise self._corrupt(
-                    "record header truncated",
-                    record_index=index, byte_offset=pos, reason="truncated",
-                )
-            length, want_crc = _REC_HEAD.unpack(head)
-            if length > data_end - pos - overhead:
-                raise self._corrupt(
-                    f"record length {length} overruns the sealed data region",
-                    record_index=index, byte_offset=pos, reason="framing",
-                )
-            blob = f.read(length)
-            if len(blob) != length:
-                raise self._corrupt(
-                    "record payload truncated",
-                    record_index=index, byte_offset=pos, reason="truncated",
-                )
-            if zlib.crc32(blob) != want_crc:
-                raise self._corrupt(
-                    "record checksum mismatch (bit rot or torn write)",
-                    record_index=index, byte_offset=pos, reason="checksum",
-                )
-            tail = f.read(_REC_TAIL.size)
-            if len(tail) != _REC_TAIL.size:
-                raise self._corrupt(
-                    "record trailer truncated",
-                    record_index=index, byte_offset=pos, reason="truncated",
-                )
-            tail_crc, tail_len = _REC_TAIL.unpack(tail)
-            if tail_len != length or tail_crc != want_crc:
-                raise self._corrupt(
-                    "record head/tail framing mismatch",
-                    record_index=index, byte_offset=pos, reason="framing",
-                )
-            crc = zlib.crc32(blob, crc)
-            yield blob
-            index += 1
-            pos += overhead + length
-        if index != footer.n_records:
-            raise self._corrupt(
-                f"footer promises {footer.n_records} records, walked {index}",
-                record_index=index, byte_offset=pos, reason="footer",
-            )
-        if crc != footer.stream_crc:
-            raise self._corrupt(
-                "whole-file stream checksum mismatch",
-                record_index=index, byte_offset=pos, reason="footer",
-            )
-
-    def _iter_v1_forward(self, f, size: int) -> Iterator[bytes]:
-        f.seek(0)
-        pos = 0
-        index = 0
-        while True:
-            head = f.read(_LEN.size)
-            if not head:
-                return
-            if len(head) != _LEN.size:
-                raise self._corrupt(
-                    "truncated record header",
-                    record_index=index, byte_offset=pos, reason="truncated",
-                )
-            (length,) = _LEN.unpack(head)
-            if length > size - pos - 2 * _LEN.size:
-                raise self._corrupt(
-                    f"record length {length} overruns the file (truncated spool)",
-                    record_index=index, byte_offset=pos, reason="truncated",
-                )
-            blob = f.read(length)
-            if len(blob) != length:
-                raise self._corrupt(
-                    "truncated spool",
-                    record_index=index, byte_offset=pos, reason="truncated",
-                )
-            trailer = f.read(_LEN.size)
-            if len(trailer) != _LEN.size or _LEN.unpack(trailer)[0] != length:
-                raise self._corrupt(
-                    "truncated or corrupt spool (record trailer mismatch)",
-                    record_index=index, byte_offset=pos, reason="framing",
-                )
-            yield blob
-            index += 1
-            pos += 2 * _LEN.size + length
 
     # -- backward reading --------------------------------------------------
 
     def _iter_blobs_backward(self) -> Iterator[bytes]:
-        with open(self.path, "rb") as f:
-            size = f.seek(0, os.SEEK_END)
-            version = self._sniff_version(f, size)
-            if version == FORMAT_V3:
-                yield from self._iter_v3_backward(f, size)
-            elif version == FORMAT_V2:
-                yield from self._iter_v2_backward(f, size)
-            else:
-                yield from self._iter_v1_backward(f, size)
-
-    def _iter_v3_backward(self, f, size: int) -> Iterator[bytes]:
         """Hop block-to-block from the back via the mirrored tails,
         decode each block forward, and yield its records reversed —
         memory stays bounded by one block, not the file."""
-        footer = self._read_footer3(f, size)
-        pos = footer.nt_offset  # end of the block region
-        blocks_seen = 0
-        records_seen = 0
-        while pos > _HEADER.size:
-            block_index = footer.n_blocks - blocks_seen - 1
-            if pos - _BLOCK_TAIL.size < _HEADER.size:
-                raise self._corrupt(
-                    "dangling bytes before the first block",
-                    byte_offset=pos, block_index=block_index,
-                    reason="framing",
+        with open(self.path, "rb") as f:
+            size = f.seek(0, os.SEEK_END)
+            self._check_header(f, size)
+            footer = self._read_footer3(f, size)
+            pos = footer.nt_offset  # end of the block region
+            blocks_seen = 0
+            records_seen = 0
+            while pos > _HEADER.size:
+                block_index = footer.n_blocks - blocks_seen - 1
+                if pos - _BLOCK_TAIL.size < _HEADER.size:
+                    raise self._corrupt(
+                        "dangling bytes before the first block",
+                        byte_offset=pos, block_index=block_index,
+                        reason="framing",
+                    )
+                f.seek(pos - _BLOCK_TAIL.size)
+                tail_crc, tail_n, tail_len = _BLOCK_TAIL.unpack(
+                    f.read(_BLOCK_TAIL.size)
                 )
-            f.seek(pos - _BLOCK_TAIL.size)
-            tail_crc, tail_n, tail_len = _BLOCK_TAIL.unpack(
-                f.read(_BLOCK_TAIL.size)
-            )
-            start = pos - BLOCK_OVERHEAD - tail_len
-            if start < _HEADER.size:
-                raise self._corrupt(
-                    f"trailing block length {tail_len} underruns the header",
-                    byte_offset=pos - _BLOCK_TAIL.size,
-                    block_index=block_index, reason="framing",
+                start = pos - BLOCK_OVERHEAD - tail_len
+                if start < _HEADER.size:
+                    raise self._corrupt(
+                        f"trailing block length {tail_len} underruns the header",
+                        byte_offset=pos - _BLOCK_TAIL.size,
+                        block_index=block_index, reason="framing",
+                    )
+                f.seek(start)
+                head = f.read(_BLOCK_HEAD.size)
+                payload_len, n_records, want_crc = _BLOCK_HEAD.unpack(head)
+                first_record_index = max(
+                    footer.n_records - records_seen - n_records, 0
                 )
-            f.seek(start)
-            first_record_index = None  # filled after the head is read
-            head = f.read(_BLOCK_HEAD.size)
-            payload_len, n_records, want_crc = _BLOCK_HEAD.unpack(head)
-            first_record_index = (
-                footer.n_records - records_seen - n_records
-            )
-            if payload_len != tail_len or n_records != tail_n or \
-                    want_crc != tail_crc:
-                raise self._corrupt(
-                    "block head/tail framing mismatch",
-                    record_index=max(first_record_index, 0),
-                    byte_offset=start, block_index=block_index,
-                    reason="framing",
+                if payload_len != tail_len or n_records != tail_n or \
+                        want_crc != tail_crc:
+                    raise self._corrupt(
+                        "block head/tail framing mismatch",
+                        record_index=first_record_index,
+                        byte_offset=start, block_index=block_index,
+                        reason="framing",
+                    )
+                payload = f.read(payload_len)
+                if len(payload) != payload_len or \
+                        zlib.crc32(payload) != want_crc:
+                    raise self._corrupt(
+                        "block checksum mismatch (bit rot or torn write)",
+                        record_index=first_record_index,
+                        byte_offset=start, block_index=block_index,
+                        reason="checksum",
+                    )
+                blobs = self._split_block(
+                    payload, n_records, block_index, start, first_record_index,
                 )
-            payload = f.read(payload_len)
-            if len(payload) != payload_len or zlib.crc32(payload) != want_crc:
+                yield from reversed(blobs)
+                blocks_seen += 1
+                records_seen += n_records
+                pos = start
+            if blocks_seen != footer.n_blocks or \
+                    records_seen != footer.n_records:
                 raise self._corrupt(
-                    "block checksum mismatch (bit rot or torn write)",
-                    record_index=max(first_record_index, 0),
-                    byte_offset=start, block_index=block_index,
-                    reason="checksum",
+                    f"footer promises {footer.n_records} records in "
+                    f"{footer.n_blocks} blocks, walked {records_seen} in "
+                    f"{blocks_seen}",
+                    byte_offset=pos, reason="footer",
                 )
-            blobs = self._split_block(
-                payload, n_records, block_index, start,
-                max(first_record_index, 0),
-            )
-            yield from reversed(blobs)
-            blocks_seen += 1
-            records_seen += n_records
-            pos = start
-        if blocks_seen != footer.n_blocks or records_seen != footer.n_records:
-            raise self._corrupt(
-                f"footer promises {footer.n_records} records in "
-                f"{footer.n_blocks} blocks, walked {records_seen} in "
-                f"{blocks_seen}",
-                byte_offset=pos, reason="footer",
-            )
-
-    def _iter_v2_backward(self, f, size: int) -> Iterator[bytes]:
-        footer = self._read_footer(f, size)
-        pos = size - _FOOTER.size  # end of the data region
-        overhead = RECORD_OVERHEAD[FORMAT_V2]
-        seen = 0
-        while pos > _HEADER.size:
-            index = footer.n_records - seen - 1  # forward-order index
-            f.seek(pos - _REC_TAIL.size)
-            tail_crc, length = _REC_TAIL.unpack(f.read(_REC_TAIL.size))
-            start = pos - overhead - length
-            if start < _HEADER.size:
-                raise self._corrupt(
-                    f"trailing length {length} underruns the header",
-                    record_index=index, byte_offset=pos - _REC_TAIL.size,
-                    reason="framing",
-                )
-            f.seek(start)
-            head_len, head_crc = _REC_HEAD.unpack(f.read(_REC_HEAD.size))
-            if head_len != length or head_crc != tail_crc:
-                raise self._corrupt(
-                    "record head/tail framing mismatch",
-                    record_index=index, byte_offset=start, reason="framing",
-                )
-            blob = f.read(length)
-            if len(blob) != length or zlib.crc32(blob) != head_crc:
-                raise self._corrupt(
-                    "record checksum mismatch (bit rot or torn write)",
-                    record_index=index, byte_offset=start, reason="checksum",
-                )
-            yield blob
-            seen += 1
-            pos = start
-        if seen != footer.n_records:
-            raise self._corrupt(
-                f"footer promises {footer.n_records} records, walked {seen}",
-                record_index=None, byte_offset=pos, reason="footer",
-            )
-
-    def _iter_v1_backward(self, f, size: int) -> Iterator[bytes]:
-        pos = size
-        while pos > 0:
-            if pos < 2 * _LEN.size:
-                raise self._corrupt(
-                    "corrupt spool (dangling bytes before first record)",
-                    byte_offset=pos, reason="framing",
-                )
-            f.seek(pos - _LEN.size)
-            (length,) = _LEN.unpack(f.read(_LEN.size))
-            start = pos - 2 * _LEN.size - length
-            if start < 0:
-                raise self._corrupt(
-                    f"trailing length {length} underruns the file",
-                    byte_offset=pos - _LEN.size, reason="framing",
-                )
-            # Cross-check the *leading* length word against the trailer —
-            # a mismatched header must not go undetected just because we
-            # approached the record from the right.
-            f.seek(start)
-            (head_length,) = _LEN.unpack(f.read(_LEN.size))
-            if head_length != length:
-                raise self._corrupt(
-                    f"record head/tail length mismatch "
-                    f"({head_length} vs {length})",
-                    byte_offset=start, reason="framing",
-                )
-            blob = f.read(length)
-            if len(blob) != length:
-                raise self._corrupt(
-                    "truncated spool",
-                    byte_offset=start, reason="truncated",
-                )
-            yield blob
-            pos = start
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -1442,25 +1138,17 @@ class DiskSpool(Spool):
 
     def file_bytes(self) -> int:
         """Actual on-disk size, including framing, header, and footer."""
-        if self.format_version == FORMAT_V3:
-            if self._finalized and os.path.exists(self.path):
-                return os.path.getsize(self.path)
-            # Unfinalized estimate: header + data + per-record prefixes
-            # + sealed blocks so far (+ the still-buffered one).
-            pending = 1 if self._block_records else 0
-            return (
-                _HEADER.size
-                + self.data_bytes
-                + RECORD_OVERHEAD[FORMAT_V3] * self.n_records
-                + BLOCK_OVERHEAD * (self._n_blocks + pending)
-            )
-        per_record = RECORD_OVERHEAD[self.format_version]
-        fixed = (
-            _HEADER.size + _FOOTER.size
-            if self.format_version == FORMAT_V2
-            else 0
+        if self._finalized and os.path.exists(self.path):
+            return os.path.getsize(self.path)
+        # Unfinalized estimate: header + data + per-record prefixes
+        # + sealed blocks so far (+ the still-buffered one).
+        pending = 1 if self._block_records else 0
+        return (
+            _HEADER.size
+            + self.data_bytes
+            + RECORD_OVERHEAD * self.n_records
+            + BLOCK_OVERHEAD * (self._n_blocks + pending)
         )
-        return self.data_bytes + per_record * self.n_records + fixed
 
 
 # ---------------------------------------------------------------------------
@@ -1473,20 +1161,19 @@ class SpoolScanReport:
     """Outcome of a tolerant full sweep over a spool file (``repro fsck``)."""
 
     path: str
-    version: int = FORMAT_V3
     file_bytes: int = 0
     #: Records whose framing + checksum verified, scanning forward.
     n_valid: int = 0
     #: Payload bytes across the valid prefix.
     valid_data_bytes: int = 0
     #: File offset one past the last valid record (start of the damage,
-    #: or of the footer when the file is clean).
+    #: or of the last block's tail when the file is clean).
     valid_end_offset: int = 0
-    #: Footer-sealed record count (None for v1 / unsealed files).
+    #: Footer-sealed record count (None when the footer is damaged).
     sealed_records: Optional[int] = None
     footer_ok: bool = False
-    #: v3 only: blocks whose frame + checksum verified / footer-sealed
-    #: block count / name-table section integrity.
+    #: Blocks whose frame + checksum verified / footer-sealed block
+    #: count / name-table section integrity.
     n_blocks_valid: int = 0
     sealed_blocks: Optional[int] = None
     nametable_ok: Optional[bool] = None
@@ -1500,25 +1187,20 @@ class SpoolScanReport:
     def render(self) -> str:
         lines = [
             f"fsck {self.path}",
-            f"  format      v{self.version}"
-            + ("" if self.version == FORMAT_V1 else
-               f" (footer {'sealed' if self.footer_ok else 'BAD'})"),
+            f"  format      v{FORMAT_V3}"
+            f" (footer {'sealed' if self.footer_ok else 'BAD'})",
             f"  file bytes  {self.file_bytes:,}",
             f"  records     {self.n_valid:,} valid"
             + (f" / {self.sealed_records:,} sealed"
                if self.sealed_records is not None else ""),
+            f"  blocks      {self.n_blocks_valid:,} valid"
+            + (f" / {self.sealed_blocks:,} sealed"
+               if self.sealed_blocks is not None else ""),
         ]
-        if self.version == FORMAT_V3:
+        if self.nametable_ok is not None:
             lines.append(
-                f"  blocks      {self.n_blocks_valid:,} valid"
-                + (f" / {self.sealed_blocks:,} sealed"
-                   if self.sealed_blocks is not None else "")
+                "  name table  " + ("sealed" if self.nametable_ok else "BAD")
             )
-            if self.nametable_ok is not None:
-                lines.append(
-                    "  name table  "
-                    + ("sealed" if self.nametable_ok else "BAD")
-                )
         lines.append(
             f"  payload     {self.valid_data_bytes:,} bytes over the valid prefix"
         )
@@ -1537,12 +1219,11 @@ class RandomAccessReader:
 
     The streaming readers replay a whole pass; the time-travel debugger
     instead needs *one node's* state out of the middle of a sealed
-    spool.  For v3 (block-framed) files this reader walks the block
-    frames once at attach time — header fields only, no payload reads —
-    building a ``(file offset, first record index)`` index, then serves
-    ``record(i)`` by verifying + decoding only the one block that holds
-    record ``i`` (with a one-block cache for locality).  v2/v1 files
-    get a per-record offset index; their addresses are always block 0.
+    spool.  This reader walks the block frames once at attach time —
+    header fields only, no payload reads — building a ``(file offset,
+    first record index)`` index, then serves ``record(i)`` by verifying
+    + decoding only the one block that holds record ``i`` (with a
+    one-block cache for locality).
 
     Addresses are :class:`~repro.apt.codec.RecordAddress` triples
     ``(pass, block, record-in-block)`` — the replay coordinates the
@@ -1559,74 +1240,35 @@ class RandomAccessReader:
         size = self._f.seek(0, os.SEEK_END)
         self._cache_block: Optional[int] = None
         self._cache_blobs: List[bytes] = []
-        #: Per-block (v3) or per-record (v2/v1) file offsets.
+        #: Per-block file offsets.
         self._starts: List[int] = []
-        #: First record index of each v3 block (parallel to _starts).
+        #: First record index of each block (parallel to _starts).
         self._firsts: List[int] = []
-        version = spool.format_version
-        if version == FORMAT_V3:
-            footer = spool._read_footer3(self._f, size)
-            self._data_end = footer.nt_offset
-            pos = _HEADER.size
-            index = 0
-            while pos < self._data_end:
-                self._f.seek(pos)
-                head = self._f.read(_BLOCK_HEAD.size)
-                if len(head) != _BLOCK_HEAD.size:
-                    raise spool._corrupt(
-                        "block header truncated",
-                        record_index=index, byte_offset=pos,
-                        block_index=len(self._starts), reason="truncated",
-                    )
-                payload_len, n_records, _crc = _BLOCK_HEAD.unpack(head)
-                if payload_len > self._data_end - pos - BLOCK_OVERHEAD:
-                    raise spool._corrupt(
-                        f"block payload length {payload_len} overruns the "
-                        "sealed data region",
-                        record_index=index, byte_offset=pos,
-                        block_index=len(self._starts), reason="framing",
-                    )
-                self._starts.append(pos)
-                self._firsts.append(index)
-                index += n_records
-                pos += BLOCK_OVERHEAD + payload_len
-        elif version == FORMAT_V2:
-            self._data_end = size - _FOOTER.size
-            pos = _HEADER.size
-            overhead = RECORD_OVERHEAD[FORMAT_V2]
-            while pos < self._data_end:
-                self._f.seek(pos)
-                head = self._f.read(_REC_HEAD.size)
-                if len(head) != _REC_HEAD.size:
-                    raise spool._corrupt(
-                        "record header truncated",
-                        record_index=len(self._starts), byte_offset=pos,
-                        reason="truncated",
-                    )
-                length, _crc = _REC_HEAD.unpack(head)
-                if length > self._data_end - pos - overhead:
-                    raise spool._corrupt(
-                        f"record length {length} overruns the sealed data "
-                        "region",
-                        record_index=len(self._starts), byte_offset=pos,
-                        reason="framing",
-                    )
-                self._starts.append(pos)
-                pos += overhead + length
-        else:
-            self._data_end = size
-            pos = 0
-            while pos + _LEN.size <= size:
-                self._f.seek(pos)
-                (length,) = _LEN.unpack(self._f.read(_LEN.size))
-                if pos + 2 * _LEN.size + length > size:
-                    raise spool._corrupt(
-                        f"record length {length} overruns the file",
-                        record_index=len(self._starts), byte_offset=pos,
-                        reason="framing",
-                    )
-                self._starts.append(pos)
-                pos += 2 * _LEN.size + length
+        footer = spool._read_footer3(self._f, size)
+        self._data_end = footer.nt_offset
+        pos = _HEADER.size
+        index = 0
+        while pos < self._data_end:
+            self._f.seek(pos)
+            head = self._f.read(_BLOCK_HEAD.size)
+            if len(head) != _BLOCK_HEAD.size:
+                raise spool._corrupt(
+                    "block header truncated",
+                    record_index=index, byte_offset=pos,
+                    block_index=len(self._starts), reason="truncated",
+                )
+            payload_len, n_records, _crc = _BLOCK_HEAD.unpack(head)
+            if payload_len > self._data_end - pos - BLOCK_OVERHEAD:
+                raise spool._corrupt(
+                    f"block payload length {payload_len} overruns the "
+                    "sealed data region",
+                    record_index=index, byte_offset=pos,
+                    block_index=len(self._starts), reason="framing",
+                )
+            self._starts.append(pos)
+            self._firsts.append(index)
+            index += n_records
+            pos += BLOCK_OVERHEAD + payload_len
 
     @property
     def n_records(self) -> int:
@@ -1639,10 +1281,6 @@ class RandomAccessReader:
                 f"record index {index} out of range "
                 f"(spool holds {self.spool.n_records} records)"
             )
-        if self.spool.format_version != FORMAT_V3:
-            return 0, index
-        import bisect
-
         block = bisect.bisect_right(self._firsts, index) - 1
         return block, index - self._firsts[block]
 
@@ -1653,24 +1291,13 @@ class RandomAccessReader:
 
     def _load_block(self, block: int) -> List[bytes]:
         """Read + verify ``block``'s blobs (one-block cache)."""
-        spool = self.spool
         if self._cache_block != block:
-            if spool.format_version == FORMAT_V3:
-                pos = self._starts[block]
-                self._f.seek(pos)
-                blobs, _end = spool._read_block_forward(
-                    self._f, pos, self._data_end, block, self._firsts[block]
-                )
-            elif spool.format_version == FORMAT_V2:
-                blobs = [
-                    self._read_v2_record(i) for i in range(len(self._starts))
-                ]
-            else:
-                blobs = [
-                    self._read_v1_record(i) for i in range(len(self._starts))
-                ]
+            pos = self._starts[block]
+            self._f.seek(pos)
+            self._cache_blobs, _end = self.spool._read_block_forward(
+                self._f, pos, self._data_end, block, self._firsts[block]
+            )
             self._cache_block = block
-            self._cache_blobs = blobs
         return self._cache_blobs
 
     def record(self, index: int) -> Any:
@@ -1716,31 +1343,6 @@ class RandomAccessReader:
             )
         return out, n_blocks
 
-    def _read_v2_record(self, index: int) -> bytes:
-        spool = self.spool
-        pos = self._starts[index]
-        self._f.seek(pos)
-        head = self._f.read(_REC_HEAD.size)
-        length, want_crc = _REC_HEAD.unpack(head)
-        blob = self._f.read(length)
-        if len(blob) != length:
-            raise spool._corrupt(
-                "record payload truncated",
-                record_index=index, byte_offset=pos, reason="truncated",
-            )
-        if zlib.crc32(blob) != want_crc:
-            raise spool._corrupt(
-                "record checksum mismatch (bit rot or torn write)",
-                record_index=index, byte_offset=pos, reason="checksum",
-            )
-        return blob
-
-    def _read_v1_record(self, index: int) -> bytes:
-        pos = self._starts[index]
-        self._f.seek(pos)
-        (length,) = _LEN.unpack(self._f.read(_LEN.size))
-        return self._f.read(length)
-
     def close(self) -> None:
         if self._f is not None:
             self._f.close()
@@ -1760,61 +1362,46 @@ def scan_spool(path: str, metrics=None, tracer=None) -> SpoolScanReport:
     first :class:`SpoolCorruptionError` encountered, and whose
     ``n_valid``/``valid_end_offset`` describe the longest
     checksum-valid prefix — the unit :func:`salvage_spool` recovers.
+    A damaged header or footer is recorded and the blocks are walked
+    anyway, so the report still measures what survives.
     """
     report = SpoolScanReport(path=path)
-    spool = _attach_readonly(path, tracer, metrics)
+    spool = DiskSpool._readonly(
+        path, channel=os.path.basename(path), tracer=tracer, metrics=metrics
+    )
     try:
         size = os.path.getsize(path)
     except OSError:
         report.error = spool._corrupt("spool file missing", reason="truncated")
         return report
     report.file_bytes = size
+    report.valid_end_offset = _HEADER.size
     with open(path, "rb") as f:
         try:
-            version = spool._sniff_version(f, size)
+            spool._check_header(f, size)
         except SpoolCorruptionError as exc:
             report.error = exc
-            return report
-        report.version = version
-        spool.format_version = version
-        blocks_valid = [0]
-        if version == FORMAT_V3:
-            report.valid_end_offset = _HEADER.size
-            footer3: Optional[SpoolFooterV3] = None
-            try:
-                footer3 = spool._read_footer3(f, size)
-                report.sealed_records = footer3.n_records
-                report.sealed_blocks = footer3.n_blocks
-                report.footer_ok = True
-            except SpoolCorruptionError as exc:
-                report.error = exc
-            # Walk blocks tolerantly; under an intact footer the data
-            # region ends where the name-table section begins.
-            data_end = footer3.nt_offset if report.footer_ok else size
-            walker = _walk_v3_records(spool, f, data_end, blocks_valid)
-        elif version == FORMAT_V2:
-            report.valid_end_offset = _HEADER.size
-            try:
-                footer = spool._read_footer(f, size)
-                report.sealed_records = footer.n_records
-                report.footer_ok = True
-            except SpoolCorruptionError as exc:
-                report.error = exc
-            # Walk records tolerantly even under a bad footer, bounding
-            # the data region by the footer when it is intact.
-            data_end = size - _FOOTER.size if report.footer_ok else size
-            walker = _walk_v2_records(spool, f, data_end)
-        else:
-            walker = _walk_v1_records(spool, f, size)
+        # Under an intact footer the data region ends where the
+        # name-table section begins.
+        data_end = size
         try:
-            for offset_after, blob in walker:
-                report.n_valid += 1
-                report.valid_data_bytes += len(blob)
-                report.valid_end_offset = offset_after
+            footer = spool._read_footer3(f, size)
+            report.sealed_records = footer.n_records
+            report.sealed_blocks = footer.n_blocks
+            report.footer_ok = True
+            data_end = footer.nt_offset
         except SpoolCorruptionError as exc:
             if report.error is None:
                 report.error = exc
-        report.n_blocks_valid = blocks_valid[0]
+        try:
+            for blobs, end in spool._walk_blocks(f, data_end):
+                report.n_blocks_valid += 1
+                report.n_valid += len(blobs)
+                report.valid_data_bytes += sum(map(len, blobs))
+                report.valid_end_offset = end - _BLOCK_TAIL.size
+        except SpoolCorruptionError as exc:
+            if report.error is None:
+                report.error = exc
         if (
             report.error is None
             and report.sealed_records is not None
@@ -1827,7 +1414,7 @@ def scan_spool(path: str, metrics=None, tracer=None) -> SpoolScanReport:
                 byte_offset=report.valid_end_offset,
                 reason="footer",
             )
-    if version == FORMAT_V3 and report.footer_ok:
+    if report.footer_ok:
         # The records are only decodable through the sealed name table,
         # so its integrity is part of the fsck verdict.
         try:
@@ -1838,85 +1425,6 @@ def scan_spool(path: str, metrics=None, tracer=None) -> SpoolScanReport:
             if report.error is None:
                 report.error = exc
     return report
-
-
-def _attach_readonly(path: str, tracer=None, metrics=None) -> DiskSpool:
-    """Build a bare read-only :class:`DiskSpool` shell for fsck walks.
-
-    Unlike :meth:`DiskSpool.open` this never touches the file, so it
-    works on arbitrarily damaged inputs; the caller sniffs the version
-    and sets ``format_version`` itself.
-    """
-    spool = DiskSpool.__new__(DiskSpool)
-    Spool.__init__(spool, None, os.path.basename(path), tracer, metrics)
-    spool.path = path
-    spool._owns_file = False
-    spool._writer = None
-    spool._tmp_path = None
-    spool._finalized = True
-    spool._stream_crc = 0
-    spool._codec = None
-    spool._block_buf = None
-    spool._block_records = 0
-    spool._n_blocks = 0
-    spool._nt_bytes = 0
-    spool.block_size = DEFAULT_BLOCK_SIZE
-    return spool
-
-
-def _walk_v3_records(
-    spool, f, data_end, blocks_valid
-) -> Iterator[Tuple[int, bytes]]:
-    """Tolerant forward walk over v3 blocks.
-
-    Yields ``(offset_after, blob)`` per record — ``offset_after`` is the
-    absolute file offset one past the record's bytes *inside* its block
-    payload, so fsck reports stay record-granular even though integrity
-    is verified block-at-a-time.  ``blocks_valid`` is a one-cell list
-    incremented per fully verified block (generators cannot return a
-    count mid-iteration to a caller that also consumes their items).
-    """
-    pos = _HEADER.size
-    f.seek(pos)
-    index = 0
-    block_index = 0
-    while pos < data_end:
-        block_start = pos
-        blobs, pos = spool._read_block_forward(
-            f, block_start, data_end, block_index, index
-        )
-        blocks_valid[0] += 1
-        off = block_start + _BLOCK_HEAD.size
-        for blob in blobs:
-            off += _LEN.size + len(blob)
-            yield off, blob
-            index += 1
-        block_index += 1
-
-
-def _collect_v3_blocks(spool, f, data_end) -> Tuple[List[bytes], int]:
-    """Collect the valid-prefix record blobs of a v3 data region.
-
-    Returns ``(blobs, end)`` where ``end`` is the file offset one past
-    the last fully verified block — under a damaged footer that is the
-    best guess for where the name-table section starts.
-    """
-    blobs_ok: List[bytes] = []
-    pos = _HEADER.size
-    f.seek(pos)
-    index = 0
-    block_index = 0
-    try:
-        while pos < data_end:
-            blobs, pos = spool._read_block_forward(
-                f, pos, data_end, block_index, index
-            )
-            blobs_ok.extend(blobs)
-            index += len(blobs)
-            block_index += 1
-    except SpoolCorruptionError:
-        pass  # the prefix up to the damage is what salvage copies
-    return blobs_ok, pos
 
 
 def _try_recover_nametable(f, nt_start: int, size: int):
@@ -1944,150 +1452,59 @@ def _try_recover_nametable(f, nt_start: int, size: int):
         return None
 
 
-def _walk_v2_records(spool, f, data_end) -> Iterator[Tuple[int, bytes]]:
-    pos = _HEADER.size
-    f.seek(pos)
-    index = 0
-    overhead = RECORD_OVERHEAD[FORMAT_V2]
-    while pos < data_end:
-        head = f.read(_REC_HEAD.size)
-        if len(head) != _REC_HEAD.size:
-            raise spool._corrupt(
-                "record header truncated",
-                record_index=index, byte_offset=pos, reason="truncated",
-            )
-        length, want_crc = _REC_HEAD.unpack(head)
-        if length > data_end - pos - overhead:
-            raise spool._corrupt(
-                f"record length {length} overruns the data region",
-                record_index=index, byte_offset=pos, reason="framing",
-            )
-        blob = f.read(length)
-        tail = f.read(_REC_TAIL.size)
-        if len(blob) != length or len(tail) != _REC_TAIL.size:
-            raise spool._corrupt(
-                "record truncated",
-                record_index=index, byte_offset=pos, reason="truncated",
-            )
-        tail_crc, tail_len = _REC_TAIL.unpack(tail)
-        if tail_len != length or tail_crc != want_crc:
-            raise spool._corrupt(
-                "record head/tail framing mismatch",
-                record_index=index, byte_offset=pos, reason="framing",
-            )
-        if zlib.crc32(blob) != want_crc:
-            raise spool._corrupt(
-                "record checksum mismatch",
-                record_index=index, byte_offset=pos, reason="checksum",
-            )
-        pos += overhead + length
-        yield pos, blob
-        index += 1
-
-
-def _walk_v1_records(spool, f, size) -> Iterator[Tuple[int, bytes]]:
-    f.seek(0)
-    pos = 0
-    index = 0
-    while pos < size:
-        head = f.read(_LEN.size)
-        if len(head) != _LEN.size:
-            raise spool._corrupt(
-                "truncated record header",
-                record_index=index, byte_offset=pos, reason="truncated",
-            )
-        (length,) = _LEN.unpack(head)
-        if length > size - pos - 2 * _LEN.size:
-            raise spool._corrupt(
-                f"record length {length} overruns the file",
-                record_index=index, byte_offset=pos, reason="truncated",
-            )
-        blob = f.read(length)
-        trailer = f.read(_LEN.size)
-        if len(blob) != length or len(trailer) != _LEN.size:
-            raise spool._corrupt(
-                "truncated spool",
-                record_index=index, byte_offset=pos, reason="truncated",
-            )
-        if _LEN.unpack(trailer)[0] != length:
-            raise spool._corrupt(
-                "record trailer mismatch",
-                record_index=index, byte_offset=pos, reason="framing",
-            )
-        pos += 2 * _LEN.size + length
-        yield pos, blob
-        index += 1
-
-
 def salvage_spool(
     src: str, dst: str, metrics=None, tracer=None
 ) -> SpoolScanReport:
     """Recover the longest checksum-valid prefix of ``src`` into ``dst``.
 
-    v1/v2 sources are rewritten as fresh sealed **v2** spools (record
-    blobs are pickles — format-agnostic), while a v3 source is rescued
-    into a sealed **v3** spool whose name table is copied verbatim from
-    the source so the interned ids inside the copied blobs stay
-    aligned.  When the v3 footer itself is the damaged part, salvage
-    walks the blocks anyway and attempts to parse the name-table
-    section where the valid blocks end — a flipped footer bit must not
-    cost the whole spool.  A v3 file whose name table cannot be
-    recovered at all (crash before finalize, or the section itself hit
-    by bit rot) is unrecoverable by design: its blobs reference
-    interned ids that no longer spell anything, so salvage writes an
-    *empty* sealed spool rather than garbage.
+    The valid blocks are rescued into a fresh sealed spool whose name
+    table is copied verbatim from the source, so the interned ids
+    inside the copied blobs stay aligned.  When the footer itself is
+    the damaged part, salvage walks the blocks anyway and attempts to
+    parse the name-table section where the valid blocks end — a flipped
+    footer bit must not cost the whole spool.  A file whose name table
+    cannot be recovered at all (crash before finalize, or the section
+    itself hit by bit rot) is unrecoverable by design: its blobs
+    reference interned ids that no longer spell anything, so salvage
+    writes an *empty* sealed spool rather than garbage.
 
     ``dst`` always verifies clean afterwards (atomic finalize).
     Returns the scan report of the *source*; the number of records
     actually recovered is reported via the ``robust.*`` metrics.
     """
     report = scan_spool(src, metrics=metrics, tracer=tracer)
-    if report.version == FORMAT_V3:
-        out = DiskSpool(dst, channel=os.path.basename(dst), tracer=tracer,
-                        metrics=metrics, format_version=FORMAT_V3)
-    else:
-        out = DiskSpool(dst, channel=os.path.basename(dst), tracer=tracer,
-                        metrics=metrics, format_version=FORMAT_V2)
-    spool = _attach_readonly(src)
-    spool.format_version = report.version
+    out = DiskSpool(dst, channel=os.path.basename(dst), tracer=tracer,
+                    metrics=metrics)
+    spool = DiskSpool._readonly(src, channel=os.path.basename(src))
     recovered = 0
     try:
         size = report.file_bytes
         with open(src, "rb") as f:
-            if report.version == FORMAT_V3:
-                if report.footer_ok:
-                    data_end = spool._read_footer3(f, size).nt_offset
-                else:
-                    data_end = size
-                blobs_ok, nt_start = _collect_v3_blocks(
-                    spool, f, data_end
-                )
-                if report.footer_ok and report.nametable_ok:
-                    # Seed the output codec with the source's sealed
-                    # name table so copied blobs decode identically.
-                    codec: Optional[RecordCodec] = spool._load_codec()
-                elif not report.footer_ok:
-                    codec = _try_recover_nametable(f, nt_start, size)
-                else:
-                    codec = None  # sealed name table failed its crc
-                if codec is not None:
-                    out._codec = codec
-                    walker = ((0, blob) for blob in blobs_ok)
-                else:
-                    walker = iter(())  # ids unspellable: nothing to save
-            elif report.version == FORMAT_V2:
-                data_end = size - _FOOTER.size if report.footer_ok else size
-                walker = _walk_v2_records(spool, f, data_end)
+            if report.footer_ok:
+                data_end = spool._read_footer3(f, size).nt_offset
             else:
-                walker = _walk_v1_records(spool, f, size)
+                data_end = size
+            blobs_ok: List[bytes] = []
+            nt_start = _HEADER.size
             try:
-                for _, blob in walker:
-                    out.append_blob(blob)
-                    recovered += 1
-                    if recovered >= report.n_valid:
-                        break
+                for blobs, nt_start in spool._walk_blocks(f, data_end):
+                    blobs_ok.extend(blobs)
             except SpoolCorruptionError:
-                pass  # the prefix up to the damage is already copied
+                pass  # the prefix up to the damage is what salvage copies
+            if report.nametable_ok:
+                # Seed the output codec with the source's sealed name
+                # table so copied blobs decode identically.
+                codec: Optional[RecordCodec] = spool._load_codec()
+            elif not report.footer_ok:
+                # Under a damaged footer the name-table section is best
+                # guessed to start where the valid blocks end.
+                codec = _try_recover_nametable(f, nt_start, size)
+            else:
+                codec = None  # sealed name table failed its crc
+        if codec is not None:
+            out._codec = codec
+            out.append_blobs(blobs_ok)
+            recovered = len(blobs_ok)
         out.finalize()
     except BaseException:
         out.close()

@@ -2,7 +2,7 @@
 
 One cache *entry* is one file under ``<root>/<kind>/<key>.l86c`` whose
 layout reuses the sealed-header + CRC discipline of the durable spool
-format v2 (``apt/storage.py``)::
+format (``apt/storage.py``)::
 
     header   "L86BCHE\\n" magic + u16 format version + u16 flags
              + 64-byte ASCII key                                (76 B)

@@ -483,7 +483,7 @@ def cmd_fsck(args) -> int:
     loss = (report.sealed_records - report.n_valid
             if report.sealed_records is not None else None)
     if report.ok:
-        return _fsck_emit(args, report, f"spool-v{report.version}", 0, loss=0)
+        return _fsck_emit(args, report, "spool-v3", 0, loss=0)
     # A location-bearing diagnostic: the damaged region, named the same
     # way grammar errors name their source coordinates.
     err = report.error
@@ -495,7 +495,7 @@ def cmd_fsck(args) -> int:
         SourceLocation(filename=args.spool),
     )
     say(str(diag), file=sys.stderr)
-    return _fsck_emit(args, report, f"spool-v{report.version}",
+    return _fsck_emit(args, report, "spool-v3",
                       2 if args.salvage else 1, loss=loss)
 
 
@@ -626,10 +626,10 @@ def cmd_doctor(args) -> int:
     """Sweep directories for crash debris across every durable format.
 
     Classifies every file (sealed / unsealed / unsealed-tmp / corrupt /
-    orphaned / legacy / foreign); ``--repair`` salvages the valid
-    prefixes in place, deletes what is safe to lose (corrupt cache
-    entries, tmp debris, orphaned pass spools), and truncates damaged
-    checkpoint manifests at the last verified pass.  Exit status:
+    orphaned / foreign); ``--repair`` salvages the valid prefixes in
+    place, deletes what is safe to lose (corrupt cache entries, tmp
+    debris, orphaned pass spools), and truncates damaged checkpoint
+    manifests at the last verified pass.  Exit status:
     0 clean, 1 problems found (or remaining), 2 repaired with loss.
     """
     from repro.doctor import run_doctor
@@ -1039,15 +1039,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fsck.add_argument(
         "spool",
-        help="path to a .spool file (v1, v2, or v3), a provenance "
-        ".ndjson log, a request journal, or an incremental memo "
-        "manifest / memo directory (format is sniffed)",
+        help="path to a .spool file, a provenance .ndjson log, a request "
+        "journal, or an incremental memo manifest / memo directory "
+        "(format is sniffed)",
     )
     p_fsck.add_argument(
         "--salvage", metavar="OUT",
         help="recover the longest checksum-valid prefix into a fresh "
-        "sealed spool at OUT (v3 sources are rescued as v3 with their "
-        "name table; v1/v2 as v2)",
+        "sealed spool at OUT (with the source's name table)",
     )
     p_fsck.add_argument(
         "--metrics", action="store_true",

@@ -1,8 +1,8 @@
 """``repro doctor``: the unified crash-recovery sweeper.
 
-Six durable formats can leave artifacts on a host — sealed spools
-(v1/v2/v3), build-cache entries, PROV1 provenance logs, SRVJ1 request
-journals, checkpoint manifests, and MEMO1 incremental-memo manifests
+Six durable formats can leave artifacts on a host — sealed v3 spools,
+build-cache entries, PROV1 provenance logs, SRVJ1 request journals,
+checkpoint manifests, and MEMO1 incremental-memo manifests
 (with their generation-numbered splice spools) — and a crash, an
 ENOSPC, or a killed daemon can leave any of them mid-flight.  ``repro fsck`` judges
 *one* file; the doctor walks a whole tree, classifies **every** path
@@ -25,8 +25,6 @@ state                     meaning
 ``orphaned``              a checkpoint pass spool its manifest does not
                           list (progress past the last durable manifest
                           write, or debris of a dead run)
-``legacy``                format v1 spool: readable but carries no
-                          integrity data to verify
 ``foreign``               not one of ours; never touched
 ========================  ===================================================
 
@@ -49,15 +47,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.apt.storage import (
-    FORMAT_V1,
-    FORMAT_V2,
-    FORMAT_V3,
-    MAGIC,
-    MAGIC_V3,
-    salvage_spool,
-    scan_spool,
-)
+from repro.apt.storage import MAGIC_V3, salvage_spool, scan_spool
 from repro.buildcache.store import ENTRY_SUFFIX, MAGIC as CACHE_MAGIC
 from repro.obs.provenance import (
     looks_like_provenance_log,
@@ -90,8 +80,6 @@ MANIFEST_NAME = "checkpoint.json"
 
 class ArtifactFormat:
     SPOOL_V3 = "spool-v3"
-    SPOOL_V2 = "spool-v2"
-    SPOOL_V1 = "spool-v1"
     CACHE_ENTRY = "cache-entry"
     PROVENANCE = "provenance-log"
     JOURNAL = "request-journal"
@@ -113,7 +101,6 @@ class ArtifactState:
     UNSEALED_TMP = "unsealed-tmp"
     CORRUPT = "corrupt"
     ORPHANED = "orphaned"
-    LEGACY = "legacy"
     FOREIGN = "foreign"
 
 
@@ -212,8 +199,6 @@ def sniff_format(path: str) -> str:
     head = _head_bytes(path)
     if head.startswith(MAGIC_V3):
         return ArtifactFormat.SPOOL_V3
-    if head.startswith(MAGIC):
-        return ArtifactFormat.SPOOL_V2
     if head.startswith(CACHE_MAGIC):
         return ArtifactFormat.CACHE_ENTRY
     if looks_like_provenance_log(path):
@@ -226,8 +211,9 @@ def sniff_format(path: str) -> str:
         return ArtifactFormat.MANIFEST
     name = path[: -len(".tmp")] if path.endswith(".tmp") else path
     if name.endswith(".spool") and head:
-        # v1 spools have no magic: a bare length-framed pickle stream.
-        return ArtifactFormat.SPOOL_V1
+        # A spool whose header magic was hit still gets the spool
+        # verdict: fsck calls it corrupt and --repair salvages it.
+        return ArtifactFormat.SPOOL_V3
     return ArtifactFormat.UNKNOWN
 
 
@@ -247,20 +233,15 @@ def _load_manifest_doc(path: str) -> Optional[Dict[str, Any]]:
     return doc
 
 
-def _classify_spool(path: str, fmt: str) -> ArtifactReport:
+def _classify_spool(path: str) -> ArtifactReport:
     report = scan_spool(path)
-    if report.version == FORMAT_V1:
-        return ArtifactReport(
-            path, ArtifactFormat.SPOOL_V1, ArtifactState.LEGACY,
-            detail=f"{report.n_valid} record(s), no integrity data",
-        )
     if report.ok:
         return ArtifactReport(
-            path, fmt, ArtifactState.SEALED,
+            path, ArtifactFormat.SPOOL_V3, ArtifactState.SEALED,
             detail=f"{report.n_valid} record(s)",
         )
     return ArtifactReport(
-        path, fmt, ArtifactState.CORRUPT,
+        path, ArtifactFormat.SPOOL_V3, ArtifactState.CORRUPT,
         detail=(
             f"valid prefix {report.n_valid} record(s); "
             f"{report.error.reason if report.error else 'damaged'}"
@@ -428,10 +409,8 @@ def _classify_path(path: str) -> ArtifactReport:
             detail="staging file never renamed into place",
         )
     fmt = sniff_format(path)
-    if fmt in (ArtifactFormat.SPOOL_V3, ArtifactFormat.SPOOL_V2):
-        return _classify_spool(path, fmt)
-    if fmt == ArtifactFormat.SPOOL_V1:
-        return _classify_spool(path, fmt)
+    if fmt == ArtifactFormat.SPOOL_V3:
+        return _classify_spool(path)
     if fmt == ArtifactFormat.CACHE_ENTRY:
         return _classify_cache_entry(path)
     if fmt == ArtifactFormat.PROVENANCE:
@@ -472,8 +451,7 @@ def _mark_checkpoint_orphans(
                 continue
             name = os.path.basename(path)
             if (
-                art.format in (ArtifactFormat.SPOOL_V3,
-                               ArtifactFormat.SPOOL_V2)
+                art.format == ArtifactFormat.SPOOL_V3
                 and art.state == ArtifactState.SEALED
                 and name.startswith("pass")
                 and name.endswith(".spool")
@@ -551,7 +529,7 @@ def _repair_artifact(art: ArtifactReport, metrics=None) -> None:
         return
     if art.state != ArtifactState.CORRUPT:
         return
-    if art.format in (ArtifactFormat.SPOOL_V3, ArtifactFormat.SPOOL_V2):
+    if art.format == ArtifactFormat.SPOOL_V3:
         try:
             salvage_spool(art.path, art.path, metrics=metrics)
             art.action = "salvaged-with-loss"

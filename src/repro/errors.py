@@ -172,11 +172,11 @@ class SpoolCorruptionError(EvaluationError):
     (``"checksum"``, ``"truncated"``, ``"framing"``, ``"header"``,
     ``"footer"``, ``"nametable"``).
 
-    Block-framed (format v3) spools carry a second, block-relative
+    Spools are block-framed, so errors also carry a block-relative
     locus: ``block_index`` is the 0-based index of the damaged block
     and ``block_byte_offset`` the offset of the failure *inside* that
     block's payload (``None`` when the damage is the block frame
-    itself).  v1/v2 errors leave both ``None``.
+    itself or lies outside the blocks).
     """
 
     def __init__(
@@ -226,7 +226,7 @@ class CacheCorruptionError(ReproError):
     """A build-cache entry failed an integrity check.
 
     The persistent grammar-artifact cache (:mod:`repro.buildcache`)
-    seals every entry with the same header + CRC discipline as the v2
+    seals every entry with the same header + CRC discipline as the
     spool format; any damage — bad magic, version skew, key mismatch,
     checksum failure, truncation, or an unpicklable payload — raises
     this error *internally* and is translated by

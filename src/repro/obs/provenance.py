@@ -15,7 +15,7 @@ module adds the missing half of a time-travel debugger — a record of
   Events stream into ``DIR/provenance.ndjson`` — line-framed NDJSON
   where every line carries its own CRC32 — and are sealed atomically
   (tmp + fsync + rename) with a trailing seal line covering the whole
-  stream, the same write discipline as the v2/v3 spool formats.
+  stream, the same write discipline as the spool format.
 * :class:`ProvenanceLog` — opens and fully verifies a sealed log,
   indexing defines by (node path, attribute) and node writes by
   (pass, node path).  Any damage raises a typed

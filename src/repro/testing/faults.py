@@ -302,7 +302,7 @@ class FaultySpool(Spool):
     """Wrap any :class:`Spool`, injecting the plan's faults around it.
 
     Composes: the inner spool does the real storage work (so a wrapped
-    :class:`~repro.apt.storage.DiskSpool` still writes real sealed v2
+    :class:`~repro.apt.storage.DiskSpool` still writes real sealed v3
     files) while the wrapper decides *when* the storage "hardware"
     misbehaves:
 

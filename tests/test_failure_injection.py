@@ -1,5 +1,5 @@
 """Failure-injection tests: corrupted files, malformed streams, misuse,
-the durable spool format v2, deterministic fault plans, fsck/salvage,
+the durable spool format, deterministic fault plans, fsck/salvage,
 and checkpoint/resume."""
 
 import os
@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apt.storage import (
-    _FOOTER,
+    _BLOCK_HEAD,
+    _BLOCK_TAIL,
+    _FOOTER3,
     _HEADER,
-    FORMAT_V1,
-    FORMAT_V2,
-    FORMAT_V3,
+    DEFAULT_BLOCK_SIZE,
     DiskSpool,
     MemorySpool,
     salvage_spool,
@@ -38,12 +38,24 @@ from repro.testing.faults import (
 )
 
 
-def make_disk_spool(path, n=5, version=FORMAT_V2):
-    spool = DiskSpool(str(path), format_version=version)
+def make_disk_spool(path, n=5, block_size=DEFAULT_BLOCK_SIZE):
+    """A sealed spool of ``n`` small node records; ``block_size=1``
+    frames every record in a block of its own."""
+    spool = DiskSpool(str(path), block_size=block_size)
     for i in range(n):
         spool.append(("S", None, {"X": i}, False))
     spool.finalize()
     return spool
+
+
+def record_payload_offset(path, k):
+    """File offset of record ``k``'s bytes in a ``block_size=1`` spool
+    of equal-sized records (block ``k`` holds record ``k``)."""
+    with open(path, "rb") as f:
+        f.seek(_HEADER.size)
+        payload_len, _n, _crc = _BLOCK_HEAD.unpack(f.read(_BLOCK_HEAD.size))
+    block_bytes = _BLOCK_HEAD.size + payload_len + _BLOCK_TAIL.size
+    return _HEADER.size + k * block_bytes + _BLOCK_HEAD.size
 
 
 class TestCorruptSpools:
@@ -128,20 +140,26 @@ class TestCorruptSpools:
 
 
 # ---------------------------------------------------------------------------
-# Spool format v2: framing, sealing, and the corruption matrix
+# Spool format: framing, sealing, and the corruption matrix
 # ---------------------------------------------------------------------------
 
 
 class TestSpoolFormatV2:
+    """The framing/sealing/corruption matrix written for the retired
+    per-record v2 format, pointed at the v3 block format (the class
+    name is kept so the test ids stay stable)."""
+
     def test_header_magic_and_footer_seal(self, tmp_path):
-        spool = make_disk_spool(tmp_path / "v2.spool", 3)
+        spool = make_disk_spool(tmp_path / "v3.spool", 3)
         with open(spool.path, "rb") as f:
             magic, version, flags = _HEADER.unpack(f.read(_HEADER.size))
-        assert magic == b"APTSPL2\n"
-        assert version == 2
+        assert magic == b"APTSPL3\n"
+        assert version == 3
+        with open(spool.path, "rb") as f:
+            f.seek(-_FOOTER3.size, os.SEEK_END)
+            assert f.read(8) == b"APTSEL3\n"
         report = scan_spool(spool.path)
         assert report.ok and report.footer_ok
-        assert report.version == FORMAT_V2
         assert report.n_valid == report.sealed_records == 3
 
     def test_atomic_finalize_leaves_no_tmp(self, tmp_path):
@@ -207,25 +225,25 @@ class TestSpoolFormatV2:
         """A torn final record: footer seal never hit the disk."""
         spool = make_disk_spool(tmp_path / "m2.spool", 5)
         size = os.path.getsize(spool.path)
-        truncate_file(spool.path, _FOOTER.size + 9)  # footer + record tail
-        assert os.path.getsize(spool.path) == size - _FOOTER.size - 9
+        truncate_file(spool.path, _FOOTER3.size + 9)  # footer + name table
+        assert os.path.getsize(spool.path) == size - _FOOTER3.size - 9
         fwd, bwd = self._both_directions_raise(spool)
         assert fwd.reason in ("footer", "truncated")
 
     def test_matrix_bit_flip_in_payload(self, tmp_path):
-        spool = make_disk_spool(tmp_path / "m3.spool", 5)
-        # Flip a bit inside the 3rd record's payload.
-        offset = _HEADER.size + 2 * (16 + 40)  # approximate; land in data
-        bit_flip(spool.path, offset + 20, 3)
+        spool = make_disk_spool(tmp_path / "m3.spool", 5, block_size=1)
+        # Flip a bit inside the 3rd record's payload (one record per
+        # block, so the block checksum localizes it).
+        bit_flip(spool.path, record_payload_offset(spool.path, 2) + 5, 3)
         fwd, bwd = self._both_directions_raise(spool)
         assert fwd.record_index is not None
         assert bwd.record_index is not None
         # Forward and backward must localize the SAME record.
-        assert fwd.record_index == bwd.record_index
+        assert fwd.record_index == bwd.record_index == 2
 
     def test_matrix_header_trailer_mismatch(self, tmp_path):
         spool = make_disk_spool(tmp_path / "m4.spool", 3)
-        # Stomp the leading length word of record 0 (keep crc intact).
+        # Stomp the leading length word of block 0 (keep crc intact).
         with open(spool.path, "r+b") as f:
             f.seek(_HEADER.size)
             f.write(struct.pack("<I", 5))
@@ -236,17 +254,17 @@ class TestSpoolFormatV2:
     def test_matrix_bad_footer(self, tmp_path):
         spool = make_disk_spool(tmp_path / "m5.spool", 3)
         with open(spool.path, "r+b") as f:
-            f.seek(-_FOOTER.size, os.SEEK_END)
+            f.seek(-_FOOTER3.size, os.SEEK_END)
             f.write(b"XXXXXXXX")  # destroy the footer magic
         fwd, bwd = self._both_directions_raise(spool)
         assert fwd.reason == "footer"
         assert bwd.reason == "footer"
 
     def test_corruption_error_names_record_and_offset(self, tmp_path):
-        spool = make_disk_spool(tmp_path / "m6.spool", 5)
+        spool = make_disk_spool(tmp_path / "m6.spool", 5, block_size=1)
         report = scan_spool(spool.path)
         assert report.ok
-        # Flip a payload bit of the last record.
+        # Flip a payload bit of the last record (alone in its block).
         bit_flip(spool.path, report.valid_end_offset - 12, 1)
         with pytest.raises(SpoolCorruptionError) as exc:
             list(spool.read_forward())
@@ -271,56 +289,6 @@ class TestSpoolFormatV2:
         snap = metrics.snapshot()
         assert snap["robust.spool_corruption_detected"] == 1
         assert tracer.instants("spool.corruption")
-
-
-# ---------------------------------------------------------------------------
-# v1 back-compat
-# ---------------------------------------------------------------------------
-
-
-class TestV1BackCompat:
-    def test_v1_round_trip_both_directions(self, tmp_path):
-        spool = make_disk_spool(tmp_path / "v1.spool", 6, version=FORMAT_V1)
-        records = [("S", None, {"X": i}, False) for i in range(6)]
-        assert list(spool.read_forward()) == records
-        assert list(spool.read_backward()) == records[::-1]
-        report = scan_spool(spool.path)
-        assert report.ok and report.version == FORMAT_V1
-        assert report.n_valid == 6
-
-    def test_v1_backward_detects_leading_length_mismatch(self, tmp_path):
-        """Satellite: a mismatched *leading* length word must be caught
-        by the backward reader, not just the forward one."""
-        spool = make_disk_spool(tmp_path / "v1b.spool", 3, version=FORMAT_V1)
-        with open(spool.path, "r+b") as f:
-            f.seek(0)  # leading length of record 0
-            f.write(struct.pack("<I", 2))
-        with pytest.raises(SpoolCorruptionError) as exc:
-            list(spool.read_backward())
-        assert exc.value.reason == "framing"
-        with pytest.raises(SpoolCorruptionError):
-            list(spool.read_forward())
-
-    def test_v1_backward_absurd_trailing_length(self, tmp_path):
-        spool = make_disk_spool(tmp_path / "v1c.spool", 3, version=FORMAT_V1)
-        with open(spool.path, "r+b") as f:
-            f.seek(-4, os.SEEK_END)
-            f.write(struct.pack("<I", 10_000_000))
-        with pytest.raises(EvaluationError):
-            list(spool.read_backward())
-
-    def test_v1_salvage_to_v2(self, tmp_path):
-        spool = make_disk_spool(tmp_path / "v1d.spool", 5, version=FORMAT_V1)
-        truncate_file(spool.path, 6)
-        dst = str(tmp_path / "rescued.spool")
-        report = salvage_spool(spool.path, dst)
-        assert not report.ok
-        assert report.n_valid == 4
-        rescued = DiskSpool.open(dst)
-        assert rescued.format_version == FORMAT_V2
-        assert list(rescued.read_forward()) == [
-            ("S", None, {"X": i}, False) for i in range(4)
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +456,7 @@ class TestCorruptionProperties:
             rescued = DiskSpool.open(dst)
             recovered = list(rescued.read_forward())
             assert recovered == records[: len(recovered)]
-            if (
-                report.version == FORMAT_V3
-                and len(recovered) == 0
-                and report.nametable_ok is not True
-            ):
+            if len(recovered) == 0 and report.nametable_ok is not True:
                 # v3 blobs spell their strings through the sealed name
                 # table; when neither the footer nor the section itself
                 # survives, the valid blocks are undecodable by design
@@ -555,12 +519,10 @@ class TestFsckCli:
     def test_fsck_salvage_recovers_prefix(self, tmp_path, capsys):
         from repro.cli import main
 
-        spool = make_disk_spool(tmp_path / "sick.spool", 6)
-        report = scan_spool(spool.path)
-        # Damage record 3's payload: records 0-2 stay recoverable.
-        with open(spool.path, "r+b") as f:
-            f.seek(report.valid_end_offset - 60)
-        bit_flip(spool.path, _HEADER.size + 3 * 56 + 20, 1)
+        spool = make_disk_spool(tmp_path / "sick.spool", 6, block_size=1)
+        # Damage record 3's payload (its own block): records 0-2 stay
+        # recoverable.
+        bit_flip(spool.path, record_payload_offset(spool.path, 3) + 5, 1)
         out = str(tmp_path / "rescued.spool")
         rc = main(["fsck", spool.path, "--salvage", out])
         assert rc == 2  # salvaged with loss
@@ -599,7 +561,6 @@ class TestFsckV3:
         spool, records = self._spool(tmp_path)
         report = scan_spool(spool.path)
         assert report.ok
-        assert report.version == FORMAT_V3
         assert report.n_valid == len(records)
         assert report.sealed_blocks == spool._n_blocks
         assert report.n_blocks_valid == spool._n_blocks
@@ -668,9 +629,8 @@ class TestFsckV3:
         assert main(["fsck", spool.path, "--salvage", out]) == 2
         assert "salvaged" in capsys.readouterr().out
         rescued = DiskSpool.open(out)
-        # v3 sources are rescued as v3, name table intact: the records
-        # decode identically (ids still spell the same strings).
-        assert rescued.format_version == FORMAT_V3
+        # The name table is copied with the blocks: the records decode
+        # identically (ids still spell the same strings).
         got = list(rescued.read_forward())
         assert got == records[: len(got)]
         assert len(got) > 0
@@ -689,6 +649,30 @@ class TestFsckV3:
         rescued = DiskSpool.open(out)
         assert list(rescued.read_forward()) == records
         assert scan_spool(out).ok
+
+    def test_header_flip_is_typed_and_salvageable(self, tmp_path):
+        # One flipped bit in the header magic: no longer read as some
+        # other kind of file, but a typed ``header`` corruption, and the
+        # intact blocks, name table and footer salvage in full.
+        spool = make_disk_spool(tmp_path / "hdr.spool", 50)
+        records = list(spool.read_forward())
+        bit_flip(spool.path, 3, 0)
+        report = scan_spool(spool.path)
+        assert report.ok is False
+        assert report.error.reason == "header"
+        assert report.footer_ok and report.nametable_ok
+        assert report.n_valid == 50
+        assert "[header]" in report.render()
+        with pytest.raises(SpoolCorruptionError) as exc:
+            DiskSpool.open(spool.path)
+        assert exc.value.reason == "header"
+        for reader in (spool.read_forward, spool.read_backward):
+            with pytest.raises(SpoolCorruptionError):
+                list(reader())
+        out = str(tmp_path / "rescued.spool")
+        salvage_spool(spool.path, out)
+        assert scan_spool(out).ok
+        assert list(DiskSpool.open(out).read_forward()) == records
 
     def test_unsealed_v3_is_unrecoverable_but_clean(self, tmp_path):
         # Crash before finalize: no name table yet, ids are unspellable

@@ -288,6 +288,30 @@ class TestDoctor:
         # The corrupt cache entry is a rebuildable miss: deleted.
         assert cache.entries() == []
 
+    def test_header_flip_is_corrupt_and_repaired(self, tmp_path):
+        # A flipped magic bit must not pass for a checksum-free legacy
+        # file: the doctor calls it corrupt and --repair salvages every
+        # record (footer, blocks and name table are intact).
+        from repro.testing import bit_flip
+
+        d = str(tmp_path)
+        path = str(tmp_path / "hdr.spool")
+        make_sealed_spool(path, n=50)
+        bit_flip(path, 3, 0)
+        report = run_doctor([d])
+        (art,) = report.artifacts
+        assert art.format == ArtifactFormat.SPOOL_V3
+        assert art.state == ArtifactState.CORRUPT
+        assert "header" in art.detail
+        assert report.clean is False
+        repaired = run_doctor([d], repair=True)
+        assert repaired.artifacts[0].action in (
+            "salvaged", "salvaged-with-loss"
+        )
+        after = scan_spool(path)
+        assert after.ok and after.n_valid == 50
+        assert run_doctor([d]).clean
+
     def test_repair_tmp_debris_consumed_by_sibling_salvage(self, tmp_path):
         # In-place salvage of a corrupt provenance log stages through
         # the final path + ".tmp" — the exact name of any crash debris
@@ -495,7 +519,6 @@ class TestFilesystemFaultMatrix:
             # manifests are atomically replaced JSON.)
             if not art.path.endswith(".tmp") and art.format in (
                 ArtifactFormat.SPOOL_V3,
-                ArtifactFormat.SPOOL_V2,
                 ArtifactFormat.CACHE_ENTRY,
                 ArtifactFormat.PROVENANCE,
             ):

@@ -502,12 +502,11 @@ def test_disabled_mode_emits_no_artifacts(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("format_version", [2, 3])
-def test_random_access_reader_matches_forward_read(tmp_path, format_version):
+def test_random_access_reader_matches_forward_read(tmp_path):
     from repro.apt.storage import DiskSpool, RandomAccessReader
 
     path = str(tmp_path / "t.spool")
-    spool = DiskSpool(path, format_version=format_version, block_size=256)
+    spool = DiskSpool(path, block_size=256)
     records = [
         ("sym%d" % i, i % 5, {"A": i, "B": "x" * (i % 17)}, False)
         for i in range(120)
@@ -528,10 +527,7 @@ def test_random_access_reader_matches_forward_read(tmp_path, format_version):
         addr = reader.address(4, 117)
         assert addr.pass_k == 4
         assert addr.render() == f"4:{addr.block}:{addr.record}"
-        if format_version == 3:
-            assert addr.block > 0  # 256-byte blocks force many blocks
-        else:
-            assert addr.block == 0 and addr.record == 117
+        assert addr.block > 0  # 256-byte blocks force many blocks
         with pytest.raises(Exception):
             reader.record(len(records))
 
