@@ -18,6 +18,7 @@ from repro.core import Linguist
 from repro.grammars import load_source
 from repro.grammars.scanners import binary_scanner_spec
 from repro.evalgen.oracle import OracleEvaluator
+from repro.obs import MetricsRegistry
 from repro.workloads import generate_binary_numeral
 
 
@@ -42,9 +43,11 @@ def measure(linguist_binary, translator, n_bits: int):
     oracle.evaluate(builder.root)
     total = oracle.total_tree_bytes
     # Peak residency of the file paradigm, read from the run's unified
-    # telemetry registry (the same "mem.peak_bytes" the profile CLI shows).
-    translator.translate(numeral)
-    peak = translator.last_driver.metrics.snapshot()["mem.peak_bytes"]
+    # telemetry registry (the same "mem.peak_bytes" the profile CLI shows);
+    # passing the registry is what turns the residency gauge on.
+    metrics = MetricsRegistry()
+    translator.translate(numeral, metrics=metrics)
+    peak = metrics.snapshot()["mem.peak_bytes"]
     return total, peak
 
 
@@ -89,11 +92,11 @@ def test_m1_balanced_trees_log_residency(pascal_translator, report, metrics_snap
 
     shallow = generate_pascal_program(n_statements=40, seed=3)
     long_ = generate_pascal_program(n_statements=400, seed=3)
-    pascal_translator.translate(shallow)
+    pascal_translator.translate(shallow, metrics=MetricsRegistry())
     snap = metrics_snapshot(pascal_translator)
     peak_shallow = snap["mem.peak_bytes"]
     io_shallow = snap["io.bytes_written"]
-    pascal_translator.translate(long_)
+    pascal_translator.translate(long_, metrics=MetricsRegistry())
     snap = metrics_snapshot(pascal_translator)
     peak_long = snap["mem.peak_bytes"]
     io_long = snap["io.bytes_written"]

@@ -75,12 +75,12 @@ def test_t4_generated_vs_hand_compiler(pascal_translator, report):
         f"{'hand-written one-pass compiler':<38} {hand_lpm:>12,.0f}",
         f"hand/generated speed ratio: {ratio:.1f}x "
         "(paper band: 400-900 vs 350-500, i.e. ~0.8x-2.6x)",
-        "note: our ratio is inflated relative to the paper because the",
-        "baseline pays no file I/O at all (the original hand compilers",
-        "were overlayed and disk-bound like the generated ones), while",
-        "the AG evaluator faithfully streams the APT through serialized",
-        "intermediate spools (pass fusion and adaptive in-memory",
-        "spooling have since cut that cost substantially).",
+        "note: this APT never leaves memory (adaptive spooling), so the",
+        "gap is not file I/O: it is Python work per APT record (node",
+        "construction, the spool append, the evaluator's functional list",
+        "plumbing) that the baseline's in-place emission never does.",
+        "Per-record I/O and residency bookkeeping no longer runs unless",
+        "telemetry is requested.",
     ])
     report("t4b_generated_vs_hand", text)
 

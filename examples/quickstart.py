@@ -20,6 +20,7 @@ Run:  python examples/quickstart.py
 from repro.core import Linguist
 from repro.grammars import load_source
 from repro.grammars.scanners import binary_scanner_spec
+from repro.obs import MetricsRegistry
 
 
 def main() -> None:
@@ -43,10 +44,11 @@ def main() -> None:
     print("\n".join(pascal_src.splitlines()[:24]))
     print("    ...\n")
 
-    # Package and run the translator.
+    # Package and run the translator.  Passing a metrics registry also
+    # measures the resident APT bytes (the paper's 48K-budget claim).
     translator = linguist.make_translator(binary_scanner_spec())
     for numeral in ("101.01", "1101.101", "0.0001", "11111111.1"):
-        result = translator.translate(numeral)
+        result = translator.translate(numeral, metrics=MetricsRegistry())
         print(f"value of {numeral:>12}  =  {result['VAL']}")
 
     driver = translator.last_driver

@@ -80,12 +80,7 @@ class APTBuilder(ParseListener):
         self._stack: List[TreeNode] = []
         self.root: Optional[TreeNode] = None
         self.n_nodes = 0
-        self.total_node_bytes = 0
-        # Telemetry: counters are resolved once, charged per emitted node.
-        self._c_nodes = metrics.counter("apt.nodes") if metrics is not None else None
-        self._c_bytes = (
-            metrics.counter("apt.node_bytes") if metrics is not None else None
-        )
+        self.metrics = metrics
 
     # -- parser events -----------------------------------------------------
 
@@ -148,23 +143,15 @@ class APTBuilder(ParseListener):
             )
         if self.spool is not None:
             self.spool.finalize()
+        if self.metrics is not None:
+            self.metrics.counter("apt.nodes").inc(self.n_nodes)
         if self.tracer is not None:
-            self.tracer.instant(
-                "apt.built",
-                cat="apt",
-                n_nodes=self.n_nodes,
-                total_bytes=self.total_node_bytes,
-            )
+            self.tracer.instant("apt.built", cat="apt", n_nodes=self.n_nodes)
         if not self.build_tree:
             self.root = None  # streaming mode retains no tree
 
     def _emit(self, node: APTNode) -> None:
         self.n_nodes += 1
-        nbytes = node.byte_size()
-        self.total_node_bytes += nbytes
-        if self._c_nodes is not None:
-            self._c_nodes.inc()
-            self._c_bytes.inc(nbytes)
         if self.spool is not None:
             self.spool.append(
                 (node.symbol, node.production, node.attrs, node.is_limb)

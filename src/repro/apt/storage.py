@@ -53,13 +53,15 @@ fusion) keeps small APTs entirely in memory — raw records, no
 serialization at all — and transparently spills to a sealed v3
 :class:`DiskSpool` past a configurable byte budget, preserving the
 paper's bounded-memory guarantee while letting small inputs skip the
-filesystem entirely.
+filesystem entirely.  It charges its accountant once per spool (at
+``finalize()`` and when a reader is opened), not once per record.
 """
 
 from __future__ import annotations
 
 import bisect
 import io
+import itertools
 import os
 import pickle
 import struct
@@ -327,13 +329,16 @@ class AdaptiveSpool(Spool):
 
     Byte accounting stays meaningful without encoding every record:
     the first ``EXACT_HEAD`` appends are probe-encoded through the v3
-    codec and charged their exact size (small spools — the common case
-    — account precisely), after which only every ``SAMPLE_EVERY``-th
-    record is probed and the running average is charged.  The charged
-    size of each record is remembered so the read side mirrors the
-    write side exactly (per-pass read/write byte symmetry holds, as it
-    does for the real formats).  After a spill, appends charge actual
-    encoded bytes.
+    codec and counted at their exact size (small spools — the common
+    case — account precisely), after which only every ``SAMPLE_EVERY``-th
+    record is probed and the running average is counted.  After a
+    spill, appends count actual encoded bytes.  The accountant is
+    charged once per spool, not once per record: :meth:`finalize`
+    charges the ``(n_records, data_bytes)`` written, and opening a
+    reader charges the same pair read, so per-pass read/write byte
+    symmetry holds as it does for the real formats.  With a tracer
+    attached, every record still gets its own ``spool.write`` and
+    ``spool.read`` instant.
 
     Metrics: ``spool.spill.count`` / ``spool.spill.records`` /
     ``spool.spill.bytes`` count spill events, records replayed, and
@@ -341,7 +346,7 @@ class AdaptiveSpool(Spool):
     the moment in the timeline.
     """
 
-    #: Probe-encode (and charge exactly) this many leading records.
+    #: Probe-encode (and count exactly) this many leading records.
     EXACT_HEAD = 64
     #: Past the head, probe-encode one record in this many to keep the
     #: running average calibrated.
@@ -366,10 +371,9 @@ class AdaptiveSpool(Spool):
         self.disk_budget = disk_budget
         self._budget_charged = 0
         self._records: List[Any] = []
-        #: Per-record charged byte sizes (estimates before the spill,
-        #: actual encoded sizes after), mirrored on the read side.
-        self._sizes: List[int] = []
-        self._mem_bytes = 0
+        #: Counted size of each record appended while a tracer was
+        #: attached, so the ``spool.read`` instants mirror the writes.
+        self._traced_sizes: List[int] = []
         self._disk: Optional[DiskSpool] = None
         self._probe = RecordCodec()
         self._sample_bytes = 0
@@ -383,24 +387,26 @@ class AdaptiveSpool(Spool):
 
     # -- writing ----------------------------------------------------------
 
-    def _estimate(self, record: Any) -> int:
-        i = self.n_records
-        if i < self.EXACT_HEAD or not i % self.SAMPLE_EVERY:
-            nbytes = len(self._probe.encode(record))
-            self._sample_bytes += nbytes
-            self._sample_count += 1
-            self._avg_bytes = self._sample_bytes // self._sample_count
-            if i < self.EXACT_HEAD:
-                return nbytes
-        return self._avg_bytes
+    def _sample(self, record: Any) -> int:
+        """Probe-encode ``record``: its exact size, folded into the average."""
+        nbytes = len(self._probe.encode(record))
+        self._sample_bytes += nbytes
+        self._sample_count += 1
+        self._avg_bytes = self._sample_bytes // self._sample_count
+        return nbytes
 
     def append(self, record: Any) -> None:
         if self._finalized:
             raise EvaluationError(f"spool {self.channel!r} already finalized")
+        n = self.n_records
         if self._disk is None:
-            nbytes = self._estimate(record)
+            if n < self.EXACT_HEAD:
+                nbytes = self._sample(record)
+            else:
+                if not n % self.SAMPLE_EVERY:
+                    self._sample(record)
+                nbytes = self._avg_bytes
             self._records.append(record)
-            self._mem_bytes += nbytes
         else:
             before = self._disk.data_bytes
             self._disk.append(record)
@@ -411,32 +417,31 @@ class AdaptiveSpool(Spool):
                 # the next record is admitted once the cap is hit).
                 self.disk_budget.charge(nbytes)
                 self._budget_charged += nbytes
-        self._sizes.append(nbytes)
-        self.n_records += 1
+        self.n_records = n + 1
         self.data_bytes += nbytes
-        if self.accountant is not None:
-            self.accountant.charge_write(nbytes, self.channel)
         if self.tracer is not None:
+            self._traced_sizes.append(nbytes)
             self.tracer.instant(
                 "spool.write", cat="io", channel=self.channel, nbytes=nbytes
             )
-        if self._disk is None and self._mem_bytes > self.memory_budget:
+        if self._disk is None and self.data_bytes > self.memory_budget:
             self._spill()
 
     def _spill(self) -> None:
         """Replay the buffered records into a fresh v3 temp DiskSpool.
 
-        The inner spool carries no accountant/tracer of its own — the
-        replayed records were already charged at append time, and all
-        future traffic is charged by this wrapper — but it shares the
-        metrics registry so corruption/codec counters keep flowing.
+        The inner spool carries no accountant/tracer of its own — this
+        wrapper charges the whole spool at :meth:`finalize` and traces
+        every record itself — but it shares the metrics registry so
+        corruption/codec counters keep flowing.
         """
+        buffered = self.data_bytes
         if self.disk_budget is not None:
             # Charge the whole buffered estimate up front: if the run
             # is already over budget the spill fails *before* creating
             # the temp file.
-            self.disk_budget.charge(self._mem_bytes)
-            self._budget_charged += self._mem_bytes
+            self.disk_budget.charge(buffered)
+            self._budget_charged += buffered
         disk = DiskSpool(
             None, accountant=None, channel=self.channel,
             tracer=None, metrics=self.metrics, block_size=self.block_size,
@@ -459,56 +464,64 @@ class AdaptiveSpool(Spool):
         if self.tracer is not None:
             self.tracer.instant(
                 "spool.spill", cat="io", channel=self.channel,
-                records=len(self._records), estimated_bytes=self._mem_bytes,
+                records=len(self._records), estimated_bytes=buffered,
                 encoded_bytes=disk.data_bytes,
             )
         self._records = []
         self._disk = disk
 
     def finalize(self) -> None:
+        if self._finalized:
+            return
         if self._disk is not None:
             self._disk.finalize()
         super().finalize()
+        if self.accountant is not None and self.n_records:
+            self.accountant.charge_write_many(
+                self.n_records, self.data_bytes, self.channel
+            )
 
     # -- reading ----------------------------------------------------------
-
-    def _charge_read(self, nbytes: int) -> None:
-        if self.accountant is not None:
-            self.accountant.charge_read(nbytes, self.channel)
-        if self.tracer is not None:
-            self.tracer.instant(
-                "spool.read", cat="io", channel=self.channel, nbytes=nbytes
-            )
 
     def read_forward(self) -> Iterator[Any]:
         self._require_finalized()
         if self._disk is None:
-            for record, nbytes in zip(self._records, self._sizes):
-                self._charge_read(nbytes)
-                yield record
+            records = iter(self._records)
         else:
-            decode = self._disk._decode
-            for blob, nbytes in zip(
-                self._disk._iter_blobs_forward(), self._sizes
-            ):
-                self._charge_read(nbytes)
-                yield decode(blob)
+            records = map(self._disk._decode, self._disk._iter_blobs_forward())
+        return self._open_reader(records, self._traced_sizes)
 
     def read_backward(self) -> Iterator[Any]:
         self._require_finalized()
         if self._disk is None:
-            for record, nbytes in zip(
-                reversed(self._records), reversed(self._sizes)
-            ):
-                self._charge_read(nbytes)
-                yield record
+            records = reversed(self._records)
         else:
-            decode = self._disk._decode
-            for blob, nbytes in zip(
-                self._disk._iter_blobs_backward(), reversed(self._sizes)
-            ):
-                self._charge_read(nbytes)
-                yield decode(blob)
+            records = map(self._disk._decode, self._disk._iter_blobs_backward())
+        return self._open_reader(records, self._traced_sizes[::-1])
+
+    def _open_reader(
+        self, records: Iterator[Any], sizes: List[int]
+    ) -> Iterator[Any]:
+        """Charge one whole read of the spool; trace it per record."""
+        if self.accountant is not None and self.n_records:
+            self.accountant.charge_read_many(
+                self.n_records, self.data_bytes, self.channel
+            )
+        if self.tracer is None:
+            return records
+        if len(sizes) != self.n_records:
+            sizes = []  # traced only after (some of) the writes
+        return self._traced_reads(records, sizes)
+
+    def _traced_reads(
+        self, records: Iterator[Any], sizes: List[int]
+    ) -> Iterator[Any]:
+        tracer = self.tracer
+        for record, nbytes in itertools.zip_longest(records, sizes):
+            tracer.instant(
+                "spool.read", cat="io", channel=self.channel, nbytes=nbytes
+            )
+            yield record
 
     def close(self) -> None:
         if self._disk is not None:
@@ -518,7 +531,7 @@ class AdaptiveSpool(Spool):
             self.disk_budget.release(self._budget_charged)
             self._budget_charged = 0
         self._records = []
-        self._sizes = []
+        self._traced_sizes = []
 
 
 def adaptive_spool_factory(

@@ -54,7 +54,9 @@ from repro.passes.schedule import Direction
 #: pass-fusion flag (plans built under fusion are shaped differently).
 #: 3: SUBSUME plan actions carry their subsumption group (needed by
 #: provenance recording); older pickled plans lack it.
-CACHE_FORMAT_VERSION = 3
+#: 4: ``SourceLocation`` (pickled inside the grammar model) is a
+#: tuple; older payloads pickled it as a dataclass and no longer load.
+CACHE_FORMAT_VERSION = 4
 
 
 # ---------------------------------------------------------------------------

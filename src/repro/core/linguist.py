@@ -514,6 +514,8 @@ class Translator:
 
         ``tracer``/``metrics`` enable the telemetry subsystem for this
         translation (see docs/observability.md); both default to off.
+        Passing ``metrics`` also measures resident node bytes
+        (``mem.*``, ``last_driver.gauge``); without it no gauge runs.
         ``checkpoint_dir`` makes the evaluation durable: every
         completed pass seals its spool there and updates the manifest,
         and ``resume=True`` restarts from the first incomplete pass of
@@ -610,6 +612,9 @@ class Translator:
         memo_dir: Optional[str] = None,
     ) -> EvaluationResult:
         accountant = accountant if accountant is not None else IOAccountant()
+        if gauge is None and metrics is not None:
+            # Residency is telemetry: measured only when asked for.
+            gauge = MemoryGauge()
         metrics = metrics if metrics is not None else MetricsRegistry()
         factory = spool_factory or adaptive_spool_factory(
             accountant,

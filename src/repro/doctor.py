@@ -531,8 +531,15 @@ def _repair_artifact(art: ArtifactReport, metrics=None) -> None:
         return
     if art.format == ArtifactFormat.SPOOL_V3:
         try:
-            salvage_spool(art.path, art.path, metrics=metrics)
-            art.action = "salvaged-with-loss"
+            report = salvage_spool(art.path, art.path, metrics=metrics)
+            # A damaged header costs no record: when every sealed record
+            # walked clean and the name table verified, the rewritten
+            # spool holds them all.
+            lossless = (
+                report.nametable_ok
+                and report.n_valid == report.sealed_records
+            )
+            art.action = "salvaged" if lossless else "salvaged-with-loss"
         except Exception:
             _unlink_as_repair(art)
         return

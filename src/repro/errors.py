@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Iterator, List, NamedTuple, Optional
 
 
 class Severity(enum.Enum):
@@ -30,9 +30,13 @@ class Severity(enum.Enum):
         return order.index(self) < order.index(other)
 
 
-@dataclass(frozen=True, order=True)
-class SourceLocation:
-    """A position in an input text: 1-based line and column."""
+class SourceLocation(NamedTuple):
+    """A position in an input text: 1-based line and column.
+
+    A named tuple (immutable, ordered, hashable) rather than a frozen
+    dataclass: the scanner builds one per token, and a tuple is about
+    twice as cheap to build.
+    """
 
     line: int = 0
     column: int = 0

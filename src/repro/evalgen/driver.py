@@ -8,8 +8,9 @@ intermediate files are live per pass, exactly as in the paper.
 
 The driver is also the telemetry hub of an evaluation: it owns (or is
 handed) a :class:`~repro.obs.metrics.MetricsRegistry` into which its
-:class:`IOAccountant`, :class:`MemoryGauge`, and per-pass statistics
-register as snapshot sources (``io.*``, ``mem.*``, ``pass.*``), and —
+:class:`IOAccountant` and per-pass statistics register as snapshot
+sources (``io.*``, ``pass.*``), as does the :class:`MemoryGauge` it is
+handed, if any (``mem.*``; residency is not measured otherwise), and —
 when given a :class:`~repro.obs.trace.Tracer` — wraps the run in an
 ``evaluation overlay`` span containing one span per pass (EXP-T3,
 EXP-M1).
@@ -277,13 +278,16 @@ class AlternatingPassDriver:
         self.executor = executor
         self.library = library or FunctionLibrary()
         self.accountant = accountant if accountant is not None else IOAccountant()
-        self.gauge = gauge if gauge is not None else MemoryGauge()
+        #: Resident-node gauge, or None: residency is measured (and
+        #: ``mem.*`` registered) only when the caller passes one.
+        self.gauge = gauge
         self.trace = trace
         self.tracer = tracer
         #: Unified registry: io.*, mem.*, and pass.* sources live here.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.accountant.bind(self.metrics, "io")
-        self.gauge.bind(self.metrics, "mem")
+        if gauge is not None:
+            gauge.bind(self.metrics, "mem")
         self.metrics.register_source("pass", self._pass_source)
         self._spool_factory = spool_factory or adaptive_spool_factory(
             self.accountant, tracer=self.tracer, metrics=self.metrics
@@ -435,10 +439,7 @@ class AlternatingPassDriver:
         self.memo_session = None
         memo_commits: List[Any] = []
         for plan in self.pass_plans[start_index:]:
-            if plan.pass_k == 1 and strategy == "prefix":
-                reader = spool_in.read_forward()
-            else:
-                reader = spool_in.read_backward()
+            forward = plan.pass_k == 1 and strategy == "prefix"
             # The memo applies to every pass of a fresh run: each pass
             # reads a subtree-contiguous spool (the parser's postfix or
             # prefix emission for pass 1, the previous pass's postfix
@@ -466,7 +467,7 @@ class AlternatingPassDriver:
             if rec is not None:
                 rec.begin_pass(plan.pass_k, plan.direction.value)
             runtime = EvaluatorRuntime(
-                reader,
+                None,
                 spool_out,
                 self.library,
                 self.gauge,
@@ -483,18 +484,26 @@ class AlternatingPassDriver:
                 memo_session = memo.begin_session(
                     plan, runtime, spool_in,
                     read_only=self.checkpoint is not None,
-                    forward=(plan.pass_k == 1 and strategy == "prefix"),
+                    forward=forward,
                 )
                 if memo_session is not None:
                     self.memo_sessions.append(memo_session)
                     if self.memo_session is None:
                         self.memo_session = memo_session
                 runtime.memo = memo_session
+            # An adaptive spool charges a whole read when its reader
+            # opens and a whole write when it is finalized, so the
+            # pass's I/O row spans both (the memo's index read above
+            # stays outside it).
             io_before = (
                 acc.records_read,
                 acc.records_written,
                 acc.bytes_read,
                 acc.bytes_written,
+            )
+            runtime.reader = (
+                spool_in.read_forward() if forward
+                else spool_in.read_backward()
             )
             if tracer is not None:
                 tracer.begin(
@@ -511,26 +520,27 @@ class AlternatingPassDriver:
                         root = self.executor(plan, runtime)
                 finally:
                     seconds = time.perf_counter() - started
+                    runtime.flush_counters()
                     if tracer is not None:
                         tracer.end()
                 self.pass_times.append(seconds)
-                self.pass_stats.append(
-                    {
-                        "pass": plan.pass_k,
-                        "direction": plan.direction.value,
-                        "seconds": seconds,
-                        "records_read": acc.records_read - io_before[0],
-                        "records_written": acc.records_written - io_before[1],
-                        "bytes_read": acc.bytes_read - io_before[2],
-                        "bytes_written": acc.bytes_written - io_before[3],
-                        "peak_bytes": self.gauge.peak_bytes,
-                    }
-                )
                 if not runtime.at_end():
                     raise EvaluationError(
                         f"pass {plan.pass_k} did not consume the whole APT file"
                     )
                 spool_out.finalize()
+                stats = {
+                    "pass": plan.pass_k,
+                    "direction": plan.direction.value,
+                    "seconds": seconds,
+                    "records_read": acc.records_read - io_before[0],
+                    "records_written": acc.records_written - io_before[1],
+                    "bytes_read": acc.bytes_read - io_before[2],
+                    "bytes_written": acc.bytes_written - io_before[3],
+                }
+                if self.gauge is not None:
+                    stats["peak_bytes"] = self.gauge.peak_bytes
+                self.pass_stats.append(stats)
             except BaseException:
                 # A failed pass must not leak its half-written output
                 # spool (or the previous intermediate) as stray

@@ -87,7 +87,9 @@ class EvaluatorRuntime:
         metrics=None,
         recorder=None,
     ):
-        self._reader = reader
+        #: Iterator over the pass's input records (the driver opens it
+        #: once the pass's I/O baseline is taken).
+        self.reader = reader
         self._output = output
         self.library = library or FunctionLibrary()
         self.gauge = gauge
@@ -111,17 +113,19 @@ class EvaluatorRuntime:
             self._c_saves = None
             self._c_restores = None
             self._c_dead = None
+        #: Dead attribute instances dropped so far this pass; added to
+        #: ``evt.dead_attrs_skipped`` once, by :meth:`flush_counters`.
+        self._dead_skipped = 0
 
     # -- node I/O -----------------------------------------------------------
 
     def get_node(self, expected_symbol: str) -> APTNode:
         """Read the next node record; it must be an ``expected_symbol``."""
-        try:
-            record = next(self._reader)
-        except StopIteration:
+        record = next(self.reader, None)
+        if record is None:
             raise EvaluationError(
                 f"APT input exhausted while expecting a {expected_symbol!r} node"
-            ) from None
+            )
         symbol, production, attrs, is_limb = record
         if symbol != expected_symbol:
             raise EvaluationError(
@@ -147,15 +151,14 @@ class EvaluatorRuntime:
     def put_node(self, node: APTNode, fields: Optional[List[str]] = None) -> None:
         """Write a node to the output file, keeping only ``fields`` (the
         deadness analysis decides which instances are still alive)."""
-        if fields is None:
-            attrs = node.attrs
-        else:
-            attrs = {k: node.attrs[k] for k in fields if k in node.attrs}
-            dropped = len(node.attrs) - len(attrs)
+        attrs = node.attrs
+        if fields is not None:
+            live = {k: attrs[k] for k in fields if k in attrs}
+            dropped = len(attrs) - len(live)
+            attrs = live
             if dropped:
                 # Dead-attribute suppression actually discarded instances.
-                if self._c_dead is not None:
-                    self._c_dead.inc(dropped)
+                self._dead_skipped += dropped
                 if self.tracer is not None:
                     self.tracer.instant(
                         "dead.skip", cat="evt", symbol=node.symbol, n=dropped
@@ -169,7 +172,7 @@ class EvaluatorRuntime:
     def skip_records(self, n: int) -> None:
         """Consume ``n`` input records without building nodes — the
         memo-hit path's input advance past a spliced subtree."""
-        reader = self._reader
+        reader = self.reader
         for _ in range(n):
             try:
                 next(reader)
@@ -209,20 +212,25 @@ class EvaluatorRuntime:
     def at_end(self) -> bool:
         """True when the input spool is exhausted."""
         sentinel = object()
-        nxt = next(self._reader, sentinel)
+        nxt = next(self.reader, sentinel)
         if nxt is sentinel:
             return True
         # Put it back by chaining.
         import itertools
 
-        self._reader = itertools.chain([nxt], self._reader)
+        self.reader = itertools.chain([nxt], self.reader)
         return False
+
+    def flush_counters(self) -> None:
+        """Add the pass's accumulated event tallies to the registry."""
+        if self._c_dead is not None and self._dead_skipped:
+            self._c_dead.inc(self._dead_skipped)
+        self._dead_skipped = 0
 
     # -- semantic-function services ------------------------------------------
 
     def call(self, name: str, *args: Any) -> Any:
-        result = self.library.call(name, *args)
-        return result
+        return self.library.call(name, *args)
 
     def constant(self, name: str) -> Any:
         return self.library.constant(name)

@@ -324,13 +324,26 @@ class IOAccountant(IOStats):
         self, n: int, nbytes: int, channel: str = ""
     ) -> None:
         """Charge ``n`` written records totalling ``nbytes`` in one call
-        (the bulk splice path; totals match ``n`` charge_write calls)."""
+        (a sealed spool or a memo splice; totals match ``n``
+        charge_write calls)."""
         self.records_written += n
         self.bytes_written += nbytes
         if channel:
             stats = self._channel(channel)
             stats.records_written += n
             stats.bytes_written += nbytes
+
+    def charge_read_many(
+        self, n: int, nbytes: int, channel: str = ""
+    ) -> None:
+        """Charge ``n`` read records totalling ``nbytes`` in one call
+        (a whole spool read; totals match ``n`` charge_read calls)."""
+        self.records_read += n
+        self.bytes_read += nbytes
+        if channel:
+            stats = self._channel(channel)
+            stats.records_read += n
+            stats.bytes_read += nbytes
 
     def _channel(self, name: str) -> IOStats:
         stats = self.by_channel.get(name)

@@ -9,18 +9,15 @@ source coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set
 
-from repro.errors import ScanError
-from repro.regex.ast import char_code
+from repro.errors import ScanError, SourceLocation
+from repro.regex.ast import ALPHABET_SIZE, OTHER
 from repro.regex.dfa import DEAD, DFA
 from repro.util.nametable import NameTable
-from repro.errors import SourceLocation
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexeme: kind, text, source location, optional interned name."""
 
     kind: str
@@ -71,6 +68,8 @@ class Scanner:
         self.intern_kinds = intern_kinds or set()
         self.names = names if names is not None else NameTable()
         self.filename = filename
+        #: Accept tag of every DFA state (None where it rejects).
+        self._tags = [dfa.accept_tag(s) for s in range(dfa.n_states)]
 
     def tokens(self, text: str) -> Iterator[Token]:
         """Yield tokens of ``text``, ending with one EOF token."""
@@ -78,27 +77,37 @@ class Scanner:
         line = 1
         col = 1
         n = len(text)
-        dfa = self.dfa
+        # The DFA walk indexes the flat transition table and the
+        # per-state accept tags directly: no call per character.
+        trans = self.dfa.trans
+        tags = self._tags
+        start = self.dfa.start
+        width, other, dead = ALPHABET_SIZE, OTHER, DEAD
+        keywords, keyword_kinds = self.keywords, self.keyword_kinds
+        skip, intern_kinds = self.skip, self.intern_kinds
+        intern = self.names.intern
+        filename = self.filename
         while pos < n:
-            state = dfa.start
+            state = start
             last_accept: Optional[str] = None
             last_end = pos
             i = pos
             while i < n:
-                state = dfa.step(state, char_code(text[i]))
-                if state == DEAD:
+                code = ord(text[i])
+                state = trans[state * width + (code if code < other else other)]
+                if state == dead:
                     break
                 i += 1
-                tag = dfa.accept_tag(state)
+                tag = tags[state]
                 if tag is not None:
                     last_accept = tag
                     last_end = i
             if last_accept is None:
                 raise ScanError(
-                    f"{self.filename}:{line}:{col}: illegal character {text[pos]!r}"
+                    f"{filename}:{line}:{col}: illegal character {text[pos]!r}"
                 )
             lexeme = text[pos:last_end]
-            loc = SourceLocation(line, col, self.filename)
+            at_line, at_col = line, col
             # Advance source coordinates over the lexeme.
             newlines = lexeme.count("\n")
             if newlines:
@@ -108,15 +117,16 @@ class Scanner:
                 col += len(lexeme)
             pos = last_end
             kind = last_accept
-            if kind in self.keyword_kinds and lexeme in self.keywords:
-                kind = self.keywords[lexeme]
-            if kind in self.skip:
+            if kind in keyword_kinds and lexeme in keywords:
+                kind = keywords[lexeme]
+            if kind in skip:
                 continue
-            name_index = 0
-            if kind in self.intern_kinds:
-                name_index = self.names.intern(lexeme)
-            yield Token(kind, lexeme, loc, name_index)
-        yield Token(EOF, "", SourceLocation(line, col, self.filename))
+            name_index = intern(lexeme) if kind in intern_kinds else 0
+            yield Token(
+                kind, lexeme, SourceLocation(at_line, at_col, filename),
+                name_index,
+            )
+        yield Token(EOF, "", SourceLocation(line, col, filename))
 
     def scan(self, text: str) -> List[Token]:
         """Scan all of ``text`` into a token list (including EOF)."""

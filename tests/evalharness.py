@@ -78,7 +78,7 @@ class Pipeline:
         builder.finish()
         return spool, builder.root
 
-    def driver(self, backend: str = "interp") -> AlternatingPassDriver:
+    def driver(self, backend: str = "interp", gauge=None) -> AlternatingPassDriver:
         if backend == "interp":
             executor = InterpretiveEvaluator(self.ag).run_pass
         elif backend == "generated":
@@ -88,10 +88,10 @@ class Pipeline:
         else:
             raise ValueError(backend)
         return AlternatingPassDriver(
-            self.ag, self.plans, executor, library=self.library
+            self.ag, self.plans, executor, library=self.library, gauge=gauge
         )
 
-    def evaluate(self, tokens, backend: str = "interp"):
+    def evaluate(self, tokens, backend: str = "interp", gauge=None):
         spool, _ = self.build_apt(tokens, build_tree=False)
         strategy = (
             "bottom-up"
@@ -111,7 +111,7 @@ class Pipeline:
                 )
             builder_spool.finalize()
             spool = builder_spool
-        driver = self.driver(backend)
+        driver = self.driver(backend, gauge=gauge)
         result = driver.run(spool, strategy=strategy)
         return result, driver
 

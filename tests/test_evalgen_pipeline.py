@@ -9,6 +9,7 @@ import pytest
 
 from repro.evalgen.driver import reconstruct_tree
 from repro.passes.schedule import Direction
+from repro.util.iotrack import MemoryGauge
 
 from tests.evalharness import Pipeline, tokens_of
 from tests.sample_grammars import (
@@ -308,7 +309,7 @@ class TestMemoryShape:
         oracle = OracleEvaluator(pipe.ag, pipe.library)
         oracle.evaluate(root)
         total = oracle.total_tree_bytes
-        _, driver = pipe.evaluate(toks)
+        _, driver = pipe.evaluate(toks, gauge=MemoryGauge())
         peak = driver.gauge.peak_bytes
         assert peak > 0
         assert peak < total

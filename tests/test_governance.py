@@ -305,11 +305,33 @@ class TestDoctor:
         assert "header" in art.detail
         assert report.clean is False
         repaired = run_doctor([d], repair=True)
-        assert repaired.artifacts[0].action in (
-            "salvaged", "salvaged-with-loss"
-        )
+        # Every sealed record survived, so the repair is not lossy.
+        assert repaired.artifacts[0].action == "salvaged"
+        assert not repaired.lossy
         after = scan_spool(path)
         assert after.ok and after.n_valid == 50
+        assert run_doctor([d]).clean
+
+    def test_block_damage_is_salvaged_with_loss(self, tmp_path):
+        # A damaged block loses its records (and every block after it):
+        # the repair keeps the valid prefix and says it lost data.
+        d = str(tmp_path)
+        path = str(tmp_path / "blk.spool")
+        spool = DiskSpool(path, block_size=64)
+        for i in range(50):
+            spool.append(("Sym", i, {"VAL": i}, False))
+        spool.finalize()
+        before = scan_spool(path)
+        assert before.ok and before.n_blocks_valid > 2
+        # A byte midway through the blocks.
+        corrupt_file(path, offset=before.valid_end_offset // 2)
+        damaged = scan_spool(path)
+        assert not damaged.ok and 0 < damaged.n_valid < 50
+        repaired = run_doctor([d], repair=True)
+        assert repaired.artifacts[0].action == "salvaged-with-loss"
+        assert repaired.lossy
+        after = scan_spool(path)
+        assert after.ok and after.n_valid == damaged.n_valid
         assert run_doctor([d]).clean
 
     def test_repair_tmp_debris_consumed_by_sibling_salvage(self, tmp_path):

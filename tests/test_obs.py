@@ -353,6 +353,12 @@ class TestEndToEnd:
         translator.translate("let a = 6 ; print a * 7")
         driver = translator.last_driver
         assert driver.tracer is None
+        # Residency is telemetry too: no gauge runs unless asked for.
+        assert driver.gauge is None
+        assert not any(k.startswith("mem.") for k in driver.metrics.snapshot())
+        translator.translate("let a = 6 ; print a * 7", metrics=MetricsRegistry())
+        driver = translator.last_driver
+        assert driver.tracer is None
         assert driver.metrics.snapshot()["mem.peak_bytes"] > 0
 
 
