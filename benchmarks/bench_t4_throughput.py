@@ -76,10 +76,12 @@ def test_t4_generated_vs_hand_compiler(pascal_translator, report):
         f"hand/generated speed ratio: {ratio:.1f}x "
         "(paper band: 400-900 vs 350-500, i.e. ~0.8x-2.6x)",
         "note: this APT never leaves memory (adaptive spooling), so the",
-        "gap is not file I/O: it is Python work per APT record (node",
-        "construction, the spool append, the evaluator's functional list",
-        "plumbing) that the baseline's in-place emission never does.",
-        "Per-record I/O and residency bookkeeping no longer runs unless",
+        "gap is not file I/O: it is Python work per APT record (the spool",
+        "append, the record's attribute-dict copies, the evaluator's",
+        "functional list plumbing) that the baseline's in-place emission",
+        "never does.  No node objects are built: the parser writes the",
+        "records and the pass reads and writes them through one get/put",
+        "pair; per-record I/O and residency bookkeeping runs only when",
         "telemetry is requested.",
     ])
     report("t4b_generated_vs_hand", text)

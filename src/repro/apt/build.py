@@ -1,31 +1,36 @@
-"""Building the initial APT file from parser events.
+"""Building the initial APT file: the parser writes the records.
 
 The paper's two first-linearization strategies (§II):
 
 * **bottom-up** — "for the parser to emit tree nodes in bottom-up
-  order": each terminal node is emitted at its shift, each interior
-  node (preceded by its limb node) at its reduce.  The resulting file
-  is the left-to-right postfix order, "identical to what would have
-  been created by a left-to-right attribute evaluator"; the first
+  order": each terminal record is written at its shift, each interior
+  record (preceded by its limb record) at its reduce.  The resulting
+  file is the left-to-right postfix order, "identical to what would
+  have been created by a left-to-right attribute evaluator"; the first
   evaluation pass is right-to-left and reads it backwards.  LINGUIST-86
   itself uses this method, and :class:`APTBuilder` streams it with only
   a parse-stack's worth of memory.
 * **prefix** — "like a recursive descent parser": the file is the
   left-to-right prefix order and the first pass is left-to-right.
-  :meth:`APTBuilder.emit_prefix` produces it from the retained tree.
+  The parse keeps a tree of records, which :meth:`APTBuilder.finish`
+  walks once.
+
+:class:`APTBuilder` is a :class:`~repro.lalr.parser.RecordSink`: it
+maps grammar symbols and productions onto record fields, and the
+parser writes the records in-line.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.ag.model import AttributeGrammar, SymbolKind
-from repro.apt.linear import TreeNode, iter_prefix
+from repro.apt.linear import TreeNode
 from repro.apt.node import APTNode
 from repro.apt.storage import Spool
 from repro.errors import EvaluationError
-from repro.lalr.grammar import EOF_SYMBOL, Production as CFGProduction
-from repro.lalr.parser import ParseListener
+from repro.lalr.grammar import Production as CFGProduction
+from repro.lalr.parser import RecordSink
 from repro.regex.scanner import Token
 
 IntrinsicFn = Callable[[Token, str, str], object]
@@ -55,12 +60,16 @@ def default_intrinsics(token: Token, symbol: str, attr_name: str) -> object:
     return text
 
 
-class APTBuilder(ParseListener):
-    """Parser listener producing the initial APT.
+class APTBuilder(RecordSink):
+    """The initial APT's record sink.
 
-    Pass a ``spool`` to stream the bottom-up file; set ``build_tree``
-    to retain an in-memory :class:`TreeNode` (needed by the oracle
-    evaluator and the prefix strategy).
+    Pass it to :meth:`LALRParser.parse <repro.lalr.parser.LALRParser.parse>`
+    as the listener, then call :meth:`finish`.  With a ``spool`` the
+    bottom-up file streams into it during the parse; with ``prefix``
+    the parse keeps a tree of records and :meth:`finish` writes the
+    prefix file instead.  Set ``build_tree`` to get the APT back as an
+    in-memory :class:`TreeNode` (``root``), for the oracle evaluator
+    and tests.
     """
 
     def __init__(
@@ -71,38 +80,33 @@ class APTBuilder(ParseListener):
         build_tree: bool = False,
         tracer=None,
         metrics=None,
+        prefix: bool = False,
     ):
         self.ag = ag
         self.spool = spool
         self.intrinsic_fn = intrinsic_fn
         self.build_tree = build_tree
+        self.prefix = prefix
         self.tracer = tracer
-        self._stack: List[TreeNode] = []
+        self.metrics = metrics
+        self.append = spool.append if spool is not None and not prefix else None
+        self.retain = build_tree or prefix
+        self._stack: List[Any] = []
         self.root: Optional[TreeNode] = None
         self.n_nodes = 0
-        self.metrics = metrics
 
-    # -- parser events -----------------------------------------------------
+    # -- record shapes, resolved once per kind / production by the parser --
 
-    def on_shift(self, token: Token) -> None:
-        if token.kind == EOF_SYMBOL:
-            return
-        sym = self.ag.symbols.get(token.kind)
+    def terminal(self, kind: str) -> Tuple[str, Tuple[str, ...]]:
+        sym = self.ag.symbols.get(kind)
         if sym is None or sym.kind is not SymbolKind.TERMINAL:
             raise EvaluationError(
-                f"parser shifted {token.kind!r}, which is not a terminal of "
+                f"parser shifted {kind!r}, which is not a terminal of "
                 f"attribute grammar {self.ag.name!r}"
             )
-        attrs: Dict[str, object] = {}
-        for attr in sym.intrinsic:
-            attrs[attr.name] = self.intrinsic_fn(token, sym.name, attr.name)
-        node = APTNode(symbol=sym.name, production=None, attrs=attrs)
-        self._emit(node)
-        self._stack.append(TreeNode(node))
+        return sym.name, tuple(attr.name for attr in sym.intrinsic)
 
-    def on_reduce(self, cfg_prod: CFGProduction) -> None:
-        if cfg_prod.index == 0:
-            return  # the $accept production is synthetic
+    def production(self, cfg_prod: CFGProduction) -> Tuple[int, str, Optional[str], int]:
         prod = self.ag.productions[cfg_prod.index - 1]
         if prod.lhs != cfg_prod.lhs or prod.rhs != cfg_prod.rhs:
             raise EvaluationError(
@@ -110,21 +114,11 @@ class APTBuilder(ParseListener):
                 f"grammar production {prod} — the same input file must drive "
                 "both tools"
             )
-        n = len(prod.rhs)
-        children = self._stack[len(self._stack) - n :] if n else []
-        del self._stack[len(self._stack) - n :]
-        limb_node: Optional[APTNode] = None
-        if prod.limb:
-            limb_node = APTNode(symbol=prod.limb, production=prod.index, is_limb=True)
-            self._emit(limb_node)
-        node = APTNode(symbol=prod.lhs, production=prod.index)
-        self._emit(node)
-        if self.build_tree:
-            self._stack.append(TreeNode(node, list(children), limb_node))
-        else:
-            # Streaming mode: drop child links so memory stays one
-            # parse-stack deep, the way the real tool worked.
-            self._stack.append(TreeNode(node, [], limb_node))
+        return prod.index, prod.lhs, prod.limb or None, len(prod.rhs)
+
+    def accept(self, stack: List[Any], n_records: int) -> None:
+        self._stack = stack
+        self.n_nodes = n_records
 
     # -- results -------------------------------------------------------------
 
@@ -135,40 +129,59 @@ class APTBuilder(ParseListener):
                 f"APT build ended with {len(self._stack)} tree fragments; "
                 "the parse did not reduce to the start symbol"
             )
-        self.root = self._stack[0]
-        if self.root.node.symbol != self.ag.start:
+        top = self._stack[0]
+        symbol = (top if type(top) is tuple else top[0])[0]
+        if symbol != self.ag.start:
             raise EvaluationError(
-                f"APT root is {self.root.node.symbol!r}, expected start "
-                f"symbol {self.ag.start!r}"
+                f"APT root is {symbol!r}, expected start symbol {self.ag.start!r}"
             )
-        if self.spool is not None:
+        if self.append is not None:
             self.spool.finalize()
         if self.metrics is not None:
             self.metrics.counter("apt.nodes").inc(self.n_nodes)
         if self.tracer is not None:
             self.tracer.instant("apt.built", cat="apt", n_nodes=self.n_nodes)
-        if not self.build_tree:
-            self.root = None  # streaming mode retains no tree
-
-    def _emit(self, node: APTNode) -> None:
-        self.n_nodes += 1
-        if self.spool is not None:
-            self.spool.append(
-                (node.symbol, node.production, node.attrs, node.is_limb)
-            )
-
-    def emit_prefix(self, spool: Spool) -> None:
-        """Write the prefix-order initial file (first pass left-to-right)."""
-        if self.root is None:
-            raise EvaluationError("emit_prefix before finish()")
-        from repro.passes.schedule import Direction
-
-        for node in iter_prefix(self.root, Direction.L2R):
-            spool.append((node.symbol, node.production, node.attrs, node.is_limb))
-        spool.finalize()
+        if self.prefix and self.spool is not None:
+            _write_prefix(top, self.spool.append)
+            self.spool.finalize()
+        if self.build_tree:
+            self.root = _tree_of(top)
 
 
-def node_from_record(record) -> APTNode:
-    """Deserialize one spool record into an APT node."""
+def _write_prefix(top: Any, append: Callable[[tuple], None]) -> None:
+    """Append a retained record tree in left-to-right prefix order:
+    node, limb, then each child's subtree (one iterative walk)."""
+    work = [top]
+    while work:
+        subtree = work.pop()
+        if type(subtree) is tuple:
+            append(subtree)
+            continue
+        record, limb, children = subtree
+        append(record)
+        if limb is not None:
+            append(limb)
+        work.extend(reversed(children))
+
+
+def _node(record: tuple) -> APTNode:
     symbol, production, attrs, is_limb = record
-    return APTNode(symbol=symbol, production=production, attrs=dict(attrs), is_limb=is_limb)
+    return APTNode(symbol, production, dict(attrs), is_limb)
+
+
+def _tree_of(top: Any) -> TreeNode:
+    """A retained record tree as :class:`TreeNode` objects."""
+    root = TreeNode(None)
+    work = [(top, root)]
+    while work:
+        subtree, tree = work.pop()
+        if type(subtree) is tuple:
+            tree.node = _node(subtree)
+            continue
+        record, limb, children = subtree
+        tree.node = _node(record)
+        if limb is not None:
+            tree.limb = _node(limb)
+        tree.children = [TreeNode(None) for _ in children]
+        work.extend(zip(children, tree.children))
+    return root

@@ -22,8 +22,7 @@ from repro.passes.schedule import Direction
 
 
 class TreeNode:
-    """A transient in-memory APT used by tests, the oracle evaluator, and
-    the prefix-emission strategy."""
+    """A transient in-memory APT used by tests and the oracle evaluator."""
 
     __slots__ = ("node", "children", "limb")
 
@@ -76,9 +75,8 @@ def iter_prefix(root: TreeNode, direction: Direction = Direction.L2R) -> Iterato
     """The read (prefix) order of a pass running ``direction``: node,
     limb, then each child's prefix order in visit order.
 
-    Iterative for the same reason as :func:`iter_bottom_up`: prefix
-    emission is the hot path of every translation whose first pass runs
-    left-to-right, and recursion would pay O(depth) per node.
+    Iterative for the same reason as :func:`iter_bottom_up`: recursion
+    would pay O(depth) per node.
     """
     r2l = direction is Direction.R2L
     stack = [root]

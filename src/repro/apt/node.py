@@ -12,6 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+#: A pass holds each node as a list made from its record:
+#: ``[symbol, production, attrs, is_limb]``, ``attrs`` being the pass's
+#: own copy.  A telemetered pass appends two slots: the resident bytes
+#: its memory gauge charged, and (at this index) the node's input
+#: record index for the incremental memo, None without one.
+RECORD_INDEX = 5
+
 
 def estimate_bytes(value: Any) -> int:
     """Rough byte footprint of an attribute value, 8086-record style.
@@ -38,6 +45,17 @@ def estimate_bytes(value: Any) -> int:
         return 8
 
 
+def record_bytes(symbol: str, attrs: Dict[str, Any]) -> int:
+    """Approximate record size: header word, symbol tag, attributes.
+
+    The memory gauge charges this for every record a pass holds, so it
+    is the single definition :meth:`APTNode.byte_size` also uses."""
+    total = 4 + max(2, len(symbol) // 2)
+    for value in attrs.values():
+        total += 2 + estimate_bytes(value)
+    return total
+
+
 @dataclass
 class APTNode:
     """One node of the attributed parse tree.
@@ -54,11 +72,8 @@ class APTNode:
     is_limb: bool = False
 
     def byte_size(self) -> int:
-        """Approximate record size: header word, symbol tag, attributes."""
-        total = 4 + max(2, len(self.symbol) // 2)
-        for name, value in self.attrs.items():
-            total += 2 + estimate_bytes(value)
-        return total
+        """Approximate record size (see :func:`record_bytes`)."""
+        return record_bytes(self.symbol, self.attrs)
 
     def copy(self) -> "APTNode":
         return APTNode(self.symbol, self.production, dict(self.attrs), self.is_limb)

@@ -56,7 +56,9 @@ from repro.passes.schedule import Direction
 #: provenance recording); older pickled plans lack it.
 #: 4: ``SourceLocation`` (pickled inside the grammar model) is a
 #: tuple; older payloads pickled it as a dataclass and no longer load.
-CACHE_FORMAT_VERSION = 4
+#: 5: generated passes read and write node lists through the runtime's
+#: ``get``/``put`` pair; cached text calling ``get_node`` no longer runs.
+CACHE_FORMAT_VERSION = 5
 
 
 # ---------------------------------------------------------------------------

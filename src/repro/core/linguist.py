@@ -780,10 +780,11 @@ class Translator:
     ) -> Spool:
         """Build the initial APT spool per the configured strategy.
 
-        Bottom-up (first pass R-to-L, the paper's own choice) streams
-        node records straight out of the parser; the prefix strategy
-        (first pass L-to-R, "like a recursive descent parser") retains
-        the parse tree and emits it in prefix order.
+        The parser writes the records itself.  Bottom-up (first pass
+        R-to-L, the paper's own choice) streams them into the spool
+        during the parse; the prefix strategy (first pass L-to-R, "like
+        a recursive descent parser") keeps a tree of records and writes
+        it in prefix order once the parse is done.
         """
         initial = factory("initial")
         if tracer is not None and initial.tracer is None:
@@ -792,33 +793,15 @@ class Translator:
             span_ctx = tracer.span("parser overlay", cat="overlay")
         else:
             span_ctx = nullcontext()
-        bottom_up = self.linguist.assignment.first_direction is Direction.R2L
         with span_ctx:
-            if bottom_up:
-                builder = APTBuilder(
-                    self.ag,
-                    initial,
-                    intrinsic_fn=self.intrinsic_fn,
-                    build_tree=False,
-                    tracer=tracer,
-                    metrics=metrics,
-                )
-                self.parser.parse(
-                    tokens, listener=builder, build_tree=False, tracer=tracer
-                )
-                builder.finish()
-            else:
-                builder = APTBuilder(
-                    self.ag,
-                    None,
-                    intrinsic_fn=self.intrinsic_fn,
-                    build_tree=True,
-                    tracer=tracer,
-                    metrics=metrics,
-                )
-                self.parser.parse(
-                    tokens, listener=builder, build_tree=False, tracer=tracer
-                )
-                builder.finish()
-                builder.emit_prefix(initial)
+            builder = APTBuilder(
+                self.ag,
+                initial,
+                intrinsic_fn=self.intrinsic_fn,
+                tracer=tracer,
+                metrics=metrics,
+                prefix=self.linguist.assignment.first_direction is not Direction.R2L,
+            )
+            self.parser.parse(tokens, listener=builder, tracer=tracer)
+            builder.finish()
         return initial

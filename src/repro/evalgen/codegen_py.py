@@ -159,7 +159,7 @@ class PythonCodeGenerator:
         kind = source[0]
         if kind == "field":
             _, pos, attr = source
-            return f"{_var(pos)}.attrs[{attr!r}]"
+            return f"{_var(pos)}[2][{attr!r}]"
         if kind == "temp":
             return source[1]
         if kind == "global":
@@ -195,7 +195,7 @@ class PythonCodeGenerator:
             if kind is ActionKind.GET:
                 sym = self._symbol_at(prod, action.position)
                 em.emit(
-                    f"{_var(action.position)} = rt.get_node({sym!r})", HUSK, body
+                    f"{_var(action.position)} = rt.get({sym!r})", HUSK, body
                 )
             elif kind is ActionKind.PUT:
                 var = _var(action.position)
@@ -204,7 +204,7 @@ class PythonCodeGenerator:
                     names.append(attr_name)
                     if source[0] != "field":
                         em.emit(
-                            f"{var}.attrs[{attr_name!r}] = {self._source_code(source)}",
+                            f"{var}[2][{attr_name!r}] = {self._source_code(source)}",
                             SEM,
                             body,
                         )
@@ -215,7 +215,7 @@ class PythonCodeGenerator:
                         PROV,
                         body,
                     )
-                em.emit(f"rt.put_node({var}, {names!r})", HUSK, body)
+                em.emit(f"rt.put({var}, {tuple(names)!r})", HUSK, body)
             elif kind is ActionKind.VISIT:
                 sym = self._symbol_at(prod, action.position)
                 var = _var(action.position)
@@ -255,11 +255,11 @@ class PythonCodeGenerator:
                     readback = action.temp
                 else:
                     em.emit(
-                        f"{_var(target.position)}.attrs[{target.attr_name!r}] = {code}",
+                        f"{_var(target.position)}[2][{target.attr_name!r}] = {code}",
                         SEM,
                         body,
                     )
-                    readback = f"{_var(target.position)}.attrs[{target.attr_name!r}]"
+                    readback = f"{_var(target.position)}[2][{target.attr_name!r}]"
                 if self.recording:
                     em.emit(
                         f"rec.define({prod.index}, {target.position}, "
@@ -350,24 +350,24 @@ class PythonCodeGenerator:
         # The driver entry: read the root, visit, collect exports, write.
         em.emit("def run(self):", HUSK, 1)
         em.emit("rt = self.rt", HUSK, 2)
-        em.emit(f"n0 = rt.get_node({self.ag.start!r})", HUSK, 2)
+        em.emit(f"n0 = rt.get({self.ag.start!r})", HUSK, 2)
         em.emit(f"self.visit_{sanitize(self.ag.start)}(n0)", HUSK, 2)
         for attr_name, group in plan.root_exports:
             em.emit(
-                f"n0.attrs[{attr_name!r}] = self.g_{sanitize(group)}", SEM, 2
+                f"n0[2][{attr_name!r}] = self.g_{sanitize(group)}", SEM, 2
             )
         if self.recording:
             em.emit(
                 f"rt.rec.put(0, {self.ag.start!r}, rt.out_index())", PROV, 2
             )
-        em.emit(f"rt.put_node(n0, {plan.root_fields!r})", HUSK, 2)
+        em.emit(f"rt.put(n0, {tuple(plan.root_fields)!r})", HUSK, 2)
         em.emit("return n0", HUSK, 2)
         em.emit("", NOTE)
 
         # Dispatchers: one per nonterminal.
         for sym in self.ag.nonterminals:
             em.emit(f"def visit_{sanitize(sym.name)}(self, node):", HUSK, 1)
-            em.emit("p = node.production", HUSK, 2)
+            em.emit("p = node[1]", HUSK, 2)
             first = True
             for prod in self.ag.productions_of(sym.name):
                 guard = "if" if first else "elif"

@@ -45,8 +45,9 @@ from repro.passes.schedule import Direction
 from repro.util.atomic_write import atomic_write
 from repro.util.iotrack import IOAccountant, MemoryGauge
 
-#: A pass executor: (plan, runtime) -> root node after the pass.
-PassExecutor = Callable[[PassPlan, EvaluatorRuntime], APTNode]
+#: A pass executor: (plan, runtime) -> the root's node list after the
+#: pass (see :mod:`repro.apt.node`).
+PassExecutor = Callable[[PassPlan, EvaluatorRuntime], list]
 
 #: Creates the intermediate spool for a pass.
 SpoolFactory = Callable[[str], Spool]
@@ -433,7 +434,7 @@ class AlternatingPassDriver:
                 self._root_attrs_from_spool(resumed_spool),
                 n_passes=len(self.pass_plans),
             )
-        root: Optional[APTNode] = None
+        root: Optional[list] = None
         memo = self.memo
         self.memo_sessions = []
         self.memo_session = None
@@ -501,7 +502,7 @@ class AlternatingPassDriver:
                 acc.bytes_read,
                 acc.bytes_written,
             )
-            runtime.reader = (
+            runtime.open(
                 spool_in.read_forward() if forward
                 else spool_in.read_backward()
             )
@@ -566,7 +567,7 @@ class AlternatingPassDriver:
             rec.seal()
         self.final_spool = spool_in
         assert root is not None
-        return EvaluationResult(root.attrs, n_passes=len(self.pass_plans))
+        return EvaluationResult(root[2], n_passes=len(self.pass_plans))
 
 
 def reconstruct_tree(ag: AttributeGrammar, spool: Spool) -> TreeNode:

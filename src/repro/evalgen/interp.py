@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.ag.model import AttributeGrammar, LHS_POSITION, LIMB_POSITION
-from repro.apt.node import APTNode
 from repro.errors import EvaluationError
 from repro.evalgen.exprinterp import eval_expr
 from repro.evalgen.plan import ActionKind, EvaluationPlan, PassPlan, PlanAction
@@ -28,33 +27,34 @@ class InterpretiveEvaluator:
     def __init__(self, ag: AttributeGrammar):
         self.ag = ag
 
-    def run_pass(self, plan: PassPlan, runtime: EvaluatorRuntime) -> APTNode:
+    def run_pass(self, plan: PassPlan, runtime: EvaluatorRuntime) -> list:
         """Run the whole pass: read the root, visit, write the root.
-        Returns the root node (with this pass's exports filled in)."""
+        Returns the root's node list (with this pass's exports filled
+        in; see :mod:`repro.apt.node`)."""
         globals_: Dict[str, Any] = {g: None for g in plan.groups}
-        root = runtime.get_node(self.ag.start)
+        root = runtime.get(self.ag.start)
         self._visit(root, plan, runtime, globals_)
         for attr_name, group in plan.root_exports:
-            root.attrs[attr_name] = globals_[group]
+            root[2][attr_name] = globals_[group]
         if runtime.rec is not None:
-            runtime.rec.put(LHS_POSITION, root.symbol, runtime.out_index())
-        runtime.put_node(root, fields=plan.root_fields)
+            runtime.rec.put(LHS_POSITION, root[0], runtime.out_index())
+        runtime.put(root, plan.root_fields)
         return root
 
     # ------------------------------------------------------------------
 
     def _visit(
         self,
-        node: APTNode,
+        node: list,
         plan: PassPlan,
         runtime: EvaluatorRuntime,
         globals_: Dict[str, Any],
     ) -> None:
-        if node.production is None:
+        if node[1] is None:
             raise EvaluationError(
-                f"cannot visit terminal node {node.symbol!r}; the APT is out of phase"
+                f"cannot visit terminal node {node[0]!r}; the APT is out of phase"
             )
-        prod = self.ag.productions[node.production]
+        prod = self.ag.productions[node[1]]
         eplan = plan.plans[prod.index]
         runtime.note_visit(prod.tag)
         tracer = runtime.tracer
@@ -63,14 +63,14 @@ class InterpretiveEvaluator:
         with tracer.span(
             prod.tag or prod.lhs,
             cat="visit",
-            symbol=node.symbol,
+            symbol=node[0],
             production=prod.index,
         ):
             return self._run_actions(node, prod, eplan, plan, runtime, globals_)
 
     def _run_actions(
         self,
-        node: APTNode,
+        node: list,
         prod,
         eplan: EvaluationPlan,
         plan: PassPlan,
@@ -79,7 +79,7 @@ class InterpretiveEvaluator:
     ) -> None:
         tracer = runtime.tracer
         rec = runtime.rec
-        nodes: Dict[int, APTNode] = {LHS_POSITION: node}
+        nodes: Dict[int, list] = {LHS_POSITION: node}
         temps: Dict[str, Any] = {}
         saves: Dict[str, Any] = {}
 
@@ -95,7 +95,7 @@ class InterpretiveEvaluator:
             if kind == "field":
                 _, pos, attr = source
                 try:
-                    return nodes[pos].attrs[attr]
+                    return nodes[pos][2][attr]
                 except KeyError:
                     raise EvaluationError(
                         f"attribute {symbol_at(pos)}.{attr} not present on node "
@@ -110,17 +110,17 @@ class InterpretiveEvaluator:
         for action in eplan.actions:
             kind = action.kind
             if kind is ActionKind.GET:
-                nodes[action.position] = runtime.get_node(symbol_at(action.position))
+                nodes[action.position] = runtime.get(symbol_at(action.position))
             elif kind is ActionKind.PUT:
                 target = nodes[action.position]
                 names: List[str] = []
                 for attr_name, source in action.fields:
                     names.append(attr_name)
                     if source[0] != "field":
-                        target.attrs[attr_name] = source_value(source)
+                        target[2][attr_name] = source_value(source)
                 if rec is not None:
-                    rec.put(action.position, target.symbol, runtime.out_index())
-                runtime.put_node(target, fields=names)
+                    rec.put(action.position, target[0], runtime.out_index())
+                runtime.put(target, names)
             elif kind is ActionKind.VISIT:
                 child = nodes[action.position]
                 memo = runtime.memo
@@ -157,7 +157,7 @@ class InterpretiveEvaluator:
                 if action.temp:
                     temps[action.temp] = value
                 else:
-                    nodes[binding.target.position].attrs[
+                    nodes[binding.target.position][2][
                         binding.target.attr_name
                     ] = value
                 if rec is not None:

@@ -1,18 +1,18 @@
 """Runtime services shared by generated and interpretive evaluators.
 
-One :class:`EvaluatorRuntime` serves one pass: it hands out nodes from
-the input spool (``GetNode``), collects them into the output spool
-(``PutNode``), resolves uninterpreted functions and constants against
-the function library, and charges the memory gauge so the §Intro
-48K-budget claim is measurable.  An optional trace records the
-get/eval/visit/put event stream (EXP-F2).
+One :class:`EvaluatorRuntime` serves one pass: its ``get``/``put``
+pair hands out nodes from the input spool (``GetNode``) and writes
+them to the output spool (``PutNode``); it resolves uninterpreted
+functions and constants against the function library, and charges the
+memory gauge so the §Intro 48K-budget claim is measurable.  An
+optional trace records the get/eval/visit/put event stream (EXP-F2).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from repro.apt.node import APTNode
+from repro.apt.node import record_bytes
 from repro.apt.storage import Spool
 from repro.errors import EvaluationError
 from repro.util.iotrack import MemoryGauge
@@ -87,9 +87,6 @@ class EvaluatorRuntime:
         metrics=None,
         recorder=None,
     ):
-        #: Iterator over the pass's input records (the driver opens it
-        #: once the pass's I/O baseline is taken).
-        self.reader = reader
         self._output = output
         self.library = library or FunctionLibrary()
         self.gauge = gauge
@@ -116,58 +113,112 @@ class EvaluatorRuntime:
         #: Dead attribute instances dropped so far this pass; added to
         #: ``evt.dead_attrs_skipped`` once, by :meth:`flush_counters`.
         self._dead_skipped = 0
+        #: The pass's input records and its get/put pair; the driver
+        #: opens them once the memo session and I/O baseline are set.
+        self.reader: Optional[Iterator[Any]] = None
+        self.get: Optional[Callable[[str], list]] = None
+        self.put: Optional[Callable[[list, Any], None]] = None
+        if reader is not None:
+            self.open(reader)
 
     # -- node I/O -----------------------------------------------------------
 
-    def get_node(self, expected_symbol: str) -> APTNode:
-        """Read the next node record; it must be an ``expected_symbol``."""
-        record = next(self.reader, None)
-        if record is None:
-            raise EvaluationError(
-                f"APT input exhausted while expecting a {expected_symbol!r} node"
-            )
-        symbol, production, attrs, is_limb = record
-        if symbol != expected_symbol:
-            raise EvaluationError(
-                f"APT input out of phase: expected {expected_symbol!r}, "
-                f"read {symbol!r} — the evaluator and the parser disagree "
-                "about the phrase structure"
-            )
-        node = APTNode(symbol, production, dict(attrs), is_limb)
-        if self.memo is not None:
-            self.memo.note_get(node)
-        if self.gauge is not None:
-            # Residency is charged at the record size read from disk; the
-            # matching release uses the same figure (values computed into
-            # the node during the visit live on the stack as temporaries
-            # in the generated code's accounting).
-            size = node.byte_size()
-            node.__dict__["_resident_bytes"] = size
-            self.gauge.acquire(size)
-        if self.trace is not None:
-            self.trace.append(TraceEvent("get", symbol))
-        return node
+    def open(self, reader: Iterator[Any]) -> None:
+        """Bind the pass's ``get``/``put`` pair over ``reader``.
 
-    def put_node(self, node: APTNode, fields: Optional[List[str]] = None) -> None:
-        """Write a node to the output file, keeping only ``fields`` (the
-        deadness analysis decides which instances are still alive)."""
-        attrs = node.attrs
-        if fields is not None:
-            live = {k: attrs[k] for k in fields if k in attrs}
+        ``get(symbol)`` reads the next record, which must be a
+        ``symbol``, and returns it as a node list (see
+        :mod:`repro.apt.node`); ``put(node, fields)`` writes the node
+        keeping only ``fields`` (the deadness analysis decides which
+        instances are still alive).  Telemetry is chosen here: without
+        a gauge, trace, tracer or memo session the plain pair runs and
+        pays nothing per record for them.
+        """
+        self.reader = reader
+        if (
+            self.gauge is None
+            and self.trace is None
+            and self.tracer is None
+            and self.memo is None
+        ):
+            self.get, self.put = self._plain_pair(reader)
+        else:
+            self.get, self.put = self._telemetered_pair(reader)
+
+    def _plain_pair(self, reader: Iterator[Any]):
+        read = reader.__next__
+        append = self._output.append
+
+        def get(expected: str) -> list:
+            try:
+                symbol, production, attrs, is_limb = read()
+            except StopIteration:
+                raise _exhausted(expected) from None
+            if symbol != expected:
+                raise _out_of_phase(expected, symbol)
+            return [symbol, production, dict(attrs), is_limb]
+
+        def put(node: list, fields) -> None:
+            symbol, production, attrs, is_limb = node
+            # A loop, not a comprehension: most records keep 0-2 fields,
+            # where the comprehension's own frame costs more than it saves.
+            live = {}
+            for name in fields:
+                if name in attrs:
+                    live[name] = attrs[name]
+            if len(live) != len(attrs):
+                self._dead_skipped += len(attrs) - len(live)
+            append((symbol, production, live, is_limb))
+
+        return get, put
+
+    def _telemetered_pair(self, reader: Iterator[Any]):
+        read = reader.__next__
+        append = self._output.append
+        gauge = self.gauge
+        trace = self.trace
+        tracer = self.tracer
+        memo = self.memo
+
+        def get(expected: str) -> list:
+            try:
+                symbol, production, attrs, is_limb = read()
+            except StopIteration:
+                raise _exhausted(expected) from None
+            if symbol != expected:
+                raise _out_of_phase(expected, symbol)
+            attrs = dict(attrs)
+            index = None if memo is None else memo.next_index()
+            size = 0
+            if gauge is not None:
+                # Residency is charged at the record size read; the
+                # matching release uses the same figure (values computed
+                # into the node during the visit live on the stack as
+                # temporaries in the generated code's accounting).
+                size = record_bytes(symbol, attrs)
+                gauge.acquire(size)
+            if trace is not None:
+                trace.append(TraceEvent("get", symbol))
+            return [symbol, production, attrs, is_limb, size, index]
+
+        def put(node: list, fields) -> None:
+            symbol, production, attrs, is_limb, size, _index = node
+            live = {}
+            for name in fields:
+                if name in attrs:
+                    live[name] = attrs[name]
             dropped = len(attrs) - len(live)
-            attrs = live
             if dropped:
-                # Dead-attribute suppression actually discarded instances.
                 self._dead_skipped += dropped
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "dead.skip", cat="evt", symbol=node.symbol, n=dropped
-                    )
-        self._output.append((node.symbol, node.production, attrs, node.is_limb))
-        if self.gauge is not None:
-            self.gauge.release(node.__dict__.get("_resident_bytes", 0))
-        if self.trace is not None:
-            self.trace.append(TraceEvent("put", node.symbol))
+                if tracer is not None:
+                    tracer.instant("dead.skip", cat="evt", symbol=symbol, n=dropped)
+            append((symbol, production, live, is_limb))
+            if gauge is not None:
+                gauge.release(size)
+            if trace is not None:
+                trace.append(TraceEvent("put", symbol))
+
+        return get, put
 
     def skip_records(self, n: int) -> None:
         """Consume ``n`` input records without building nodes — the
@@ -205,21 +256,17 @@ class EvaluatorRuntime:
         return self._output
 
     def out_index(self) -> int:
-        """Record index the *next* :meth:`put_node` call will occupy in
+        """Record index the *next* ``put`` call will occupy in
         the output spool — the spool offset provenance events carry."""
         return self._output.n_records
 
     def at_end(self) -> bool:
-        """True when the input spool is exhausted."""
-        sentinel = object()
-        nxt = next(self.reader, sentinel)
-        if nxt is sentinel:
-            return True
-        # Put it back by chaining.
-        import itertools
-
-        self.reader = itertools.chain([nxt], self.reader)
-        return False
+        """True when the input spool is exhausted.  A record still
+        there is not consumed: the pair is rebound with it pushed back."""
+        for record in self.reader:
+            self.open(_pushed_back(record, self.reader))
+            return False
+        return True
 
     def flush_counters(self) -> None:
         """Add the pass's accumulated event tallies to the registry."""
@@ -272,6 +319,24 @@ class EvaluatorRuntime:
             self._c_restores.inc()
         if self.tracer is not None:
             self.tracer.instant("subsume.restore", cat="evt", group=group)
+
+
+def _exhausted(expected: str) -> EvaluationError:
+    return EvaluationError(
+        f"APT input exhausted while expecting a {expected!r} node"
+    )
+
+
+def _out_of_phase(expected: str, symbol: str) -> EvaluationError:
+    return EvaluationError(
+        f"APT input out of phase: expected {expected!r}, read {symbol!r} — "
+        "the evaluator and the parser disagree about the phrase structure"
+    )
+
+
+def _pushed_back(record: Any, rest: Iterator[Any]) -> Iterator[Any]:
+    yield record
+    yield from rest
 
 
 class EvaluationResult:

@@ -53,6 +53,7 @@ import zlib
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.ag.model import AttributeGrammar
+from repro.apt.node import RECORD_INDEX
 from repro.apt.storage import DiskSpool, RandomAccessReader, Spool
 from repro.errors import MemoCorruptionError
 from repro.lalr.grammar import EOF_SYMBOL
@@ -1504,18 +1505,16 @@ class MemoSession:
 
     # -- runtime hook ------------------------------------------------------
 
-    def note_get(self, node) -> None:
-        """Stamp the node with its spool record index — the index its
-        subtree is keyed under.  A backward pass over a postfix spool
-        sees record ``n_total - 1 - r`` at read ``r`` (and a subtree is
-        keyed at its root record, which a postfix stream puts *last*);
-        the forward prefix pass sees record ``r``, the subtree root
-        coming *first*."""
-        if self._forward:
-            node.__dict__["_mi"] = self._reads
-        else:
-            node.__dict__["_mi"] = self._n_total - 1 - self._reads
-        self._reads += 1
+    def next_index(self) -> int:
+        """The spool record index of the read ``get`` is making — the
+        index its subtree is keyed under, stamped on the node.  A
+        backward pass over a postfix spool sees record ``n_total - 1 -
+        r`` at read ``r`` (and a subtree is keyed at its root record,
+        which a postfix stream puts *last*); the forward prefix pass
+        sees record ``r``, the subtree root coming *first*."""
+        reads = self._reads
+        self._reads = reads + 1
+        return reads if self._forward else self._n_total - 1 - reads
 
     # -- the evaluator-facing API -----------------------------------------
 
@@ -1555,14 +1554,14 @@ class MemoSession:
         get_global: Callable[[str], Any],
         set_global: Callable[[str, Any], None],
     ):
-        idx = node.__dict__.get("_mi")
-        if idx is None or node.is_limb or node.production is None:
+        idx = node[RECORD_INDEX]
+        if idx is None or node[3] or node[1] is None:
             return None
         span = self.index.spans[idx]
         if span < self.store.min_span:
             return None
         ctx = context_fingerprint(
-            node.attrs, ((g, get_global(g)) for g in self.groups)
+            node[2], ((g, get_global(g)) for g in self.groups)
         )
         key = (self.index.hashes[idx].hex(), ctx.hex())
         entry = self._entries.get(key)
@@ -1610,12 +1609,12 @@ class MemoSession:
         else:
             for record in records:
                 runtime.splice_record(record)
-        node.attrs = dict(post_attrs)
+        node[2] = dict(post_attrs)
         for group, value in zip(self.groups, post_globals):
             set_global(group, value)
         rec = runtime.rec
         if rec is not None:
-            rec.reuse(node.symbol, entry.n_skip + 1, out_start, entry.out_len)
+            rec.reuse(node[0], entry.n_skip + 1, out_start, entry.out_len)
         self.hits += 1
         self.spliced_records += entry.out_len
         if self._c_hits is not None:
@@ -1643,7 +1642,7 @@ class MemoSession:
             blob = base64.b64encode(
                 pickle.dumps(
                     (
-                        dict(node.attrs),
+                        dict(node[2]),
                         [get_global(g) for g in self.groups],
                     ),
                     protocol=pickle.HIGHEST_PROTOCOL,

@@ -70,11 +70,12 @@ class Pipeline:
 
     # ------------------------------------------------------------------
 
-    def build_apt(self, tokens, build_tree: bool = True):
-        """Parse tokens into (initial spool, tree-or-None)."""
+    def build_apt(self, tokens, build_tree: bool = True, prefix: bool = False):
+        """Parse tokens into (initial spool, tree-or-None); the spool is
+        in bottom-up order, or in prefix order with ``prefix``."""
         spool = MemorySpool(channel="initial")
-        builder = APTBuilder(self.ag, spool, build_tree=build_tree)
-        self.parser.parse(tokens, listener=builder, build_tree=False)
+        builder = APTBuilder(self.ag, spool, build_tree=build_tree, prefix=prefix)
+        self.parser.parse(tokens, listener=builder)
         builder.finish()
         return spool, builder.root
 
@@ -92,25 +93,14 @@ class Pipeline:
         )
 
     def evaluate(self, tokens, backend: str = "interp", gauge=None):
-        spool, _ = self.build_apt(tokens, build_tree=False)
         strategy = (
             "bottom-up"
             if self.assignment.first_direction is Direction.R2L
             else "prefix"
         )
-        if strategy == "prefix":
-            # Prefix emission needs the tree.
-            spool2 = MemorySpool(channel="initial")
-            spool_raw, root = self.build_apt(tokens, build_tree=True)
-            builder_spool = spool2
-            from repro.apt.linear import iter_prefix
-
-            for node in iter_prefix(root):
-                builder_spool.append(
-                    (node.symbol, node.production, node.attrs, node.is_limb)
-                )
-            builder_spool.finalize()
-            spool = builder_spool
+        spool, _ = self.build_apt(
+            tokens, build_tree=False, prefix=strategy == "prefix"
+        )
         driver = self.driver(backend, gauge=gauge)
         result = driver.run(spool, strategy=strategy)
         return result, driver
@@ -140,6 +130,14 @@ def canonical_attrs(root_attrs) -> dict:
         ) else value
         out[attr] = repr(rendered)
     return out
+
+
+def canonical_records(spool) -> list:
+    """Every record of a finished spool, attributes canonicalized."""
+    return [
+        (symbol, production, canonical_attrs(attrs), is_limb)
+        for symbol, production, attrs, is_limb in spool.read_forward()
+    ]
 
 
 class BackendSuite:
@@ -220,7 +218,7 @@ class BackendSuite:
         tokens = list(self.interp.scanner.tokens(text))
         spool = MemorySpool(channel="initial")
         builder = APTBuilder(self.ag, spool, build_tree=True)
-        self.interp.parser.parse(tokens, listener=builder, build_tree=False)
+        self.interp.parser.parse(tokens, listener=builder)
         builder.finish()
         result = OracleEvaluator(self.ag, self.library).evaluate(builder.root)
         return result.root_attrs
@@ -229,16 +227,29 @@ class BackendSuite:
         """Translate ``text`` through every path; return
         ``{path: canonical root attrs}`` (oracle projected onto the
         pass-evaluated attribute set — the oracle attributes *every*
-        instance, the passes export the root's visible ones)."""
-        interp = canonical_attrs(self.interp.translate(text).root_attrs)
-        generated = canonical_attrs(self.generated.translate(text).root_attrs)
-        cached = canonical_attrs(self.cached.translate(text).root_attrs)
+        instance, the passes export the root's visible ones).
+
+        The whole output is kept too: ``final_spools`` maps the
+        interp, generated, cached and incremental paths (the ones that
+        run the same passes) to every record of their final spool."""
+        self.final_spools = {}
+
+        def translate(path: str, translator, **kwargs) -> dict:
+            result = translator.translate(text, **kwargs)
+            self.final_spools[path] = canonical_records(
+                translator.last_driver.final_spool
+            )
+            return canonical_attrs(result.root_attrs)
+
+        interp = translate("interp", self.interp)
+        generated = translate("generated", self.generated)
+        cached = translate("cached", self.cached)
         unfused = canonical_attrs(self.unfused.translate(text).root_attrs)
         # Warm the memo, then re-translate: the second run splices the
         # sealed output of every clean subtree instead of re-evaluating.
         self.incremental.translate(text, memo_dir=self.memo_dir)
-        incremental = canonical_attrs(
-            self.incremental.translate(text, memo_dir=self.memo_dir).root_attrs
+        incremental = translate(
+            "incremental", self.incremental, memo_dir=self.memo_dir
         )
         oracle_full = canonical_attrs(self.oracle_attrs(text))
         oracle = {k: v for k, v in oracle_full.items() if k in interp}

@@ -329,6 +329,34 @@ def test_poisoned_builders_warm_build(tmp_path, monkeypatch):
     assert list(result.root_attrs["OUT"]) == [42]
 
 
+def test_format_4_entry_is_a_miss_then_a_rebuild(tmp_path, monkeypatch):
+    """Pass text cached under format 4 called ``rt.get_node``, which no
+    longer exists: such an entry must never be exec'd.  The format is
+    part of every key, so the lookup misses and the build runs cold."""
+    import repro.buildcache.key as keymod
+
+    source = load_source("calc")
+    spec, library = scanner_and_library("calc")
+    monkeypatch.setattr(keymod, "CACHE_FORMAT_VERSION", 4)
+    old = Linguist(source, cache=BuildCache(str(tmp_path)))
+    cache = BuildCache(str(tmp_path))
+    payload = cache.load("grammar", grammar_key(old.ag))
+    for artifact in payload["artifacts"]:
+        artifact.text = "raise AssertionError('format-4 pass text was exec'd')\n"
+    cache.store("grammar", grammar_key(old.ag), payload)
+    monkeypatch.undo()
+
+    metrics = MetricsRegistry()
+    rebuilt = Linguist(source, cache=BuildCache(str(tmp_path)), metrics=metrics)
+    assert not rebuilt.from_cache
+    snap = metrics.snapshot()
+    assert snap["cache.alias.miss"] == 1 and snap["cache.grammar.miss"] == 1
+    assert snap["cache.write"] == 2  # the format-5 grammar entry + alias
+    translator = rebuilt.make_translator(spec, library=library)
+    assert list(translator.translate("let a = 6 ; print a * 7").root_attrs["OUT"]) == [42]
+    assert Linguist(source, cache=BuildCache(str(tmp_path))).from_cache
+
+
 def test_keys_are_stable_hex(tmp_path):
     """Keys are 64-char hex — filesystem-safe names under any OS."""
     source = load_source("binary")

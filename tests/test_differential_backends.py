@@ -20,7 +20,10 @@ They are six implementations of one semantics, so on every input the
 root attributes must be *byte-identical* (canonicalized through
 :func:`tests.evalharness.canonical_attrs`).  The workloads are seeded
 generators from :mod:`repro.workloads.generators` — deterministic, so a
-disagreement is a reproducible bug report, not a flake.
+disagreement is a reproducible bug report, not a flake.  The four paths
+that run the same passes (interpretive, generated, cached, incremental)
+must also agree on every record of their final spool, not only on the
+root.
 """
 
 import pytest
@@ -109,6 +112,14 @@ def test_all_backends_agree(grammar, workload_id, text, suite_cache_root):
     assert results["oracle"] == interp, (
         f"{workload_id}: oracle disagrees with the pass evaluators"
     )
+    # The whole attributed output, not only the root: every record of
+    # the final spool.
+    spools = suite.final_spools
+    assert spools["interp"]
+    for path in ("generated", "cached", "incremental"):
+        assert spools[path] == spools["interp"], (
+            f"{workload_id}: {path} final spool differs from interpretive"
+        )
 
 
 def test_run_all_backends_helper(tmp_path):

@@ -258,7 +258,7 @@ class TestGeneratedCode:
         gen = GeneratedEvaluator(pipe.ag, pipe.plans)
         src = gen.source_of_pass(1)
         assert "class Pass1Evaluator" in src
-        assert "rt.get_node" in src
+        assert "rt.get(" in src
         compile(src, "<test>", "exec")
 
     def test_subsumed_copies_appear_as_comments(self):

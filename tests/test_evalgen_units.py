@@ -207,7 +207,7 @@ class TestCodegenUnits:
         expr = parse_expression("if x1.A = 1 then x0.B else f(x2.C, 'q') endif")
         resolved = _resolve_for_test(expr)
         code = gen.compile_expr(resolved, refmap)
-        assert "n1.attrs['A']" in code
+        assert "n1[2]['A']" in code
         assert "t0_B" in code
         assert "self.g_CTX" in code
         assert "rt.call('f'" in code
@@ -324,7 +324,7 @@ class TestRuntimeErrors:
         out = MemorySpool()
         rt = EvaluatorRuntime(spool.read_forward(), out)
         with pytest.raises(EvaluationError) as exc:
-            rt.get_node("EXPECTED")
+            rt.get("EXPECTED")
         assert "out of phase" in str(exc.value)
 
     def test_exhausted_input(self):
@@ -336,7 +336,7 @@ class TestRuntimeErrors:
         spool.finalize()
         rt = EvaluatorRuntime(spool.read_forward(), MemorySpool())
         with pytest.raises(EvaluationError):
-            rt.get_node("S")
+            rt.get("S")
 
     def test_missing_external_function(self):
         from repro.errors import EvaluationError
@@ -363,8 +363,8 @@ class TestRuntimeErrors:
         spool.finalize()
         rt = EvaluatorRuntime(spool.read_forward(), MemorySpool())
         assert not rt.at_end()
-        node = rt.get_node("S")
-        assert node.symbol == "S"
+        node = rt.get("S")
+        assert node[0] == "S"
         assert rt.at_end()
 
 

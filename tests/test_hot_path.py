@@ -150,3 +150,30 @@ def test_untelemetered_translation_makes_no_per_record_calls(
     # the same accountant calls.
     assert charges[0] == charges[1]
     assert charges[0]
+
+
+def test_untelemetered_translation_builds_no_node_objects(translators, monkeypatch):
+    """The parser writes records and the passes read and write records:
+    no :class:`APTNode` or :class:`TreeNode` exists on either backend,
+    with either first-file strategy (pascal and linguist build the
+    prefix file, binary the bottom-up one)."""
+    from repro.apt.linear import TreeNode
+
+    calls = {}
+    _count_calls(monkeypatch, APTNode, "__init__", calls)
+    _count_calls(monkeypatch, TreeNode, "__init__", calls)
+    spec, library = scanner_and_library("pascal")
+    interp = Linguist(load_source("pascal")).make_translator(
+        spec, library=library, backend="interp"
+    )
+    spec, library = scanner_and_library("binary")
+    binary = Linguist(load_source("binary")).make_translator(spec, library=library)
+    program = generate_pascal_program(n_statements=50, seed=3)
+    for translator, text in (
+        (translators["pascal"], program),
+        (interp, program),
+        (translators["linguist"], load_source("calc")),
+        (binary, "1101.011"),
+    ):
+        translator.translate(text)
+    assert calls == {}
