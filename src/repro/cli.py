@@ -431,14 +431,18 @@ def _fsck_emit(args, report, fmt: str, code: int, **extra) -> int:
 def cmd_fsck(args) -> int:
     """Verify (and optionally salvage) a durable artifact file.
 
-    Exit status: 0 clean, 1 corrupt (or missing), 2 corrupt but the
-    longest checksum-valid prefix was recovered via ``--salvage``
-    (salvaged with loss).  ``--quiet`` suppresses all output so scripts
-    can branch on the code alone.
+    The format is sniffed through ``repro doctor``'s format table (a
+    spool unless a sealed-log header says otherwise; a directory names
+    its memo manifest).  Exit status: 0 clean, 1 corrupt (or missing),
+    2 corrupt but the longest checksum-valid prefix was recovered via
+    ``--salvage`` (salvaged with loss).  A clean *unsealed* journal —
+    the daemon was killed rather than drained — exits 0.  ``--quiet``
+    suppresses all output so scripts can branch on the code alone.
     """
-    from repro.apt.storage import salvage_spool, scan_spool
+    from repro.doctor import FORMATS, format_of
     from repro.errors import Diagnostic, Severity, SourceLocation
     from repro.obs import MetricsRegistry
+    from repro.passes.incremental import MEMO_LOG
 
     say = _say(args)
     metrics = MetricsRegistry()
@@ -452,174 +456,38 @@ def cmd_fsck(args) -> int:
                 "verdict": "missing", "exit": 1,
             }, sort_keys=True))
         return 1
-    from repro.obs.provenance import looks_like_provenance_log
-    from repro.passes.incremental import looks_like_memo_manifest
-    from repro.serve.journal import looks_like_request_journal
-
-    memo_target = args.spool
-    if os.path.isdir(args.spool):
-        from repro.passes.incremental import MEMO_LOG
-
-        memo_target = os.path.join(args.spool, MEMO_LOG)
-    if looks_like_provenance_log(args.spool):
-        return _fsck_provenance(args, metrics)
-    if looks_like_request_journal(args.spool):
-        return _fsck_journal(args, metrics)
-    if looks_like_memo_manifest(memo_target):
-        return _fsck_memo(args, metrics)
+    target = args.spool
+    if os.path.isdir(target):
+        target = os.path.join(target, MEMO_LOG)
+    fmt = format_of(target)
+    if fmt is None or fmt.tag is None:
+        fmt = FORMATS[0]  # anything unrecognized is judged as a spool
     if args.salvage:
-        report = salvage_spool(args.spool, args.salvage, metrics=metrics)
+        report = fmt.salvage(target, args.salvage, metrics=metrics)
     else:
-        report = scan_spool(args.spool, metrics=metrics)
+        report = fmt.scan(target, metrics=metrics)
     say(report.render())
+    for line in fmt.notes(report):
+        say(line)
     if args.salvage:
-        say(
-            f"salvaged {report.n_valid} record(s) "
-            f"({report.valid_data_bytes:,} payload bytes) -> {args.salvage}"
-        )
+        say(f"salvaged {fmt.kept(report)} -> {args.salvage}")
     if args.metrics:
         say()
         say(metrics.render())
-    loss = (report.sealed_records - report.n_valid
-            if report.sealed_records is not None else None)
     if report.ok:
-        return _fsck_emit(args, report, "spool-v3", 0, loss=0)
+        return _fsck_emit(args, report, fmt.tag, 0, **fmt.extra(report))
     # A location-bearing diagnostic: the damaged region, named the same
     # way grammar errors name their source coordinates.
     err = report.error
     diag = Diagnostic(
         Severity.ERROR,
-        f"spool corrupt at {err.locus()} [{err.reason}]; "
-        f"valid prefix: {report.n_valid} record(s), "
-        f"{report.valid_end_offset} bytes",
+        f"{fmt.what} corrupt at {err.locus()} [{err.reason}]; "
+        f"valid prefix: {fmt.prefix(report)}",
         SourceLocation(filename=args.spool),
     )
     say(str(diag), file=sys.stderr)
-    return _fsck_emit(args, report, "spool-v3",
-                      2 if args.salvage else 1, loss=loss)
-
-
-def _fsck_provenance(args, metrics) -> int:
-    """The fsck path for PROV1 provenance logs (sniffed by header)."""
-    from repro.errors import Diagnostic, Severity, SourceLocation
-    from repro.obs.provenance import salvage_provenance, scan_provenance
-
-    say = _say(args)
-    if args.salvage:
-        report = salvage_provenance(args.spool, args.salvage, metrics=metrics)
-    else:
-        report = scan_provenance(args.spool, metrics=metrics)
-    say(report.render())
-    if args.salvage:
-        say(f"salvaged {report.n_valid} record(s) -> {args.salvage}")
-    if args.metrics:
-        say()
-        say(metrics.render())
-    if report.ok:
-        return _fsck_emit(args, report, "PROV1", 0,
-                          loss=0, n_events=report.n_events)
-    err = report.error
-    diag = Diagnostic(
-        Severity.ERROR,
-        f"provenance log corrupt at {err.locus()} [{err.reason}]; "
-        f"valid prefix: {report.n_valid} record(s)",
-        SourceLocation(filename=args.spool),
-    )
-    say(str(diag), file=sys.stderr)
-    return _fsck_emit(args, report, "PROV1", 2 if args.salvage else 1,
-                      loss=None, n_events=report.n_events)
-
-
-def _fsck_journal(args, metrics) -> int:
-    """The fsck path for SRVJ1 request journals (sniffed by header).
-
-    A clean *unsealed* journal (the daemon was killed rather than
-    drained) exits 0 — that is an expected crash artifact whose valid
-    prefix is authoritative; record-level damage exits 1 (2 when
-    ``--salvage`` recovered the prefix).
-    """
-    from repro.errors import Diagnostic, Severity, SourceLocation
-    from repro.serve.journal import (
-        replay_journal,
-        salvage_journal,
-        scan_journal,
-    )
-
-    say = _say(args)
-    if args.salvage:
-        report = salvage_journal(args.spool, args.salvage, metrics=metrics)
-    else:
-        report = scan_journal(args.spool, metrics=metrics)
-    say(report.render())
-    if report.ok:
-        state = replay_journal(args.spool)
-        say(
-            f"  requests: {len(state.completed)} completed, "
-            f"{len(state.failed)} failed, "
-            f"{len(state.in_flight)} in flight at shutdown"
-            + (f", {len(state.duplicates)} DUPLICATED"
-               if state.duplicates else "")
-        )
-    if args.salvage:
-        say(f"salvaged {report.n_valid} record(s) -> {args.salvage}")
-    if args.metrics:
-        say()
-        say(metrics.render())
-    if report.ok:
-        return _fsck_emit(args, report, "SRVJ1", 0,
-                          loss=report.lost_records, sealed=report.sealed)
-    err = report.error
-    diag = Diagnostic(
-        Severity.ERROR,
-        f"request journal corrupt at {err.locus()} [{err.reason}]; "
-        f"valid prefix: {report.n_valid} record(s)",
-        SourceLocation(filename=args.spool),
-    )
-    say(str(diag), file=sys.stderr)
-    return _fsck_emit(args, report, "SRVJ1", 2 if args.salvage else 1,
-                      loss=report.lost_records, sealed=report.sealed)
-
-
-def _fsck_memo(args, metrics) -> int:
-    """The fsck path for MEMO1 incremental-memo manifests (sniffed by
-    header).  Memo damage is never fatal to a translation — the loader
-    treats any corruption as a silent cold miss — so fsck's job here is
-    naming the damaged entry and, with ``--salvage``, resealing the
-    verified prefix so the surviving entries stay warm.
-    """
-    from repro.errors import Diagnostic, Severity, SourceLocation
-    from repro.passes.incremental import salvage_memo, scan_memo
-
-    say = _say(args)
-    if args.salvage:
-        report = salvage_memo(args.spool, args.salvage, metrics=metrics)
-    else:
-        report = scan_memo(args.spool, metrics=metrics)
-    say(report.render())
-    if args.salvage:
-        say(
-            f"salvaged {report.n_valid} memo "
-            f"entr{'y' if report.n_valid == 1 else 'ies'} -> {args.salvage}"
-        )
-    if args.metrics:
-        say()
-        say(metrics.render())
-    loss = (report.n_entries - report.n_valid
-            if report.n_entries is not None else None)
-    if report.ok:
-        return _fsck_emit(args, report, "MEMO1", 0,
-                          loss=0, n_entries=report.n_entries)
-    err = report.error
-    diag = Diagnostic(
-        Severity.ERROR,
-        f"memo manifest corrupt at {err.locus()} [{err.reason}]; "
-        f"valid prefix: {report.n_valid} entry line(s); "
-        "translation falls back to a cold miss, never a wrong answer",
-        SourceLocation(filename=args.spool),
-    )
-    say(str(diag), file=sys.stderr)
-    return _fsck_emit(args, report, "MEMO1", 2 if args.salvage else 1,
-                      loss=loss, n_entries=report.n_entries)
+    return _fsck_emit(args, report, fmt.tag, 2 if args.salvage else 1,
+                      **fmt.extra(report))
 
 
 def cmd_doctor(args) -> int:

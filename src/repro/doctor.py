@@ -4,11 +4,11 @@ Six durable formats can leave artifacts on a host — sealed v3 spools,
 build-cache entries, PROV1 provenance logs, SRVJ1 request journals,
 checkpoint manifests, and MEMO1 incremental-memo manifests
 (with their generation-numbered splice spools) — and a crash, an
-ENOSPC, or a killed daemon can leave any of them mid-flight.  ``repro fsck`` judges
-*one* file; the doctor walks a whole tree, classifies **every** path
-by sniffing magic (reusing fsck's readers), and with ``--repair``
-salvages what it can and garbage-collects the rest, so a host always
-converges back to "every artifact sealed or gone".
+ENOSPC, or a killed daemon can leave any of them mid-flight.  ``repro
+fsck`` judges *one* file; the doctor walks a whole tree, classifies
+**every** path by sniffing its content, and with ``--repair`` salvages
+what it can and garbage-collects the rest, so a host always converges
+back to "every artifact sealed or gone".
 
 Classification (``ArtifactState``):
 
@@ -37,6 +37,9 @@ resume); checkpoint manifests are *truncated* at the first damaged
 pass so ``--resume`` restarts from the last good pass instead of
 refusing.  The serve daemon runs a doctor pass over its journal and
 cache directories at startup, so a crashed daemon always boots clean.
+
+Both verbs read one table, :data:`FORMATS`: a row per format says how
+to sniff, scan, salvage, classify and repair it.
 """
 
 from __future__ import annotations
@@ -45,27 +48,26 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.apt.storage import MAGIC_V3, salvage_spool, scan_spool
 from repro.buildcache.store import ENTRY_SUFFIX, MAGIC as CACHE_MAGIC
 from repro.obs.provenance import (
-    looks_like_provenance_log,
+    PROV_FORMAT,
     salvage_provenance,
     scan_provenance,
 )
-from repro.passes.incremental import (
-    looks_like_memo_manifest,
-    salvage_memo,
-    scan_memo,
-)
+from repro.passes.incremental import MEMO_FORMAT, salvage_memo, scan_memo
 from repro.serve.journal import (
-    looks_like_request_journal,
+    JOURNAL_FORMAT,
+    replay_journal,
     salvage_journal,
     scan_journal,
 )
+from repro.util import sealedlog
 
 __all__ = [
+    "FORMATS",
     "ArtifactFormat",
     "ArtifactState",
     "ArtifactReport",
@@ -181,44 +183,7 @@ class DoctorReport:
 
 
 # ---------------------------------------------------------------------------
-# sniffing
-# ---------------------------------------------------------------------------
-
-
-def _head_bytes(path: str, n: int = 4096) -> bytes:
-    try:
-        with open(path, "rb") as f:
-            return f.read(n)
-    except OSError:
-        return b""
-
-
-def sniff_format(path: str) -> str:
-    """Identify which of the five formats ``path`` holds (by content,
-    not name — a renamed artifact still classifies)."""
-    head = _head_bytes(path)
-    if head.startswith(MAGIC_V3):
-        return ArtifactFormat.SPOOL_V3
-    if head.startswith(CACHE_MAGIC):
-        return ArtifactFormat.CACHE_ENTRY
-    if looks_like_provenance_log(path):
-        return ArtifactFormat.PROVENANCE
-    if looks_like_request_journal(path):
-        return ArtifactFormat.JOURNAL
-    if looks_like_memo_manifest(path):
-        return ArtifactFormat.MEMO
-    if os.path.basename(path) == MANIFEST_NAME:
-        return ArtifactFormat.MANIFEST
-    name = path[: -len(".tmp")] if path.endswith(".tmp") else path
-    if name.endswith(".spool") and head:
-        # A spool whose header magic was hit still gets the spool
-        # verdict: fsck calls it corrupt and --repair salvages it.
-        return ArtifactFormat.SPOOL_V3
-    return ArtifactFormat.UNKNOWN
-
-
-# ---------------------------------------------------------------------------
-# the sweep
+# the format table
 # ---------------------------------------------------------------------------
 
 
@@ -233,23 +198,32 @@ def _load_manifest_doc(path: str) -> Optional[Dict[str, Any]]:
     return doc
 
 
-def _classify_spool(path: str) -> ArtifactReport:
+def _memo_entries(n: int) -> str:
+    return f"{n} memo entr{'y' if n == 1 else 'ies'}"
+
+
+def _reason(report) -> str:
+    return report.error.reason if report.error else "damaged"
+
+
+def _classify_spool(path: str) -> Tuple[str, str]:
     report = scan_spool(path)
     if report.ok:
-        return ArtifactReport(
-            path, ArtifactFormat.SPOOL_V3, ArtifactState.SEALED,
-            detail=f"{report.n_valid} record(s)",
-        )
-    return ArtifactReport(
-        path, ArtifactFormat.SPOOL_V3, ArtifactState.CORRUPT,
-        detail=(
-            f"valid prefix {report.n_valid} record(s); "
-            f"{report.error.reason if report.error else 'damaged'}"
-        ),
+        return ArtifactState.SEALED, f"{report.n_valid} record(s)"
+    return ArtifactState.CORRUPT, (
+        f"valid prefix {report.n_valid} record(s); {_reason(report)}"
     )
 
 
-def _classify_cache_entry(path: str) -> ArtifactReport:
+def _repair_spool(path: str, metrics) -> str:
+    report = salvage_spool(path, path, metrics=metrics)
+    # A damaged header costs no record: when every sealed record walked
+    # clean and the name table verified, the rewritten spool holds them.
+    lossless = report.nametable_ok and report.n_valid == report.sealed_records
+    return "salvaged" if lossless else "salvaged-with-loss"
+
+
+def _classify_cache_entry(path: str) -> Tuple[str, str]:
     from repro.buildcache.store import BuildCache
     from repro.errors import CacheCorruptionError
 
@@ -259,34 +233,34 @@ def _classify_cache_entry(path: str) -> ArtifactReport:
     try:
         cache._read_sealed(path, key)
     except FileNotFoundError:
-        return ArtifactReport(
-            path, ArtifactFormat.CACHE_ENTRY, ArtifactState.CORRUPT,
-            detail="vanished mid-scan",
-        )
+        return ArtifactState.CORRUPT, "vanished mid-scan"
     except CacheCorruptionError as exc:
-        return ArtifactReport(
-            path, ArtifactFormat.CACHE_ENTRY, ArtifactState.CORRUPT,
-            detail=exc.reason,
-        )
-    return ArtifactReport(
-        path, ArtifactFormat.CACHE_ENTRY, ArtifactState.SEALED
-    )
+        return ArtifactState.CORRUPT, exc.reason
+    return ArtifactState.SEALED, ""
 
 
-def _classify_provenance(path: str) -> ArtifactReport:
+def _delete(path: str, metrics) -> str:
+    # By design: what this repair deletes is rebuilt or re-derived.
+    os.unlink(path)
+    return "deleted"
+
+
+def _salvage_in_place(salvage) -> Callable[[str, Any], str]:
+    def repair(path: str, metrics) -> str:
+        salvage(path, path, metrics=metrics)
+        return "salvaged-with-loss"
+
+    return repair
+
+
+def _classify_provenance(path: str) -> Tuple[str, str]:
     report = scan_provenance(path)
     if report.ok:
-        return ArtifactReport(
-            path, ArtifactFormat.PROVENANCE, ArtifactState.SEALED,
-            detail=f"{report.n_events} event(s)",
-        )
-    return ArtifactReport(
-        path, ArtifactFormat.PROVENANCE, ArtifactState.CORRUPT,
-        detail=f"valid prefix {report.n_valid} record(s)",
-    )
+        return ArtifactState.SEALED, f"{report.n_events} event(s)"
+    return ArtifactState.CORRUPT, f"valid prefix {report.n_valid} record(s)"
 
 
-def _classify_journal(path: str) -> ArtifactReport:
+def _classify_journal(path: str) -> Tuple[str, str]:
     report = scan_journal(path)
     detail = f"{report.n_valid} record(s)"
     if report.gaps:
@@ -295,44 +269,194 @@ def _classify_journal(path: str) -> ArtifactReport:
             "(disk pressure)"
         )
     if report.ok and report.sealed:
-        return ArtifactReport(
-            path, ArtifactFormat.JOURNAL, ArtifactState.SEALED, detail=detail
-        )
+        return ArtifactState.SEALED, detail
     if report.ok:
         if report.torn_tail:
             detail += " + torn tail"
-        return ArtifactReport(
-            path, ArtifactFormat.JOURNAL, ArtifactState.UNSEALED,
-            detail=detail,
-        )
-    return ArtifactReport(
-        path, ArtifactFormat.JOURNAL, ArtifactState.CORRUPT,
-        detail=(
-            f"valid prefix {report.n_valid} record(s); "
-            f"{report.error.reason if report.error else 'damaged'}"
-        ),
+        return ArtifactState.UNSEALED, detail
+    return ArtifactState.CORRUPT, (
+        f"valid prefix {report.n_valid} record(s); {_reason(report)}"
     )
 
 
-def _classify_memo(path: str) -> ArtifactReport:
+def _journal_requests(report) -> List[str]:
+    if not report.ok:
+        return []
+    state = replay_journal(report.path)
+    return [
+        f"  requests: {len(state.completed)} completed, "
+        f"{len(state.failed)} failed, "
+        f"{len(state.in_flight)} in flight at shutdown"
+        + (f", {len(state.duplicates)} DUPLICATED"
+           if state.duplicates else "")
+    ]
+
+
+def _classify_memo(path: str) -> Tuple[str, str]:
     report = scan_memo(path)
     if report.ok:
-        return ArtifactReport(
-            path, ArtifactFormat.MEMO, ArtifactState.SEALED,
-            detail=(
-                f"{report.n_valid} memo "
-                f"entr{'y' if report.n_valid == 1 else 'ies'}"
-            ),
-        )
-    return ArtifactReport(
-        path, ArtifactFormat.MEMO, ArtifactState.CORRUPT,
-        detail=(
-            f"valid prefix {report.n_valid} entr"
-            f"{'y' if report.n_valid == 1 else 'ies'}; "
-            f"{report.error.reason if report.error else 'damaged'} "
-            "(loads as a cold miss)"
-        ),
+        return ArtifactState.SEALED, _memo_entries(report.n_valid)
+    # A damaged memo costs speed, never correctness: it loads as a cold
+    # miss, and its salvaged prefix stays warm.
+    return ArtifactState.CORRUPT, (
+        f"valid prefix {report.n_valid} entr"
+        f"{'y' if report.n_valid == 1 else 'ies'}; "
+        f"{_reason(report)} (loads as a cold miss)"
     )
+
+
+def _classify_manifest(path: str) -> Tuple[str, str]:
+    doc = _load_manifest_doc(path)
+    if doc is None:
+        return ArtifactState.CORRUPT, "manifest does not parse"
+    return (
+        ArtifactState.SEALED,
+        f"{len(doc.get('completed', []))} pass(es) recorded",
+    )
+
+
+def _no_notes(report) -> List[str]:
+    return []
+
+
+def _records(report) -> str:
+    return f"{report.n_valid} record(s)"
+
+
+def _loss_events(report) -> Dict[str, Any]:
+    return {"loss": 0 if report.ok else None, "n_events": report.n_events}
+
+
+@dataclass(frozen=True)
+class Format:
+    """One row of the format table: everything ``repro doctor`` and
+    ``repro fsck`` know about one durable format.
+
+    ``sniff(path, head)`` recognizes it by content (``head`` is the
+    file's first bytes); ``classify(path)`` gives the doctor's
+    ``(state, detail)``; ``repair(path, metrics)`` mends a corrupt file
+    and names the action (raising falls back to deleting it).  Rows
+    with a ``tag`` are what ``repro fsck`` verifies: ``scan``/``salvage``
+    produce a report with ``ok``/``n_valid``/``error``/``render()``,
+    and the remaining fields word fsck's output — ``what`` names the
+    artifact in the diagnostic, ``kept``/``prefix`` describe the
+    salvaged and valid prefix, ``notes`` adds report lines and ``extra``
+    the ``--json`` fields.
+    """
+
+    name: str
+    sniff: Callable[[str, bytes], bool]
+    classify: Callable[[str], Tuple[str, str]]
+    repair: Callable[[str, Any], str]
+    tag: Optional[str] = None
+    scan: Optional[Callable[..., Any]] = None
+    salvage: Optional[Callable[..., Any]] = None
+    what: str = ""
+    kept: Callable[[Any], str] = _records
+    prefix: Callable[[Any], str] = _records
+    notes: Callable[[Any], List[str]] = _no_notes
+    extra: Callable[[Any], Dict[str, Any]] = _loss_events
+
+
+#: Every format doctor knows, in sniffing order.
+FORMATS: Tuple[Format, ...] = (
+    Format(
+        ArtifactFormat.SPOOL_V3,
+        sniff=lambda path, head: head.startswith(MAGIC_V3),
+        classify=_classify_spool,
+        repair=_repair_spool,
+        tag="spool-v3",
+        scan=scan_spool,
+        salvage=salvage_spool,
+        what="spool",
+        kept=lambda r: (
+            f"{r.n_valid} record(s) ({r.valid_data_bytes:,} payload bytes)"
+        ),
+        prefix=lambda r: f"{r.n_valid} record(s), {r.valid_end_offset} bytes",
+        extra=lambda r: {"loss": 0 if r.ok else (
+            r.sealed_records - r.n_valid
+            if r.sealed_records is not None else None)},
+    ),
+    Format(
+        ArtifactFormat.CACHE_ENTRY,
+        sniff=lambda path, head: head.startswith(CACHE_MAGIC),
+        classify=_classify_cache_entry,
+        repair=_delete,
+    ),
+    Format(
+        ArtifactFormat.PROVENANCE,
+        sniff=lambda path, head: sealedlog.sniff(head) == PROV_FORMAT,
+        classify=_classify_provenance,
+        repair=_salvage_in_place(salvage_provenance),
+        tag=PROV_FORMAT,
+        scan=scan_provenance,
+        salvage=salvage_provenance,
+        what="provenance log",
+    ),
+    Format(
+        ArtifactFormat.JOURNAL,
+        sniff=lambda path, head: sealedlog.sniff(head) == JOURNAL_FORMAT,
+        classify=_classify_journal,
+        repair=_salvage_in_place(salvage_journal),
+        tag=JOURNAL_FORMAT,
+        scan=scan_journal,
+        salvage=salvage_journal,
+        what="request journal",
+        notes=_journal_requests,
+        extra=lambda r: {"loss": r.lost_records, "sealed": r.sealed},
+    ),
+    Format(
+        ArtifactFormat.MEMO,
+        sniff=lambda path, head: sealedlog.sniff(head) == MEMO_FORMAT,
+        classify=_classify_memo,
+        repair=_salvage_in_place(salvage_memo),
+        tag=MEMO_FORMAT,
+        scan=scan_memo,
+        salvage=salvage_memo,
+        what="memo manifest",
+        kept=lambda r: _memo_entries(r.n_valid),
+        prefix=lambda r: (
+            f"{r.n_valid} entry line(s); translation falls back to a "
+            "cold miss, never a wrong answer"
+        ),
+        extra=lambda r: {"loss": 0 if r.ok else None,
+                         "n_entries": r.n_entries},
+    ),
+    Format(
+        ArtifactFormat.MANIFEST,
+        sniff=lambda path, head: os.path.basename(path) == MANIFEST_NAME,
+        classify=_classify_manifest,
+        repair=_delete,
+    ),
+)
+
+_BY_NAME = {row.name: row for row in FORMATS}
+
+
+def format_of(path: str) -> Optional[Format]:
+    """The table row whose sniff recognizes ``path`` (by content, not
+    name — a renamed artifact still classifies), or None."""
+    head = sealedlog.head(path)
+    for row in FORMATS:
+        if row.sniff(path, head):
+            return row
+    name = path[: -len(".tmp")] if path.endswith(".tmp") else path
+    if name.endswith(".spool") and head:
+        # A spool whose header magic was hit still gets the spool
+        # verdict: fsck calls it corrupt and --repair salvages it.
+        return _BY_NAME[ArtifactFormat.SPOOL_V3]
+    return None
+
+
+def sniff_format(path: str) -> str:
+    """Identify which of the formats ``path`` holds."""
+    row = format_of(path)
+    return row.name if row is not None else ArtifactFormat.UNKNOWN
+
+
+# ---------------------------------------------------------------------------
+# the sweep
+# ---------------------------------------------------------------------------
 
 
 def _verify_manifest_entry(
@@ -398,39 +522,19 @@ def run_doctor(
 
 
 def _classify_path(path: str) -> ArtifactReport:
+    row = format_of(path)
+    fmt = row.name if row is not None else ArtifactFormat.UNKNOWN
     if path.endswith(".tmp") or ".tmp" in os.path.basename(path)[-12:]:
         # Staging debris (including the unique ``<name>.<rand>.tmp``
         # the cache writer uses): a crash between open and rename.
-        fmt = sniff_format(path)
         return ArtifactReport(
-            path,
-            fmt if fmt != ArtifactFormat.UNKNOWN else ArtifactFormat.UNKNOWN,
-            ArtifactState.UNSEALED_TMP,
+            path, fmt, ArtifactState.UNSEALED_TMP,
             detail="staging file never renamed into place",
         )
-    fmt = sniff_format(path)
-    if fmt == ArtifactFormat.SPOOL_V3:
-        return _classify_spool(path)
-    if fmt == ArtifactFormat.CACHE_ENTRY:
-        return _classify_cache_entry(path)
-    if fmt == ArtifactFormat.PROVENANCE:
-        return _classify_provenance(path)
-    if fmt == ArtifactFormat.JOURNAL:
-        return _classify_journal(path)
-    if fmt == ArtifactFormat.MEMO:
-        return _classify_memo(path)
-    if fmt == ArtifactFormat.MANIFEST:
-        doc = _load_manifest_doc(path)
-        if doc is None:
-            return ArtifactReport(
-                path, ArtifactFormat.MANIFEST, ArtifactState.CORRUPT,
-                detail="manifest does not parse",
-            )
-        return ArtifactReport(
-            path, ArtifactFormat.MANIFEST, ArtifactState.SEALED,
-            detail=f"{len(doc.get('completed', []))} pass(es) recorded",
-        )
-    return ArtifactReport(path, ArtifactFormat.UNKNOWN, ArtifactState.FOREIGN)
+    if row is None:
+        return ArtifactReport(path, fmt, ArtifactState.FOREIGN)
+    state, detail = row.classify(path)
+    return ArtifactReport(path, fmt, state, detail=detail)
 
 
 def _mark_checkpoint_orphans(
@@ -529,52 +633,10 @@ def _repair_artifact(art: ArtifactReport, metrics=None) -> None:
         return
     if art.state != ArtifactState.CORRUPT:
         return
-    if art.format == ArtifactFormat.SPOOL_V3:
-        try:
-            report = salvage_spool(art.path, art.path, metrics=metrics)
-            # A damaged header costs no record: when every sealed record
-            # walked clean and the name table verified, the rewritten
-            # spool holds them all.
-            lossless = (
-                report.nametable_ok
-                and report.n_valid == report.sealed_records
-            )
-            art.action = "salvaged" if lossless else "salvaged-with-loss"
-        except Exception:
-            _unlink_as_repair(art)
-        return
-    if art.format == ArtifactFormat.CACHE_ENTRY:
-        # By design: a damaged cache entry is a rebuildable miss.
+    try:
+        art.action = _BY_NAME[art.format].repair(art.path, metrics)
+    except Exception:
         _unlink_as_repair(art)
-        return
-    if art.format == ArtifactFormat.PROVENANCE:
-        try:
-            salvage_provenance(art.path, art.path, metrics=metrics)
-            art.action = "salvaged-with-loss"
-        except Exception:
-            _unlink_as_repair(art)
-        return
-    if art.format == ArtifactFormat.JOURNAL:
-        try:
-            salvage_journal(art.path, art.path, metrics=metrics)
-            art.action = "salvaged-with-loss"
-        except Exception:
-            _unlink_as_repair(art)
-        return
-    if art.format == ArtifactFormat.MEMO:
-        # Either way the translation stays correct: a salvaged memo
-        # keeps its verified prefix warm, a deleted one is a full cold
-        # miss — never a wrong answer.
-        try:
-            salvage_memo(art.path, art.path, metrics=metrics)
-            art.action = "salvaged-with-loss"
-        except Exception:
-            _unlink_as_repair(art)
-        return
-    if art.format == ArtifactFormat.MANIFEST:
-        _unlink_as_repair(art)
-        return
-    _unlink_as_repair(art)
 
 
 def _unlink_as_repair(art: ArtifactReport) -> None:

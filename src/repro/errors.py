@@ -162,7 +162,41 @@ class EvaluationError(ReproError):
     """A generated or interpreted evaluator failed at APT-evaluation time."""
 
 
-class SpoolCorruptionError(EvaluationError):
+class CorruptionError(ReproError):
+    """A durable artifact failed an integrity check.
+
+    The one base of every per-format corruption error, so a damaged
+    file is reported the same way whatever its format: ``path`` is the
+    artifact, ``record_index`` the 0-based index of the damaged record
+    (``None`` when the file as a whole is unusable), and ``reason`` a
+    short machine-readable tag (``"framing"``, ``"checksum"``,
+    ``"header"``, ``"seal"``, ``"truncated"``, ``"missing"``, ...).
+    ``noun`` names the format in messages.
+    """
+
+    noun = "artifact"
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        record_index: Optional[int] = None,
+        path: Optional[str] = None,
+        reason: str = "corrupt",
+        diagnostics: Optional[List[Diagnostic]] = None,
+    ):
+        super().__init__(message, diagnostics=diagnostics)
+        self.record_index = record_index
+        self.path = path
+        self.reason = reason
+
+    def locus(self) -> str:
+        """Human-readable ``record N`` locator."""
+        rec = "?" if self.record_index is None else str(self.record_index)
+        return f"record {rec}"
+
+
+class SpoolCorruptionError(CorruptionError, EvaluationError):
     """An APT spool file failed an integrity check.
 
     Carries the precise failure locus so a corrupt record can be
@@ -195,20 +229,19 @@ class SpoolCorruptionError(EvaluationError):
         block_byte_offset: Optional[int] = None,
         diagnostics: Optional[List[Diagnostic]] = None,
     ):
-        super().__init__(message, diagnostics=diagnostics)
-        self.record_index = record_index
+        super().__init__(
+            message, record_index=record_index, path=path, reason=reason,
+            diagnostics=diagnostics,
+        )
         self.byte_offset = byte_offset
-        self.path = path
-        self.reason = reason
         self.block_index = block_index
         self.block_byte_offset = block_byte_offset
 
     def locus(self) -> str:
         """Human-readable ``record N @ byte M`` locator; block-framed
         spools append ``(block B + O)`` — the block-relative locus."""
-        rec = "?" if self.record_index is None else str(self.record_index)
         off = "?" if self.byte_offset is None else str(self.byte_offset)
-        base = f"record {rec} @ byte {off}"
+        base = f"{super().locus()} @ byte {off}"
         if self.block_index is not None:
             if self.block_byte_offset is None:
                 base += f" (block {self.block_index})"
@@ -226,7 +259,7 @@ class ResumeError(EvaluationError):
     checkpointed spool that fails verification)."""
 
 
-class CacheCorruptionError(ReproError):
+class CacheCorruptionError(CorruptionError):
     """A build-cache entry failed an integrity check.
 
     The persistent grammar-artifact cache (:mod:`repro.buildcache`)
@@ -241,93 +274,29 @@ class CacheCorruptionError(ReproError):
     ``"payload"``, ``"version"``).
     """
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        path: Optional[str] = None,
-        reason: str = "corrupt",
-        diagnostics: Optional[List[Diagnostic]] = None,
-    ):
-        super().__init__(message, diagnostics=diagnostics)
-        self.path = path
-        self.reason = reason
-
 
 class ProvenanceError(ReproError):
     """The attribute-provenance subsystem could not record or answer a
     query (missing log, malformed node path, unknown attribute)."""
 
 
-class ProvenanceCorruptionError(ProvenanceError):
-    """A sealed provenance log failed an integrity check.
+class ProvenanceCorruptionError(CorruptionError, ProvenanceError):
+    """A sealed PROV1 provenance log failed an integrity check, reported
+    against the exact record so ``repro debug`` degrades into a
+    diagnosis instead of a crash."""
 
-    Provenance logs are line-framed NDJSON where every record carries
-    its own CRC32 and the seal line covers the whole stream; any damage
-    is reported against the exact record so ``repro debug`` degrades
-    into a diagnosis instead of a crash.  ``record_index`` is the
-    0-based line index of the damaged record (``None`` when the file as
-    a whole is unusable), and ``reason`` is a short machine-readable
-    tag (``"framing"``, ``"checksum"``, ``"header"``, ``"seal"``,
-    ``"truncated"``).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        record_index: Optional[int] = None,
-        path: Optional[str] = None,
-        reason: str = "corrupt",
-        diagnostics: Optional[List[Diagnostic]] = None,
-    ):
-        super().__init__(message, diagnostics=diagnostics)
-        self.record_index = record_index
-        self.path = path
-        self.reason = reason
-
-    def locus(self) -> str:
-        """Human-readable ``record N`` locator (matches the spool
-        corruption convention so fsck output renders uniformly)."""
-        rec = "?" if self.record_index is None else str(self.record_index)
-        return f"record {rec}"
+    noun = "provenance"
 
 
-class MemoCorruptionError(ReproError):
-    """A sealed incremental-translation memo failed an integrity check.
+class MemoCorruptionError(CorruptionError):
+    """A sealed MEMO1 incremental-translation memo failed an integrity
+    check.  Never fatal to a translation: the loader degrades it to a
+    silent cold miss (``incremental.invalidations``) and ``repro
+    fsck``/``doctor`` surface this error instead.  Beyond the sealed-log
+    reasons, ``reason`` may be ``"identity"``, ``"stale"``,
+    ``"spool"`` or ``"range"``."""
 
-    MEMO1 manifests are line-framed NDJSON where every record carries
-    its own CRC32 and the seal line covers the whole stream.  Damage is
-    reported against the exact entry, but a corrupt memo is *never*
-    fatal to a translation: the loader degrades it to a silent cold
-    miss (``incremental.invalidations``) and ``repro fsck``/``doctor``
-    surface this error instead.  ``record_index`` is the 0-based line
-    index of the damaged record (``None`` when the file as a whole is
-    unusable), and ``reason`` is a short machine-readable tag
-    (``"framing"``, ``"checksum"``, ``"header"``, ``"seal"``,
-    ``"truncated"``, ``"identity"``, ``"stale"``, ``"spool"``,
-    ``"range"``, ``"missing"``).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        record_index: Optional[int] = None,
-        path: Optional[str] = None,
-        reason: str = "corrupt",
-        diagnostics: Optional[List[Diagnostic]] = None,
-    ):
-        super().__init__(message, diagnostics=diagnostics)
-        self.record_index = record_index
-        self.path = path
-        self.reason = reason
-
-    def locus(self) -> str:
-        """Human-readable ``record N`` locator (matches the spool
-        corruption convention so fsck output renders uniformly)."""
-        rec = "?" if self.record_index is None else str(self.record_index)
-        return f"record {rec}"
+    noun = "memo"
 
 
 class ServeError(ReproError):
@@ -415,37 +384,12 @@ class GrammarUnavailable(ServeError):
         self.retry_after = retry_after
 
 
-class JournalCorruptionError(ServeError):
-    """A request journal failed an integrity check.
-
-    The serve daemon's journal is line-framed NDJSON where every record
-    carries its own CRC32 (the PROV1 discipline); damage is reported
+class JournalCorruptionError(CorruptionError, ServeError):
+    """A SRVJ1 request journal failed an integrity check, reported
     against the exact record so ``repro fsck`` can name the valid
-    prefix.  ``record_index`` is the 0-based line index of the damaged
-    record (``None`` when the file as a whole is unusable) and
-    ``reason`` is a short machine-readable tag (``"framing"``,
-    ``"checksum"``, ``"header"``, ``"seal"``, ``"truncated"``).
-    """
+    prefix."""
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        record_index: Optional[int] = None,
-        path: Optional[str] = None,
-        reason: str = "corrupt",
-        diagnostics: Optional[List[Diagnostic]] = None,
-    ):
-        super().__init__(message, diagnostics=diagnostics)
-        self.record_index = record_index
-        self.path = path
-        self.reason = reason
-
-    def locus(self) -> str:
-        """Human-readable ``record N`` locator (matches the spool and
-        provenance corruption conventions for uniform fsck output)."""
-        rec = "?" if self.record_index is None else str(self.record_index)
-        return f"record {rec}"
+    noun = "journal"
 
 
 class GovernanceError(ReproError):

@@ -12,10 +12,9 @@ module adds the missing half of a time-travel debugger — a record of
   production, node path, attribute, inputs-with-values, output value,
   output-spool offset) tuple, for both explicit ``compute`` instants
   and ``subsume`` instants (copy-rules elided into a static global).
-  Events stream into ``DIR/provenance.ndjson`` — line-framed NDJSON
-  where every line carries its own CRC32 — and are sealed atomically
-  (tmp + fsync + rename) with a trailing seal line covering the whole
-  stream, the same write discipline as the spool format.
+  Events stream into ``DIR/provenance.ndjson``, a sealed line log
+  (:mod:`repro.util.sealedlog`), published atomically (tmp + fsync +
+  rename) once the seal line is written.
 * :class:`ProvenanceLog` — opens and fully verifies a sealed log,
   indexing defines by (node path, attribute) and node writes by
   (pass, node path).  Any damage raises a typed
@@ -38,15 +37,13 @@ streams (and hence every backward slice) are identical.
 
 from __future__ import annotations
 
-import json
 import os
-import zlib
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.ag.model import LHS_POSITION, LIMB_POSITION
 from repro.errors import ProvenanceCorruptionError, ProvenanceError
 from repro.util import atomic_write as _aw
-from repro.util.atomic_write import atomic_write
+from repro.util import sealedlog
 
 __all__ = [
     "PROV_FORMAT",
@@ -61,7 +58,6 @@ __all__ = [
     "render_path",
     "scan_provenance",
     "salvage_provenance",
-    "looks_like_provenance_log",
 ]
 
 #: Format tag in the header line; bump on incompatible layout changes.
@@ -69,8 +65,6 @@ PROV_FORMAT = "PROV1"
 
 #: File name of the provenance log inside a record directory.
 LOG_NAME = "provenance.ndjson"
-
-_SEPARATORS = (",", ":")
 
 
 def canonical_value(value: Any) -> str:
@@ -175,9 +169,8 @@ class ProvenanceRecorder:
             [p.index, p.lhs, len(p.rhs), p.limb or "", p.tag]
             for p in productions
         ]
-        self._f = None
+        self._log: Optional[sealedlog.Appender] = None
         self._seq = 0
-        self._stream_crc = 0
         self._pass_k = 0
         self._path_stack: List[int] = []
         self._sealed = False
@@ -198,9 +191,11 @@ class ProvenanceRecorder:
         self, strategy: str, directions: List[str], resumed_from: int = 0
     ) -> None:
         """Open the log and write the header (driver calls this once)."""
-        if self._f is not None:
+        if self._log is not None:
             raise ProvenanceError("provenance recorder already started")
-        self._f = _aw.open_file(self._tmp_path, "w", encoding="utf-8")
+        self._log = sealedlog.Appender(
+            _aw.open_file(self._tmp_path, "w", encoding="utf-8")
+        )
         self._emit(
             {
                 "e": "hdr",
@@ -226,39 +221,34 @@ class ProvenanceRecorder:
 
     def seal(self) -> None:
         """Write the seal line and atomically publish the log."""
-        if self._sealed or self._f is None:
+        if self._sealed or self._log is None:
             return
-        body = json.dumps(
-            {"e": "seal", "n": self._seq, "crc": self._stream_crc},
-            sort_keys=True,
-            separators=_SEPARATORS,
-        )
-        crc = zlib.crc32(body.encode("utf-8"))
+        f = self._log.f
         try:
-            self._f.write(f'{body[:-1]},"c":{crc}}}\n')
-            _aw.fsync_file(self._f)
-            self._f.close()
-            self._f = None
+            self._log.seal(self._seq)
+            _aw.fsync_file(f)
+            f.close()
+            self._log = None
             _aw.atomic_replace(self._tmp_path, self.path)
         except BaseException:
             # A fault while sealing (ENOSPC, failed fsync/rename) must
             # not leave an open fd or a half-published log: close the
             # writer and leave the classifiable ``.tmp`` for doctor.
-            if self._f is not None:
+            if self._log is not None:
                 try:
-                    self._f.close()
+                    f.close()
                 except OSError:
                     pass
-                self._f = None
+                self._log = None
             raise
         self._sealed = True
 
     def abort(self) -> None:
         """Close the unsealed temp log after a failed run (the .tmp file
         is left on disk as evidence; it never shadows a sealed log)."""
-        if self._f is not None:
-            self._f.close()
-            self._f = None
+        if self._log is not None:
+            self._log.f.close()
+            self._log = None
 
     # -- event hooks (hot path) --------------------------------------------
 
@@ -350,19 +340,13 @@ class ProvenanceRecorder:
         if self._c_instants is not None:
             self._c_instants.inc()
 
-    # -- framing -----------------------------------------------------------
-
     def _emit(self, obj: Dict[str, Any], count: bool = True) -> None:
-        if self._f is None:
+        if self._log is None:
             raise ProvenanceError(
                 "provenance recorder is not open (begin_run was never "
                 "called, or the log was already sealed)"
             )
-        body = json.dumps(obj, sort_keys=True, separators=_SEPARATORS)
-        crc = zlib.crc32(body.encode("utf-8"))
-        line = f'{body[:-1]},"c":{crc}}}\n'
-        self._f.write(line)
-        self._stream_crc = zlib.crc32(line.encode("utf-8"), self._stream_crc)
+        line = self._log.append(obj)
         if count:
             self._seq += 1
         if self._c_bytes is not None:
@@ -374,53 +358,52 @@ class ProvenanceRecorder:
 # ---------------------------------------------------------------------------
 
 
-def _verify_line(line: str, index: int, path: str) -> Dict[str, Any]:
-    """Parse + CRC-check one log line; raise naming the damaged record."""
-    try:
-        obj = json.loads(line)
-    except ValueError as exc:
-        raise ProvenanceCorruptionError(
-            f"provenance record {index} is not valid JSON ({exc})",
-            record_index=index,
-            path=path,
-            reason="framing",
-        ) from exc
-    if not isinstance(obj, dict) or "c" not in obj:
-        raise ProvenanceCorruptionError(
-            f"provenance record {index} has no checksum field",
-            record_index=index,
-            path=path,
-            reason="framing",
-        )
-    want = obj.pop("c")
-    body = json.dumps(obj, sort_keys=True, separators=_SEPARATORS)
-    if zlib.crc32(body.encode("utf-8")) != want:
-        raise ProvenanceCorruptionError(
-            f"provenance record {index} checksum mismatch "
-            "(bit rot or torn write)",
-            record_index=index,
-            path=path,
-            reason="checksum",
-        )
-    return obj
-
-
 def _resolve_log_path(path_or_dir: str) -> str:
     if os.path.isdir(path_or_dir):
         return os.path.join(path_or_dir, LOG_NAME)
     return path_or_dir
 
 
-def looks_like_provenance_log(path: str) -> bool:
-    """Cheap sniff used by ``repro fsck`` to route files: a provenance
-    log is NDJSON whose first line carries the PROV1 format tag."""
-    try:
-        with open(path, "rb") as f:
-            head = f.read(4096)
-    except OSError:
-        return False
-    first = head.split(b"\n", 1)[0]
-    return first.startswith(b"{") and b'"' + PROV_FORMAT.encode() + b'"' in first
+class ProvenanceScanReport(sealedlog.SealedScan):
+    """Outcome of scanning (or salvaging) a provenance log: the PROV1
+    schema over the sealed line log — a seal is required and events
+    carry contiguous sequence numbers."""
+
+    tag = PROV_FORMAT
+    error_type = ProvenanceCorruptionError
+
+    def entry(self, obj: Dict[str, Any], index: int, line: str) -> dict:
+        if obj.get("i") != index - 1:
+            raise ProvenanceCorruptionError(
+                f"event sequence broken at record {index}: "
+                f"expected seq {index - 1}, found {obj.get('i')!r}",
+                record_index=index,
+                path=self.path,
+                reason="framing",
+            )
+        return obj
+
+    @property
+    def n_valid(self) -> int:
+        """Valid leading records (header + events + seal when clean)."""
+        return len(self.records) + self.sealed
+
+    @property
+    def n_events(self) -> int:
+        return len(self.records) - 1 if self.ok else 0
+
+    def render(self) -> str:
+        head = f"provenance log: {self.path}"
+        if self.ok:
+            return (
+                f"{head}\n  format {PROV_FORMAT}, sealed, "
+                f"{self.n_events} event(s), {self.n_valid} record(s) verified"
+            )
+        return (
+            f"{head}\n  CORRUPT at {self.error.locus()} "
+            f"[{self.error.reason}]: {self.error}\n"
+            f"  valid prefix: {self.n_valid} record(s)"
+        )
 
 
 class ProvenanceLog:
@@ -473,72 +456,10 @@ class ProvenanceLog:
                 f"no sealed provenance log at {path}{hint}; record one "
                 "with `repro run ... --record DIR`"
             )
-        try:
-            with open(path, "rb") as f:
-                raw = f.read()
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProvenanceCorruptionError(
-                f"provenance log is not valid UTF-8 at byte {exc.start}",
-                path=path,
-                reason="framing",
-            ) from exc
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        if not lines:
-            raise ProvenanceCorruptionError(
-                "provenance log is empty", path=path, reason="truncated"
-            )
-        stream_crc = 0
-        objs: List[dict] = []
-        for i, line in enumerate(lines):
-            objs.append(_verify_line(line, i, path))
-            if i < len(lines) - 1:
-                stream_crc = zlib.crc32((line + "\n").encode("utf-8"), stream_crc)
-        header = objs[0]
-        if header.get("e") != "hdr" or header.get("format") != PROV_FORMAT:
-            raise ProvenanceCorruptionError(
-                f"provenance record 0 is not a {PROV_FORMAT} header",
-                record_index=0,
-                path=path,
-                reason="header",
-            )
-        seal = objs[-1]
-        if seal.get("e") != "seal":
-            raise ProvenanceCorruptionError(
-                f"provenance log has no seal line (crashed before "
-                f"finalize?); last record is {len(objs) - 1}",
-                record_index=len(objs) - 1,
-                path=path,
-                reason="seal",
-            )
-        events = objs[1:-1]
-        if seal.get("n") != len(events):
-            raise ProvenanceCorruptionError(
-                f"seal promises {seal.get('n')} events, found {len(events)}",
-                record_index=len(objs) - 1,
-                path=path,
-                reason="seal",
-            )
-        if seal.get("crc") != stream_crc:
-            raise ProvenanceCorruptionError(
-                "seal stream checksum mismatch (a record was altered "
-                "after sealing)",
-                record_index=len(objs) - 1,
-                path=path,
-                reason="seal",
-            )
-        for j, ev in enumerate(events):
-            if ev.get("i") != j:
-                raise ProvenanceCorruptionError(
-                    f"event sequence broken at record {j + 1}: "
-                    f"expected seq {j}, found {ev.get('i')!r}",
-                    record_index=j + 1,
-                    path=path,
-                    reason="framing",
-                )
-        return cls(path, header, events)
+        report = scan_provenance(path)
+        if report.error is not None:
+            raise report.error
+        return cls(path, report.records[0], report.records[1:])
 
     # -- convenience -------------------------------------------------------
 
@@ -579,118 +500,32 @@ class ProvenanceLog:
 # ---------------------------------------------------------------------------
 
 
-class ProvenanceScanReport:
-    """Outcome of scanning (or salvaging) a provenance log."""
-
-    def __init__(
-        self,
-        path: str,
-        n_valid: int,
-        n_events: int,
-        sealed: bool,
-        error: Optional[ProvenanceCorruptionError],
-    ):
-        self.path = path
-        #: Valid leading records (header + events + seal when clean).
-        self.n_valid = n_valid
-        self.n_events = n_events
-        self.sealed = sealed
-        self.error = error
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def render(self) -> str:
-        head = f"provenance log: {self.path}"
-        if self.ok:
-            return (
-                f"{head}\n  format {PROV_FORMAT}, sealed, "
-                f"{self.n_events} event(s), {self.n_valid} record(s) verified"
-            )
-        return (
-            f"{head}\n  CORRUPT at {self.error.locus()} "
-            f"[{self.error.reason}]: {self.error}\n"
-            f"  valid prefix: {self.n_valid} record(s)"
-        )
-
-
 def scan_provenance(path: str, metrics=None) -> ProvenanceScanReport:
     """Verify a provenance log for ``repro fsck``; never raises."""
-    try:
-        log = ProvenanceLog.open(path)
-    except ProvenanceCorruptionError as exc:
-        n_valid = _valid_prefix_length(path)
-        if metrics is not None:
-            metrics.counter("robust.provenance_scan_corrupt").inc()
-        return ProvenanceScanReport(path, n_valid, 0, False, exc)
+    report = ProvenanceScanReport.scan(_resolve_log_path(path)).require_seal()
     if metrics is not None:
-        metrics.counter("robust.provenance_scan_clean").inc()
-    return ProvenanceScanReport(
-        path, len(log.events) + 2, len(log.events), True, None
-    )
-
-
-def _valid_prefix_length(path: str) -> int:
-    """How many leading records survive line + CRC verification."""
-    try:
-        with open(path, "rb") as f:
-            text = f.read().decode("utf-8", errors="replace")
-    except OSError:
-        return 0
-    n = 0
-    for i, line in enumerate(text.split("\n")):
-        if line == "":
-            continue
-        try:
-            _verify_line(line, i, path)
-        except ProvenanceCorruptionError:
-            break
-        n += 1
-    return n
+        name = "clean" if report.ok else "corrupt"
+        metrics.counter(f"robust.provenance_scan_{name}").inc()
+    return report
 
 
 def salvage_provenance(path: str, out: str, metrics=None) -> ProvenanceScanReport:
-    """Recover the longest checksum-valid prefix of a damaged log into a
-    freshly sealed log at ``out`` (parallel to ``salvage_spool``)."""
+    """Recover the longest valid prefix of a damaged log into a freshly
+    sealed log at ``out`` (parallel to ``salvage_spool``).  The prefix
+    ends at the first damage, sequence breaks included, so its events
+    are already contiguous."""
     report = scan_provenance(path, metrics=metrics)
-    with open(path, "rb") as f:
-        lines = f.read().decode("utf-8", errors="replace").split("\n")
-    kept: List[str] = []
-    for i, line in enumerate(lines):
-        if len(kept) >= report.n_valid or line == "":
-            break
-        obj = _verify_line(line, i, path)
-        if obj.get("e") == "seal":
-            break
-        # Re-sequence events contiguously so the salvaged log verifies.
-        if obj.get("e") != "hdr":
-            obj["i"] = len(kept) - 1
-        body = json.dumps(obj, sort_keys=True, separators=_SEPARATORS)
-        crc = zlib.crc32(body.encode("utf-8"))
-        kept.append(f'{body[:-1]},"c":{crc}}}\n')
-    if not kept or json.loads(kept[0]).get("e") != "hdr":
+    if not report.records:
         raise ProvenanceCorruptionError(
             "cannot salvage: no valid header line",
             record_index=0,
             path=path,
             reason="header",
         )
-    stream_crc = 0
-    for line in kept:
-        stream_crc = zlib.crc32(line.encode("utf-8"), stream_crc)
-    seal_body = json.dumps(
-        {"e": "seal", "n": len(kept) - 1, "crc": stream_crc},
-        sort_keys=True,
-        separators=_SEPARATORS,
-    )
-    seal_crc = zlib.crc32(seal_body.encode("utf-8"))
-    with atomic_write(out, text=True, encoding="utf-8") as f:
-        f.writelines(kept)
-        f.write(f'{seal_body[:-1]},"c":{seal_crc}}}\n')
+    sealedlog.reseal(out, [sealedlog.frame(r) for r in report.records])
     if metrics is not None:
         metrics.counter("robust.provenance_records_salvaged").inc(
-            max(0, len(kept) - 1)
+            len(report.records) - 1
         )
     return report
 

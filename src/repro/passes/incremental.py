@@ -13,11 +13,11 @@ next to nothing else (``memo_dir``) and holds, across translations of
 * the sealed v3 spool of **every pass** of the previous run
   (``pass<k>.g<N>.spool`` — generation-numbered so a splice source is
   never the file being written), and
-* a sealed ``MEMO1`` manifest (``memo.ndjson``, CRC-per-line NDJSON
-  with a seal line, exactly the PROV1 framing) of per-pass entries
-  mapping ``(subtree hash, inherited-context fingerprint)`` to the
-  output record range that subtree produced, its input span, and the
-  post-visit attribute/global state.
+* a ``MEMO1`` manifest (``memo.ndjson``, a sealed line log —
+  :mod:`repro.util.sealedlog`, shared with PROV1 and SRVJ1) of
+  per-pass entries mapping ``(subtree hash, inherited-context
+  fingerprint)`` to the output record range that subtree produced, its
+  input span, and the post-visit attribute/global state.
 
 The memo is *per pass* because every pass of the alternating paradigm
 reads a subtree-contiguous spool and writes a postfix spool (the §II
@@ -45,11 +45,9 @@ from __future__ import annotations
 import base64
 import bisect
 import hashlib
-import json
 import os
 import pickle
 import re
-import zlib
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.ag.model import AttributeGrammar
@@ -58,7 +56,7 @@ from repro.apt.storage import DiskSpool, RandomAccessReader, Spool
 from repro.errors import MemoCorruptionError
 from repro.lalr.grammar import EOF_SYMBOL
 from repro.obs.provenance import canonical_value
-from repro.util import atomic_write as _aw
+from repro.util import sealedlog
 
 __all__ = [
     "MEMO_FORMAT",
@@ -88,8 +86,6 @@ MEMO_LOG = "memo.ndjson"
 #: Subtrees smaller than this many APT records are never memoized —
 #: the fingerprint would cost more than the evaluation it saves.
 DEFAULT_MIN_SPAN = 8
-
-_SEPARATORS = (",", ":")
 
 _GEN_RE = re.compile(r"^pass(\d+)\.g(\d+)\.spool$")
 
@@ -644,7 +640,7 @@ class MemoEntry:
     def line(self) -> str:
         """The framed MEMO1 manifest line for this entry (cached)."""
         if self._line is None:
-            self._line = _frame_line(self.to_doc())
+            self._line = sealedlog.frame(self.to_doc())
         return self._line
 
     def to_doc(self) -> Dict[str, Any]:
@@ -689,42 +685,6 @@ class MemoEntry:
         return entry
 
 
-def _frame_line(obj: Dict[str, Any]) -> str:
-    body = json.dumps(obj, sort_keys=True, separators=_SEPARATORS)
-    crc = zlib.crc32(body.encode("utf-8"))
-    return f'{body[:-1]},"c":{crc}}}\n'
-
-
-def _verify_line(line: str, index: int, path: str) -> Dict[str, Any]:
-    """Parse + CRC-check one manifest line; raise naming the record."""
-    try:
-        obj = json.loads(line)
-    except ValueError as exc:
-        raise MemoCorruptionError(
-            f"memo record {index} is not valid JSON ({exc})",
-            record_index=index,
-            path=path,
-            reason="framing",
-        ) from exc
-    if not isinstance(obj, dict) or "c" not in obj:
-        raise MemoCorruptionError(
-            f"memo record {index} has no checksum field",
-            record_index=index,
-            path=path,
-            reason="framing",
-        )
-    want = obj.pop("c")
-    body = json.dumps(obj, sort_keys=True, separators=_SEPARATORS)
-    if zlib.crc32(body.encode("utf-8")) != want:
-        raise MemoCorruptionError(
-            f"memo record {index} checksum mismatch (bit rot or torn write)",
-            record_index=index,
-            path=path,
-            reason="checksum",
-        )
-    return obj
-
-
 def _resolve_manifest_path(path_or_dir: str) -> str:
     if os.path.isdir(path_or_dir):
         return os.path.join(path_or_dir, MEMO_LOG)
@@ -732,119 +692,54 @@ def _resolve_manifest_path(path_or_dir: str) -> str:
 
 
 def looks_like_memo_manifest(path: str) -> bool:
-    """Cheap sniff used by ``repro fsck``/``doctor`` to route files: a
-    memo manifest is NDJSON whose first line carries the MEMO1 tag."""
-    try:
-        with open(path, "rb") as f:
-            head = f.read(4096)
-    except OSError:
-        return False
-    first = head.split(b"\n", 1)[0]
-    return first.startswith(b"{") and b'"' + MEMO_FORMAT.encode() + b'"' in first
+    """Cheap sniff: a memo manifest's header line carries the MEMO1 tag."""
+    return sealedlog.sniff(sealedlog.head(path)) == MEMO_FORMAT
 
 
-def _read_lines(path: str) -> List[str]:
-    """Read a manifest's lines, tolerating non-UTF8 byte damage.
+class MemoScanReport(sealedlog.SealedScan):
+    """Outcome of a sweep over a memo manifest (``repro fsck``): the
+    MEMO1 schema over the sealed line log — a seal is required and every
+    record after the header is a valid memo entry, kept as a
+    :class:`MemoEntry` that caches its verified line."""
 
-    ``errors="replace"`` keeps a flipped byte from turning into a
-    ``UnicodeDecodeError`` crash: the replacement character lands only
-    in the damaged line, whose per-line CRC then fails exactly where
-    the damage is — a typed :class:`MemoCorruptionError`, never an
-    unhandled decode exception.
-    """
-    with open(path, "r", encoding="utf-8", errors="replace") as f:
-        return f.read().splitlines()
+    tag = MEMO_FORMAT
+    error_type = MemoCorruptionError
 
-
-def _read_manifest(path: str) -> Tuple[Dict[str, Any], List[MemoEntry]]:
-    """Fully verify a sealed manifest; return (header, entries)."""
-    try:
-        lines = _read_lines(path)
-    except OSError as exc:
-        raise MemoCorruptionError(
-            f"memo manifest unreadable: {exc}", path=path, reason="missing"
-        ) from exc
-    if not lines:
-        raise MemoCorruptionError(
-            "memo manifest is empty", path=path, reason="truncated"
-        )
-    header = _verify_line(lines[0], 0, path)
-    if header.get("e") != "hdr" or header.get("format") != MEMO_FORMAT:
-        raise MemoCorruptionError(
-            f"memo record 0 is not a {MEMO_FORMAT} header",
-            record_index=0,
-            path=path,
-            reason="header",
-        )
-    seal = _verify_line(lines[-1], len(lines) - 1, path)
-    if seal.get("e") != "seal":
-        raise MemoCorruptionError(
-            "memo manifest is not sealed (crash mid-write?)",
-            record_index=len(lines) - 1,
-            path=path,
-            reason="unsealed",
-        )
-    entries: List[MemoEntry] = []
-    stream_crc = 0
-    for i, line in enumerate(lines[:-1]):
-        stream_crc = zlib.crc32((line + "\n").encode("utf-8"), stream_crc)
-        if i == 0:
-            continue
-        obj = _verify_line(line, i, path)
+    def entry(self, obj: Dict[str, Any], index: int, line: str) -> MemoEntry:
         if obj.get("e") != "memo":
             raise MemoCorruptionError(
-                f"memo record {i} has unknown kind {obj.get('e')!r}",
-                record_index=i,
-                path=path,
+                f"memo record {index} has unknown kind {obj.get('e')!r}",
+                record_index=index,
+                path=self.path,
                 reason="framing",
             )
-        entry = MemoEntry.from_doc(obj, i, path)
+        entry = MemoEntry.from_doc(obj, index, self.path)
         entry._line = line + "\n"
-        entries.append(entry)
-    if seal.get("n") != len(lines) - 2:
-        raise MemoCorruptionError(
-            f"memo seal counts {seal.get('n')} entries, found "
-            f"{len(lines) - 2}",
-            record_index=len(lines) - 1,
-            path=path,
-            reason="seal",
-        )
-    if seal.get("crc") != stream_crc:
-        raise MemoCorruptionError(
-            "memo seal stream-CRC mismatch (lines reordered or lost)",
-            record_index=len(lines) - 1,
-            path=path,
-            reason="seal",
-        )
-    return header, entries
-
-
-class MemoScanReport:
-    """Outcome of a tolerant sweep over a memo manifest (``repro fsck``)."""
-
-    def __init__(
-        self,
-        path: str,
-        n_valid: int = 0,
-        n_entries: Optional[int] = None,
-        sealed: bool = False,
-        error: Optional[MemoCorruptionError] = None,
-    ):
-        self.path = path
-        #: Entry lines whose framing + checksum verified (header excluded).
-        self.n_valid = n_valid
-        #: Seal-line entry count (None when the seal is missing/damaged).
-        self.n_entries = n_entries
-        self.sealed = sealed
-        self.error = error
-        #: Basenames of the splice-source spools a *clean* manifest
-        #: references (``repro doctor`` uses this to tell live
-        #: generations from stale debris).
-        self.spools: List[str] = []
+        return entry
 
     @property
-    def ok(self) -> bool:
-        return self.error is None
+    def n_valid(self) -> int:
+        """Entry lines verified before any damage (header excluded)."""
+        return max(len(self.records) - 1, 0)
+
+    @property
+    def n_entries(self) -> Optional[int]:
+        """The sealed entry count (None unless the manifest is clean)."""
+        return self.n_valid if self.ok else None
+
+    @property
+    def spools(self) -> List[str]:
+        """Basenames of the splice-source spools a *clean* manifest
+        references (``repro doctor`` uses this to tell live generations
+        from stale debris)."""
+        spools = self.records[0].get("spools") if self.ok else None
+        if not isinstance(spools, dict):
+            return []
+        return [
+            os.path.basename(str(desc.get("spool", "")))
+            for desc in spools.values()
+            if isinstance(desc, dict)
+        ]
 
     def render(self) -> str:
         head = self.path
@@ -861,45 +756,10 @@ class MemoScanReport:
 
 def scan_memo(path: str, metrics=None) -> MemoScanReport:
     """Sweep a memo manifest, verifying every line; never raises."""
-    path = _resolve_manifest_path(path)
-    report = MemoScanReport(path=path)
-    try:
-        header, entries = _read_manifest(path)
-    except MemoCorruptionError as exc:
-        report.error = exc
-        # Count the valid prefix for the salvage report.
-        try:
-            lines = _read_lines(path)
-        except OSError:
-            lines = []
-        n = 0
-        for i, line in enumerate(lines):
-            try:
-                obj = _verify_line(line, i, path)
-            except MemoCorruptionError:
-                break
-            if i == 0 and (
-                obj.get("e") != "hdr" or obj.get("format") != MEMO_FORMAT
-            ):
-                break
-            if obj.get("e") == "memo":
-                n += 1
-        report.n_valid = n
-        if metrics is not None:
-            metrics.counter("robust.memo_scan_errors").inc()
-        return report
-    report.n_valid = len(entries)
-    report.n_entries = len(entries)
-    report.sealed = True
-    spools = header.get("spools")
-    if isinstance(spools, dict):
-        report.spools = [
-            os.path.basename(str(desc.get("spool", "")))
-            for desc in spools.values()
-            if isinstance(desc, dict)
-        ]
+    report = MemoScanReport.scan(_resolve_manifest_path(path)).require_seal()
     if metrics is not None:
-        metrics.counter("robust.memo_scans_clean").inc()
+        name = "memo_scans_clean" if report.ok else "memo_scan_errors"
+        metrics.counter(f"robust.{name}").inc()
     return report
 
 
@@ -909,46 +769,18 @@ def salvage_memo(path: str, out: str, metrics=None) -> MemoScanReport:
     every surviving entry is still integrity-checked against the spool
     identity at load time, so loss is a cold miss, never a wrong
     answer.  Returns the scan report of the *source*."""
-    path = _resolve_manifest_path(path)
     report = scan_memo(path, metrics=metrics)
-    try:
-        lines = _read_lines(path)
-    except OSError:
-        lines = []
-    kept: List[str] = []
-    for i, line in enumerate(lines):
-        try:
-            obj = _verify_line(line, i, path)
-        except MemoCorruptionError:
-            break
-        if obj.get("e") == "seal":
-            break
-        if i == 0:
-            if obj.get("e") != "hdr" or obj.get("format") != MEMO_FORMAT:
-                break
-        elif obj.get("e") != "memo":
-            break
-        kept.append(line + "\n")
-    if not kept:
-        # Nothing recoverable: write an empty (but well-formed) doc so
-        # downstream loads take a clean cold miss.  Without a header we
-        # cannot even name the spool; emit a tombstone header.
-        kept = [
-            _frame_line(
-                {"e": "hdr", "format": MEMO_FORMAT, "salvaged": True}
-            )
-        ]
-    stream_crc = 0
-    for line in kept:
-        stream_crc = zlib.crc32(line.encode("utf-8"), stream_crc)
-    seal_line = _frame_line(
-        {"e": "seal", "n": len(kept) - 1, "crc": stream_crc}
+    if report.records:
+        header = report.records[0]
+    else:
+        # Nothing recoverable: a tombstone header (we cannot even name
+        # the spools) so downstream loads take a clean cold miss.
+        header = {"e": "hdr", "format": MEMO_FORMAT, "salvaged": True}
+    sealedlog.reseal(
+        out, [sealedlog.frame(header)] + [e.line() for e in report.records[1:]]
     )
-    with _aw.atomic_write(out, text=True, encoding="utf-8") as f:
-        f.writelines(kept)
-        f.write(seal_line)
     if metrics is not None:
-        metrics.counter("robust.memo_entries_salvaged").inc(len(kept) - 1)
+        metrics.counter("robust.memo_entries_salvaged").inc(report.n_valid)
     return report
 
 
@@ -1041,7 +873,10 @@ class MemoStore:
         if not os.path.exists(self.manifest_path):
             return
         try:
-            header, entries = _read_manifest(self.manifest_path)
+            report = scan_memo(self.manifest_path)
+            if report.error is not None:
+                raise report.error
+            header, entries = report.records[0], report.records[1:]
             if header.get("identity") != self.identity:
                 raise MemoCorruptionError(
                     "memo manifest was written by a different grammar, "
@@ -1382,23 +1217,14 @@ class MemoStore:
             "spools": spools,
             "min_span": self.min_span,
         }
-        # Encode each line exactly once: the seal CRC runs over the same
-        # bytes that hit the file (binary mode — no second text-layer
-        # encode), and ``fsync=False`` because the manifest, like the
-        # spools it references, is a cache: a torn write fails the seal
-        # CRC on the next load and reads as a cold miss.
-        encoded = [_frame_line(header).encode("utf-8")]
-        encoded.extend(e.line().encode("utf-8") for e in entries)
-        stream_crc = 0
-        for line in encoded:
-            stream_crc = zlib.crc32(line, stream_crc)
-        encoded.append(
-            _frame_line(
-                {"e": "seal", "n": len(entries), "crc": stream_crc}
-            ).encode("utf-8")
+        # ``fsync=False`` because the manifest, like the spools it
+        # references, is a cache: a torn write fails the seal CRC on the
+        # next load and reads as a cold miss.
+        sealedlog.reseal(
+            self.manifest_path,
+            [sealedlog.frame(header)] + [e.line() for e in entries],
+            fsync=False,
         )
-        with _aw.atomic_write(self.manifest_path, fsync=False) as f:
-            f.write(b"".join(encoded))
         # Adopt the new generation in-process and retire the old files.
         self._close_readers()
         for pass_k, gen, name in self._existing_spool_files():

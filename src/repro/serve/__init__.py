@@ -19,7 +19,7 @@ workers:
   :class:`CircuitBreaker` that degrades a persistently-failing grammar
   to *unavailable* instead of poisoning the pool.
 * :mod:`repro.serve.journal` — a durable CRC-framed NDJSON request
-  journal (``SRVJ1``, the PROV1 discipline) so a killed daemon can
+  journal (``SRVJ1``, a sealed line log) so a killed daemon can
   report exactly which requests completed; ``repro fsck`` verifies and
   salvages it.
 * :mod:`repro.serve.daemon` — the asyncio service: per-grammar bounded
@@ -48,7 +48,6 @@ from repro.serve.journal import (
     JournalScanReport,
     JournalState,
     RequestJournal,
-    looks_like_request_journal,
     replay_journal,
     salvage_journal,
     scan_journal,
@@ -69,7 +68,6 @@ __all__ = [
     "ServeResult",
     "TranslationServer",
     "WorkerHandle",
-    "looks_like_request_journal",
     "replay_journal",
     "salvage_journal",
     "scan_journal",

@@ -32,7 +32,8 @@ from repro.governance import (
     evict_cache,
 )
 from repro.obs import MetricsRegistry
-from repro.obs.provenance import ProvenanceRecorder
+from repro.obs.provenance import ProvenanceRecorder, scan_provenance
+from repro.passes.incremental import scan_memo
 from repro.serve.journal import RequestJournal, scan_journal
 from repro.testing import FilesystemFaultPlan, FsFaultMode
 
@@ -446,6 +447,17 @@ class TestDoctor:
         assert captured.out == "" and captured.err == ""
 
 
+@pytest.mark.parametrize(
+    "scan", [scan_provenance, scan_journal, scan_memo],
+    ids=["PROV1", "SRVJ1", "MEMO1"],
+)
+def test_missing_file_is_one_not_ok_report(tmp_path, scan):
+    report = scan(str(tmp_path / "absent" / "log.ndjson"))
+    assert not report.ok
+    assert report.error.reason == "missing"
+    assert report.error.locus() == "record ?"
+
+
 # ---------------------------------------------------------------------------
 # filesystem chaos: the fault matrix
 # ---------------------------------------------------------------------------
@@ -494,12 +506,27 @@ def write_manifest(d):
     mgr.record_pass(plan, spool)
 
 
+def write_memo(d):
+    from repro.core import Linguist
+    from repro.grammars import load_source, scanner_and_library
+
+    spec, library = scanner_and_library("calc")
+    translator = Linguist(load_source("calc")).make_translator(
+        spec, library=library
+    )
+    translator.translate(
+        "let a = 6 ; let b = a * 7 ; print a + b",
+        memo_dir=os.path.join(d, "memo"),
+    )
+
+
 WRITERS = [
     write_spool,
     write_cache_entry,
     write_provenance,
     write_journal,
     write_manifest,
+    write_memo,
 ]
 
 
@@ -543,6 +570,7 @@ class TestFilesystemFaultMatrix:
                 ArtifactFormat.SPOOL_V3,
                 ArtifactFormat.CACHE_ENTRY,
                 ArtifactFormat.PROVENANCE,
+                ArtifactFormat.MEMO,
             ):
                 assert art.state == ArtifactState.SEALED, (
                     f"seed {seed}: torn sealed artifact {art.render()} "

@@ -24,6 +24,7 @@ from repro.passes.incremental import (
     salvage_memo,
     scan_memo,
 )
+from repro.testing.faults import bit_flip
 from repro.workloads.generators import generate_calc_program
 from tests.evalharness import canonical_attrs
 
@@ -354,6 +355,39 @@ def test_sniff_scan_salvage_roundtrip(tmp_path):
     assert report.n_valid == damaged.n_valid
     resealed = scan_memo(out)
     assert resealed.ok and resealed.n_entries == damaged.n_valid
+
+
+def test_damage_in_the_seal_line_names_the_seal_record(tmp_path):
+    """Lines split on newline only: a bit-5 flip turns a ``,`` of a
+    5-line manifest's seal line into a form feed, which must not start a
+    new record."""
+    from types import SimpleNamespace
+
+    from repro.passes.incremental import MemoEntry, MemoStore
+
+    memo = str(tmp_path / "memo")
+    store = MemoStore(memo, SimpleNamespace(name="g"), [], identity="id")
+    spool = os.path.join(memo, "pass1.g1.spool")
+    open(spool, "wb").close()
+    entries = {
+        (f"h{i}", "x"): MemoEntry(1, f"h{i}", "x", 8 * i, 8, 9, "")
+        for i in range(3)
+    }
+    store.commit_run([(
+        SimpleNamespace(pass_k=1, new_entries=entries),
+        SimpleNamespace(path=spool, n_records=24, data_bytes=1, _stream_crc=0),
+    )])
+    store.close()
+    manifest = os.path.join(memo, MEMO_LOG)
+    assert scan_memo(manifest).ok
+    with open(manifest, "rb") as f:
+        data = f.read()
+    assert data.count(b"\n") == 5
+    seal_start = data.rstrip(b"\n").rfind(b"\n") + 1
+    bit_flip(manifest, data.index(b",", seal_start), bit=5)
+    damaged = scan_memo(manifest)
+    assert damaged.error.record_index == 4
+    assert damaged.n_valid == 3
 
 
 def test_doctor_classifies_and_repairs_memo_dirs(tmp_path):

@@ -176,14 +176,17 @@ def test_missing_log_is_a_typed_error(tmp_path):
         ProvenanceLog.open(str(tmp_path))
 
 
-def test_bit_flip_names_the_damaged_record(recordings, tmp_path):
+@pytest.mark.parametrize("bit", [3, 7])
+def test_bit_flip_names_the_damaged_record(recordings, tmp_path, bit):
     directory, _ = recordings["calc-fused-generated"]
     src = os.path.join(directory, LOG_NAME)
     dst = tmp_path / LOG_NAME
     dst.write_bytes(open(src, "rb").read())
     # Flip a bit in the middle of the file: some record's CRC must fail.
+    # Bit 7 makes the byte invalid UTF-8, which must still name the
+    # record rather than the whole file.
     size = os.path.getsize(dst)
-    bit_flip(str(dst), size // 2, bit=3)
+    bit_flip(str(dst), size // 2, bit=bit)
     with pytest.raises(ProvenanceCorruptionError) as info:
         ProvenanceLog.open(str(tmp_path))
     assert info.value.record_index is not None
