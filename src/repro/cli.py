@@ -433,7 +433,8 @@ def cmd_fsck(args) -> int:
 
     The format is sniffed through ``repro doctor``'s format table (a
     spool unless a sealed-log header says otherwise; a directory names
-    its memo manifest).  Exit status: 0 clean, 1 corrupt (or missing),
+    the first of its memo manifest, provenance log or request journal
+    that exists).  Exit status: 0 clean, 1 corrupt (or missing),
     2 corrupt but the longest checksum-valid prefix was recovered via
     ``--salvage`` (salvaged with loss).  A clean *unsealed* journal —
     the daemon was killed rather than drained — exits 0.  ``--quiet``
@@ -442,12 +443,26 @@ def cmd_fsck(args) -> int:
     from repro.doctor import FORMATS, format_of
     from repro.errors import Diagnostic, Severity, SourceLocation
     from repro.obs import MetricsRegistry
+    from repro.obs.provenance import LOG_NAME
     from repro.passes.incremental import MEMO_LOG
+    from repro.serve.journal import JOURNAL_NAME
 
     say = _say(args)
     metrics = MetricsRegistry()
-    if not os.path.exists(args.spool):
-        say(f"error: no such spool file: {args.spool}", file=sys.stderr)
+    target, problem = args.spool, None
+    if not os.path.exists(target):
+        problem = f"no such spool file: {target}"
+    elif os.path.isdir(target):
+        names = (MEMO_LOG, LOG_NAME, JOURNAL_NAME)
+        found = [os.path.join(target, name) for name in names
+                 if os.path.exists(os.path.join(target, name))]
+        if found:
+            target = found[0]
+        else:
+            problem = (f"no artifact in directory {target} "
+                       f"(looked for {', '.join(names)})")
+    if problem is not None:
+        say(f"error: {problem}", file=sys.stderr)
         if getattr(args, "json", False):
             import json
 
@@ -456,9 +471,6 @@ def cmd_fsck(args) -> int:
                 "verdict": "missing", "exit": 1,
             }, sort_keys=True))
         return 1
-    target = args.spool
-    if os.path.isdir(target):
-        target = os.path.join(target, MEMO_LOG)
     fmt = format_of(target)
     if fmt is None or fmt.tag is None:
         fmt = FORMATS[0]  # anything unrecognized is judged as a spool
@@ -908,8 +920,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fsck.add_argument(
         "spool",
         help="path to a .spool file, a provenance .ndjson log, a request "
-        "journal, or an incremental memo manifest / memo directory "
-        "(format is sniffed)",
+        "journal, an incremental memo manifest, or a directory holding "
+        "one of the last three (format is sniffed)",
     )
     p_fsck.add_argument(
         "--salvage", metavar="OUT",

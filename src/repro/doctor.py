@@ -403,7 +403,9 @@ FORMATS: Tuple[Format, ...] = (
         salvage=salvage_journal,
         what="request journal",
         notes=_journal_requests,
-        extra=lambda r: {"loss": r.lost_records, "sealed": r.sealed},
+        # A scan that stopped at damage cannot say whether a seal follows.
+        extra=lambda r: {"loss": r.lost_records,
+                         "sealed": r.sealed if r.ok or r.sealed else None},
     ),
     Format(
         ArtifactFormat.MEMO,

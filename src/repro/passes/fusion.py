@@ -53,6 +53,7 @@ from repro.passes.partition import PassAssignment
 from repro.passes.schedule import (
     AttrId,
     Direction,
+    ScheduleResult,
     direction_of_pass,
     schedule_production,
 )
@@ -104,14 +105,16 @@ def _try_fuse_first_pair(
     # but re-verify *every* pass of every production: the check is
     # once-per-grammar work and the assertion inside
     # PassAssignment.schedule would otherwise fire far from the cause.
+    # The consistent results become the fused assignment's schedules.
+    schedules: Dict[Tuple[int, int], ScheduleResult] = {}
     for prod in ag.productions:
         for pass_k in range(1, new_n + 1):
-            result = schedule_production(
+            result = schedules[(prod.index, pass_k)] = schedule_production(
                 ag, prod, pass_k, direction_of_pass(pass_k, new_first), candidate
             )
             if not result.ok:
                 return None
-    return PassAssignment(ag, new_first, candidate, new_n)
+    return PassAssignment(ag, new_first, candidate, new_n, schedules)
 
 
 def fuse_assignment(
@@ -127,8 +130,9 @@ def fuse_assignment(
     checkpoint manifests, and the build cache all consume it through
     the ordinary :class:`PassAssignment` interface.  When at least one
     merge fires, every production's semantic functions are re-stamped
-    with their new pass numbers and the consistent per-pass schedules
-    are cached on the fused assignment (mirroring ``assign_passes``).
+    with their new pass numbers; the fused assignment carries the
+    consistent per-pass schedules its trial simulated (mirroring
+    ``assign_passes``).
 
     ``metrics``/``tracer`` (a :class:`repro.obs.MetricsRegistry` /
     ``Tracer``) receive ``fusion.*`` counters and one ``fusion.fuse``
@@ -159,11 +163,9 @@ def fuse_assignment(
         current = fused
 
     if current is not assignment:
-        # Warm the schedule cache and restamp function pass numbers,
-        # exactly as assign_passes does for a fresh assignment.
+        # Restamp function pass numbers, as assign_passes does for a
+        # fresh assignment (the trial already cached the schedules).
         for prod in ag.productions:
-            for pass_k in range(1, current.n_passes + 1):
-                current.schedule(prod, pass_k)
             for func in prod.functions:
                 func.pass_number = max(
                     current.attr_pass[(t.symbol, t.attr_name)]

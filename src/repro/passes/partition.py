@@ -1,14 +1,16 @@
 """Pass assignment: which attribute is evaluated in which alternating pass.
 
 Monotone deferral to a fixpoint:  every non-intrinsic attribute starts
-in pass 1; each round simulates every production at every pass in use;
-any binding that cannot be scheduled bumps its target attribute to the
-next pass.  Because pass numbers only ever increase and are bounded,
-the loop terminates — either at a consistent assignment (the grammar is
-alternating-pass evaluable in ``n_passes`` passes) or by exceeding the
-bound, in which case :class:`~repro.errors.PassError` reports the
-attributes that kept escaping (these are the grammar's zig-zag
-dependencies, unbounded in tree depth).
+in pass 1; each round simulates, at every pass it defines something in,
+each production that has a symbol whose attribute the previous round
+bumped (the first round: every production); any binding that cannot be
+scheduled bumps its target attribute to the next pass.  Because pass
+numbers only ever increase and are bounded, the loop terminates — either
+at a consistent assignment (the grammar is alternating-pass evaluable in
+``n_passes`` passes) or by exceeding the bound, in which case
+:class:`~repro.errors.PassError` reports the attributes that kept
+escaping (these are the grammar's zig-zag dependencies, unbounded in
+tree depth).
 """
 
 from __future__ import annotations
@@ -95,21 +97,28 @@ def assign_passes(
 
     from repro.ag.copyrules import production_bindings
 
+    # A simulation reads only the pass numbers of its production's own
+    # symbols, so only productions touching a bumped symbol can change
+    # outcome; the others keep their (failure-free) earlier results.
+    users: Dict[str, Set[int]] = {}
+    for prod in ag.productions:
+        for name in (prod.lhs, prod.limb, *prod.rhs):
+            users.setdefault(name, set()).add(prod.index)
+    #: production index -> {pass: result} of its latest simulation.
+    kept: Dict[int, Dict[int, ScheduleResult]] = {}
+    worklist = ag.productions
     while True:
         bumped: Set[AttrId] = set()
-        n_passes = max(attr_pass.values()) if attr_pass else 1
-        n_passes = max(n_passes, 1)
-        for prod in ag.productions:
+        for prod in worklist:
             # Only simulate the passes this production defines something
             # in — a pass with no pending bindings trivially succeeds.
             target_passes = {
                 attr_pass[(b.target.symbol, b.target.attr_name)]
                 for b in production_bindings(prod)
             }
-            for pass_k in sorted(target_passes):
-                if not 1 <= pass_k <= n_passes:
-                    continue
-                result = schedule_production(
+            kept[prod.index] = results = {}
+            for pass_k in sorted(p for p in target_passes if p >= 1):
+                result = results[pass_k] = schedule_production(
                     ag, prod, pass_k, direction_of_pass(pass_k, first_direction), attr_pass
                 )
                 for binding in result.failed:
@@ -128,14 +137,21 @@ def assign_passes(
                 f"{max_passes} alternating passes (first pass "
                 f"{first_direction.value}); attributes that keep escaping: {names}"
             )
+        stale = set().union(*(users[symbol] for symbol, _ in bumped))
+        worklist = [ag.productions[i] for i in sorted(stale)]
 
     n_passes = max((p for p in attr_pass.values()), default=0)
     assignment = PassAssignment(ag, first_direction, attr_pass, n_passes)
 
-    # Record the consistent schedules and stamp pass numbers on functions.
+    # Record the consistent schedules, simulating only the passes no
+    # round did, and stamp pass numbers on functions.
     for prod in ag.productions:
+        results = kept[prod.index]
         for pass_k in range(1, n_passes + 1):
-            assignment.schedule(prod, pass_k)
+            if pass_k in results:
+                assignment.schedules[(prod.index, pass_k)] = results[pass_k]
+            else:
+                assignment.schedule(prod, pass_k)
         for func in prod.functions:
             func.pass_number = max(
                 attr_pass[(t.symbol, t.attr_name)] for t in func.targets

@@ -367,11 +367,14 @@ class JournalScanReport(sealedlog.SealedScan):
         )
 
     def render(self) -> str:
-        state = (
-            "sealed"
-            if self.sealed
-            else "UNSEALED (daemon did not drain cleanly)"
-        )
+        if self.sealed:
+            state = "sealed"
+        elif self.ok:
+            state = "UNSEALED (daemon did not drain cleanly)"
+        elif self.error.reason == "seal":
+            state = "seal does not match the stream"
+        else:
+            state = "seal not reached (the scan stopped at the damage)"
         lines = [
             f"request journal: {self.path}",
             f"  format: {JOURNAL_FORMAT}, {state}",

@@ -97,6 +97,31 @@ class TestRun:
         assert "no CODE" in capsys.readouterr().err
 
 
+class TestFsckDirectory:
+    def test_record_directory_resolves_to_its_provenance_log(
+        self, capsys, tmp_path
+    ):
+        record = str(tmp_path / "rec")
+        assert main([
+            "run", "calc", "let a = 6 ; print a * 7", "--record", record,
+        ]) == 0
+        capsys.readouterr()
+        assert main(["fsck", record]) == 0
+        out = capsys.readouterr().out
+        assert "provenance.ndjson" in out and "PROV1, sealed" in out
+
+    def test_directory_without_an_artifact_is_one_clear_error(
+        self, capsys, tmp_path
+    ):
+        assert main(["fsck", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: no artifact in directory {tmp_path} (looked for "
+            "memo.ndjson, provenance.ndjson, requests.ndjson)\n"
+        )
+
+
 class TestSelfcheck:
     def test_selfcheck(self, capsys):
         assert main(["selfcheck"]) == 0

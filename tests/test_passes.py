@@ -1,8 +1,14 @@
 """Unit tests for the alternating-pass evaluability analysis (S8)."""
 
+import random
+
 import pytest
 
+from repro.ag.copyrules import production_bindings
+from repro.ag.model import AttrKind
 from repro.errors import PassError
+from repro.frontend import load_grammar
+from repro.grammars import load_source
 from repro.passes import (
     Direction,
     StepKind,
@@ -10,10 +16,12 @@ from repro.passes import (
     direction_of_pass,
     render_pass_report,
 )
-from repro.passes.partition import choose_first_direction
+from repro.passes.partition import DEFAULT_MAX_PASSES, choose_first_direction
 from repro.passes.schedule import INTRINSIC_PASS, schedule_production
 
 from tests.sample_grammars import (
+    context_heavy,
+    env_fanout,
     knuth_binary,
     left_flow,
     right_flow,
@@ -217,3 +225,152 @@ class TestScheduleFailureReporting:
         failed_targets = {str(b.target) for b in result.failed}
         # item1.ACC needs item0.TOT: impossible right-to-left in pass 1.
         assert any("ACC" in t for t in failed_targets)
+
+
+# ---------------------------------------------------------------------------
+# the worklist fixpoint against the round-robin one
+# ---------------------------------------------------------------------------
+
+
+def round_robin_assignment(ag, first, max_passes=DEFAULT_MAX_PASSES):
+    """Reference oracle: monotone deferral where every round re-simulates
+    every production at every pass it defines something in, then every
+    (production, pass) pair once more for the schedules.  Returns
+    ``(attr_pass, n_passes, schedules)`` or raises :class:`PassError`."""
+    attr_pass = {
+        (sym.name, attr.name):
+            INTRINSIC_PASS if attr.kind is AttrKind.INTRINSIC else 1
+        for sym in ag.symbols.values()
+        for attr in sym.attributes.values()
+    }
+
+    def simulate(prod, pass_k):
+        return schedule_production(
+            ag, prod, pass_k, direction_of_pass(pass_k, first), attr_pass
+        )
+
+    while attr_pass:
+        bumped = set()
+        for prod in ag.productions:
+            passes = {attr_pass[(b.target.symbol, b.target.attr_name)]
+                      for b in production_bindings(prod)}
+            for pass_k in sorted(passes - {INTRINSIC_PASS}):
+                bumped.update((b.target.symbol, b.target.attr_name)
+                              for b in simulate(prod, pass_k).failed)
+        if not bumped:
+            break
+        for attr_id in bumped:
+            attr_pass[attr_id] += 1
+        overflow = sorted(a for a in bumped if attr_pass[a] > max_passes)
+        if overflow:
+            raise PassError(
+                f"attribute grammar {ag.name!r} is not evaluable in "
+                f"{max_passes} alternating passes (first pass "
+                f"{first.value}); attributes that keep escaping: "
+                + ", ".join(f"{s}.{a}" for s, a in overflow)
+            )
+    n_passes = max(attr_pass.values(), default=0)
+    schedules = {(prod.index, pass_k): simulate(prod, pass_k)
+                 for prod in ag.productions
+                 for pass_k in range(1, n_passes + 1)}
+    return attr_pass, n_passes, schedules
+
+
+def chain_source(levels, copies, second_pass, seed=7):
+    """A seeded chain grammar as the benchmark's build workload makes it."""
+    from perfbench.inputs import generate_grammar
+
+    return generate_grammar(levels, copies, second_pass,
+                            random.Random(seed), f"chain{levels}").source
+
+
+#: Grammar makers: the shipped grammars, the sample grammars, and every
+#: perfbench build-grammar shape (levels, implicit copy-rules, second
+#: alternating pass).
+EQUIVALENCE_CASES = {
+    **{name: (lambda name=name: load_grammar(load_source(name)))
+       for name in ("binary", "calc", "pascal", "asm", "linguist")},
+    **{make.__name__: make
+       for make in (synthesized_only, left_flow, right_flow, knuth_binary,
+                    context_heavy, with_limb, env_fanout)},
+    **{f"chain{levels}{'c' * copies}{'e' * second}":
+       (lambda shape=(levels, copies, second):
+        load_grammar(chain_source(*shape)))
+       for levels, copies, second in ((6, False, False), (9, True, False),
+                                      (12, False, True), (16, True, True),
+                                      (56, False, True))},
+}
+
+
+@pytest.mark.parametrize("first", [Direction.R2L, Direction.L2R],
+                         ids=["r2l", "l2r"])
+@pytest.mark.parametrize("make", list(EQUIVALENCE_CASES.values()),
+                         ids=list(EQUIVALENCE_CASES))
+def test_worklist_matches_round_robin(make, first):
+    attr_pass, n_passes, schedules = round_robin_assignment(make(), first)
+    assignment = assign_passes(make(), first)
+    assert assignment.attr_pass == attr_pass
+    assert assignment.n_passes == n_passes
+    assert list(assignment.schedules) == list(schedules)
+    productions = assignment.grammar.productions
+    for (index, pass_k), expected in schedules.items():
+        got = assignment.schedules[(index, pass_k)]
+        assert got.ok
+        assert ([step.render(productions[index]) for step in got.steps]
+                == [step.render(productions[index])
+                    for step in expected.steps]), (index, pass_k)
+
+
+@pytest.mark.parametrize("make, max_passes", [
+    (zigzag_unbounded, DEFAULT_MAX_PASSES),
+    (zigzag_unbounded, 3),
+    (lambda: load_grammar(load_source("linguist")), 2),
+    (lambda: load_grammar(load_source("binary")), 1),
+    (lambda: load_grammar(chain_source(16, True, True)), 1),
+], ids=["zigzag", "zigzag-3", "linguist-2", "binary-1", "chain16ce-1"])
+@pytest.mark.parametrize("first", [Direction.R2L, Direction.L2R],
+                         ids=["r2l", "l2r"])
+def test_worklist_raises_the_round_robin_pass_error(make, max_passes, first):
+    with pytest.raises(PassError) as expected:
+        round_robin_assignment(make(), first, max_passes)
+    with pytest.raises(PassError) as got:
+        assign_passes(make(), first, max_passes)
+    assert str(got.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------------------
+# exact simulation counts
+# ---------------------------------------------------------------------------
+
+#: ``schedule_production`` calls per grammar: (``assign_passes`` right
+#: to left, a whole ``Linguist`` build with fusion).  The round-robin
+#: fixpoint, with fusion re-simulating its accepted schedules, made
+#: 763 / 843 (pascal), 1273 / 1730 (linguist) and 9968 / 9969 (the
+#: 56-level second-pass chain).
+SIMULATIONS = {
+    "pascal": (273, 313),
+    "linguist": (459, 688),
+    "chain56e": (561, 562),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATIONS))
+def test_simulation_counts_are_pinned(name, monkeypatch):
+    import repro.passes.fusion as fusion
+    import repro.passes.partition as partition
+    from repro.core import Linguist
+
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return schedule_production(*args, **kwargs)
+
+    monkeypatch.setattr(partition, "schedule_production", counting)
+    monkeypatch.setattr(fusion, "schedule_production", counting)
+    source = (chain_source(56, False, True) if name == "chain56e"
+              else load_source(name))
+    assign_passes(load_grammar(source), Direction.R2L)
+    assigned, calls[0] = calls[0], 0
+    Linguist(source)
+    assert (assigned, calls[0]) == SIMULATIONS[name]

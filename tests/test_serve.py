@@ -291,6 +291,7 @@ class TestJournal:
             f.writelines(lines[:2] + lines[3:])
         report = scan_journal(path)
         assert not report.ok
+        assert "SRVJ1, seal does not match the stream" in report.render()
 
     def test_salvage_recovers_valid_prefix(self, tmp_path):
         path = self.write_journal(tmp_path / "j", seal=False)
@@ -352,6 +353,22 @@ class TestFsckJournalCLI:
         bit_flip(path, os.path.getsize(path) // 2)
         assert self.run_cli(["fsck", path]) == 1
         assert "CORRUPT" in capsys.readouterr().out
+
+    def test_damage_before_the_seal_is_not_called_unsealed(
+        self, tmp_path, capsys
+    ):
+        path = TestJournal().write_journal(tmp_path / "j")
+        with open(path, "rb") as f:
+            record_1 = len(f.readline())
+        bit_flip(path, record_1 + 8, bit=3)
+        assert self.run_cli(["fsck", path]) == 1
+        out = capsys.readouterr().out
+        assert "SRVJ1, seal not reached (the scan stopped at the damage)" in out
+        assert "UNSEALED" not in out
+        assert "CORRUPT at record 1" in out
+        assert self.run_cli(["fsck", path, "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["sealed"] is None and doc["error"]["locus"] == "record 1"
 
     def test_salvage_then_clean(self, tmp_path, capsys):
         path = TestJournal().write_journal(tmp_path / "j", seal=False)
