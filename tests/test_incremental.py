@@ -9,7 +9,9 @@ a wrong answer), read-only consultation under ``record=`` (with
 sealed MEMO1 manifest.
 """
 
+import hashlib
 import os
+import pickle
 import re
 
 import pytest
@@ -18,6 +20,7 @@ from repro.core import Linguist
 from repro.grammars import load_source, scanner_and_library
 from repro.obs import MetricsRegistry
 from repro.obs.provenance import ProvenanceLog
+from repro.passes import incremental
 from repro.passes.incremental import (
     MEMO_LOG,
     looks_like_memo_manifest,
@@ -25,7 +28,10 @@ from repro.passes.incremental import (
     scan_memo,
 )
 from repro.testing.faults import bit_flip
-from repro.workloads.generators import generate_calc_program
+from repro.workloads.generators import (
+    generate_calc_program,
+    generate_pascal_program,
+)
 from tests.evalharness import canonical_attrs
 
 
@@ -420,3 +426,109 @@ def test_doctor_classifies_and_repairs_memo_dirs(tmp_path):
     assert scan_memo(memo).ok
     again = tr.translate(PROGRAM, memo_dir=str(memo))
     assert dict(again.root_attrs)
+
+
+# ---------------------------------------------------------------------------
+# bookkeeping cost: cached content digests and live payloads
+# ---------------------------------------------------------------------------
+
+
+def swap_middle_let(text: str) -> str:
+    """Change the operator of the first ``let`` from the middle of a calc
+    program on: every later statement inherits a changed environment."""
+    stmts = text.split(" ;\n")
+    pos = next(
+        p for p in range(len(stmts) // 2, len(stmts))
+        if stmts[p].startswith("let")
+    )
+    stmts[pos] = re.sub(
+        r" ([-+*]) ",
+        lambda m: " - " if m.group(1) != "-" else " + ",
+        stmts[pos], count=1,
+    )
+    return " ;\n".join(stmts)
+
+
+class _CountingHasher:
+    def __init__(self, real, tally):
+        self._real = real
+        self._tally = tally
+
+    def update(self, data):
+        self._tally[0] += len(data)
+        self._real.update(data)
+
+    def digest(self):
+        return self._real.digest()
+
+
+def test_fingerprint_bytes_grow_linearly_for_a_let_swap(tmp_path, monkeypatch):
+    """One mid-document ``let`` swap re-evaluates the back half of the
+    document.  The bytes fed to context-fingerprint hashing (list digests
+    computed on the way included) must grow with the document, not with
+    its square: rendering every environment in full made them grow 15.9×
+    from 100 to 400 statements."""
+    tally, active = [0], [False]
+    real_blake2b = hashlib.blake2b
+    real_fingerprint = incremental.context_fingerprint
+
+    def blake2b(*args, **kwargs):
+        if not active[0]:
+            return real_blake2b(*args, **kwargs)
+        hasher = _CountingHasher(real_blake2b(**kwargs), tally)
+        if args:
+            hasher.update(args[0])
+        return hasher
+
+    def fingerprint(*args, **kwargs):
+        active[0] = True
+        try:
+            return real_fingerprint(*args, **kwargs)
+        finally:
+            active[0] = False
+
+    monkeypatch.setattr(hashlib, "blake2b", blake2b)
+    monkeypatch.setattr(incremental, "context_fingerprint", fingerprint)
+    fed = {}
+    for n in (100, 400):
+        program = generate_calc_program(n, seed=11)
+        tr = make_translator()
+        memo = str(tmp_path / f"memo{n}")
+        tr.translate(program, memo_dir=memo)
+        tally[0] = 0
+        tr.translate(swap_middle_let(program), memo_dir=memo)
+        fed[n] = tally[0]
+    assert fed[400] <= 5 * fed[100], fed
+
+
+def test_in_process_edit_session_unpickles_no_payload(tmp_path, monkeypatch):
+    """Entries made in this process keep the post-visit state they
+    pickled, and carried-forward entries keep it too, so no hit of an
+    in-process edit session (swaps and inserts) decodes a payload."""
+    real_loads = pickle.loads
+    calls = []
+
+    def loads(*args, **kwargs):
+        calls.append(1)
+        return real_loads(*args, **kwargs)
+
+    monkeypatch.setattr(pickle, "loads", loads)
+    calc = [PROGRAM, swap_middle_let(PROGRAM)]
+    stmts = calc[-1].split(" ;\n")
+    calc.append(" ;\n".join(stmts[:30] + ["print x1 + 4"] + stmts[30:]))
+    calc.append(edit_last_statement(calc[-1]))
+    pascal = [generate_pascal_program(30, seed=5)]
+    head, _, body = pascal[0].partition("begin\n")
+    pascal.append(head + "begin\n  v1 := v2 + 3;\n" + body)
+    pascal.append(re.sub(r"\b(\d+)\b", lambda m: str(int(m.group()) + 1),
+                         pascal[-1], count=1))
+    hits = 0
+    for grammar, versions in (("calc", calc), ("pascal", pascal)):
+        tr = make_translator(grammar)
+        memo = str(tmp_path / grammar)
+        for text in versions:
+            metrics = MetricsRegistry()
+            tr.translate(text, memo_dir=memo, metrics=metrics)
+            hits += counters(metrics)["hits"]
+    assert hits > 0
+    assert calls == []
