@@ -24,7 +24,7 @@ import pytest
 from repro.apt.storage import DiskSpool, MemorySpool
 from repro.evalgen.codegen_pascal import PascalCodeGenerator
 from repro.evalgen.deadness import analyze_deadness
-from repro.evalgen.plan import build_pass_plans
+from repro.evalgen.plan import PlanMemo, build_pass_plans
 from repro.evalgen.subsumption import (
     SubsumptionConfig,
     choose_static_attributes,
@@ -78,19 +78,21 @@ def test_concl2_global_subsumption_analysis(report):
     assignment = assign_passes(ag, Direction.R2L)
     deadness = analyze_deadness(ag, assignment)
     config = SubsumptionConfig()
+    # Every allocation below plans through one memo.
+    memo = PlanMemo(ag, assignment, deadness)
 
     def sem_bytes(allocation):
-        plans = build_pass_plans(ag, assignment, deadness, allocation)
+        plans = build_pass_plans(ag, assignment, deadness, allocation, memo)
         artifacts = PascalCodeGenerator(ag).generate_all(plans)
         return sum(a.sem_bytes for a in artifacts)
 
     none_bytes = sem_bytes(choose_static_attributes(
         ag, assignment, SubsumptionConfig(enabled=False)))
     greedy = choose_static_attributes(ag, assignment, config)
-    greedy = refine_allocation(ag, assignment, greedy, deadness)
+    greedy = refine_allocation(ag, assignment, greedy, deadness, memo=memo)
     greedy_bytes = sem_bytes(greedy)
     best, best_bytes, evaluated = exhaustive_allocation(
-        ag, assignment, deadness, config
+        ag, assignment, deadness, config, memo=memo
     )
     text = (
         "CONCL-2: global (exhaustive) vs local (greedy+refine) subsumption\n"

@@ -57,7 +57,7 @@ from repro.evalgen.deadness import DeadnessAnalysis, analyze_deadness
 from repro.evalgen.driver import AlternatingPassDriver
 from repro.evalgen.husk import CodeSizeReport, measure_code_sizes
 from repro.evalgen.interp import InterpretiveEvaluator
-from repro.evalgen.plan import PassPlan, build_pass_plans
+from repro.evalgen.plan import PassPlan, PlanMemo, build_pass_plans
 from repro.evalgen.runtime import EvaluationResult, FunctionLibrary
 from repro.evalgen.subsumption import (
     StaticAllocation,
@@ -199,10 +199,15 @@ class Linguist:
             alloc = choose_static_attributes(
                 self.ag, self.assignment, subsumption or SubsumptionConfig()
             )
-            alloc = refine_allocation(self.ag, self.assignment, alloc, dead)
-            return dead, alloc
+            # One plan memo for the build: refinement fills it, and
+            # generation reuses refinement's final plans from it.
+            memo = PlanMemo(self.ag, self.assignment, dead)
+            alloc = refine_allocation(
+                self.ag, self.assignment, alloc, dead, memo=memo
+            )
+            return dead, alloc, memo
 
-        self.deadness, self.allocation = clock.run(
+        self.deadness, self.allocation, memo = clock.run(
             "third attrib eval overlay", shape
         )
 
@@ -213,7 +218,8 @@ class Linguist:
 
         def generate():
             plans = build_pass_plans(
-                self.ag, self.assignment, self.deadness, self.allocation
+                self.ag, self.assignment, self.deadness, self.allocation,
+                memo=memo,
             )
             generated = GeneratedEvaluator(self.ag, plans)
             pascal = PascalCodeGenerator(self.ag).generate_all(plans)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.ag.copyrules import Binding
 from repro.ag.model import (
@@ -43,9 +43,9 @@ from repro.ag.model import (
 from repro.ag.dependencies import OccKey, binding_argument_keys
 from repro.errors import GenerationError
 from repro.evalgen.deadness import DeadnessAnalysis
-from repro.evalgen.subsumption import StaticAllocation
+from repro.evalgen.subsumption import StaticAllocation, _attr_symbol_of_ref
 from repro.passes.partition import PassAssignment
-from repro.passes.schedule import Direction, StepKind
+from repro.passes.schedule import AttrId, Direction, StepKind
 
 #: ("field", position, attr) | ("temp", name) | ("global", group)
 ValueSource = Tuple
@@ -189,11 +189,7 @@ class _PlanBuilder:
     # -- context helpers -------------------------------------------------
 
     def symbol_at(self, position: int) -> str:
-        if position == LHS_POSITION:
-            return self.prod.lhs
-        if position == LIMB_POSITION:
-            return self.prod.limb
-        return self.prod.rhs[position - 1]
+        return _attr_symbol_of_ref(self.prod, position)
 
     def pass_of(self, position: int, attr: str) -> int:
         return self.assignment.attr_pass[(self.symbol_at(position), attr)]
@@ -421,38 +417,160 @@ class _PlanBuilder:
         return saved
 
 
+def plan_line_costs(
+    ag: AttributeGrammar, plan: EvaluationPlan, allocation: StaticAllocation
+) -> Dict[str, Tuple[int, int]]:
+    """Weighted generated-line counts per static group in one plan:
+    ``group -> (lines as allocated, lines as plain node-field
+    assignments)``, the cost model :func:`refine_allocation
+    <repro.evalgen.subsumption.refine_allocation>` sums."""
+    prod = ag.productions[plan.production]
+    costs: Dict[str, List[int]] = {}
+
+    def add(group: Optional[str], static: int, normal: int) -> None:
+        if group is not None:
+            cost = costs.setdefault(group, [0, 0])
+            cost[0] += static
+            cost[1] += normal
+
+    for action in plan.actions:
+        kind = action.kind
+        if kind in (ActionKind.SNAPSHOT, ActionKind.SETGLOBAL,
+                    ActionKind.ENTRY_SAVE, ActionKind.EXIT_RESTORE):
+            add(action.group, 1, 0)
+        elif kind in (ActionKind.COMPUTE, ActionKind.SUBSUME):
+            t = action.binding.target
+            # One code line either way; a COMPUTE also costs its store.
+            add(allocation.group_of(t.symbol, t.attr_name),
+                int(kind is ActionKind.COMPUTE), 1)
+        elif kind is ActionKind.PUT:
+            symbol = _attr_symbol_of_ref(prod, action.position)
+            for attr_name, source in action.fields:
+                if source[0] != "field":
+                    add(allocation.group_of(symbol, attr_name), 1, 0)
+    return {group: (cost[0], cost[1]) for group, cost in costs.items()}
+
+
+class PlanMemo:
+    """The production plans of one build, keyed by what each plan reads
+    of the static allocation.
+
+    A ``(production, pass)`` plan reads the allocation only through the
+    attributes of the production's own symbols that are assigned to that
+    pass: every group the builder looks up is either guarded by
+    ``pass_of == pass_k`` or compared against a group that is.  So
+    ``(production, pass, grouping, those attributes' static subset)``
+    determines the plan, and a trial allocation that moves one group
+    re-plans only the productions whose key changed.  Each entry keeps
+    the plan and its :func:`plan_line_costs`.
+
+    A memo serves the one ``(ag, assignment, deadness)`` it was made for
+    and lives as long as one build; nothing stores or pickles it.
+    """
+
+    def __init__(
+        self,
+        ag: AttributeGrammar,
+        assignment: PassAssignment,
+        deadness: DeadnessAnalysis,
+    ):
+        self.ag = ag
+        self.assignment = assignment
+        self.deadness = deadness
+        in_pass: Dict[Tuple[str, int], List[AttrId]] = {}
+        for attr_id, pass_k in assignment.attr_pass.items():
+            in_pass.setdefault((attr_id[0], pass_k), []).append(attr_id)
+        #: (production, pass) -> the attributes that plan can read.
+        self._readable: Dict[Tuple[int, int], FrozenSet[AttrId]] = {}
+        for prod in ag.productions:
+            symbols = {prod.lhs, prod.limb, *prod.rhs}
+            for pass_k in range(1, assignment.n_passes + 1):
+                self._readable[(prod.index, pass_k)] = frozenset(
+                    attr_id for symbol in symbols
+                    for attr_id in in_pass.get((symbol, pass_k), ())
+                )
+        self._entries: Dict[tuple, Tuple[EvaluationPlan, Dict[str, Tuple[int, int]]]] = {}
+
+    def entry(
+        self, prod: Production, pass_k: int, allocation: StaticAllocation
+    ) -> Tuple[EvaluationPlan, Dict[str, Tuple[int, int]]]:
+        """``(plan, line costs)`` of ``prod`` in ``pass_k`` under
+        ``allocation``, built on the first request for its key."""
+        key = (prod.index, pass_k, allocation.config.grouping,
+               self._readable[(prod.index, pass_k)].intersection(allocation.static))
+        entry = self._entries.get(key)
+        if entry is None:
+            plan = _PlanBuilder(
+                self.ag, prod, pass_k, self.assignment, self.deadness, allocation
+            ).build()
+            entry = self._entries[key] = (
+                plan, plan_line_costs(self.ag, plan, allocation)
+            )
+        return entry
+
+
+def memo_for(
+    ag: AttributeGrammar,
+    assignment: PassAssignment,
+    deadness: DeadnessAnalysis,
+    memo: Optional[PlanMemo] = None,
+) -> PlanMemo:
+    """``memo`` once checked to serve these inputs, or a fresh memo."""
+    if memo is None:
+        return PlanMemo(ag, assignment, deadness)
+    if memo.ag is not ag or memo.assignment is not assignment or memo.deadness is not deadness:
+        raise ValueError(
+            "a plan memo serves only the grammar, pass assignment and "
+            "deadness analysis it was made for"
+        )
+    return memo
+
+
+def root_exports(
+    ag: AttributeGrammar,
+    assignment: PassAssignment,
+    allocation: StaticAllocation,
+    pass_k: int,
+) -> List[Tuple[str, str]]:
+    """The start symbol's static synthesized attributes of ``pass_k``:
+    ``(attr name, group)`` pairs the driver exports at the root."""
+    out: List[Tuple[str, str]] = []
+    for attr in ag.symbol(ag.start).synthesized:
+        group = allocation.group_of(ag.start, attr.name)
+        if group is not None and assignment.pass_of(ag.start, attr.name) == pass_k:
+            out.append((attr.name, group))
+    return out
+
+
 def build_pass_plans(
     ag: AttributeGrammar,
     assignment: PassAssignment,
     deadness: DeadnessAnalysis,
     allocation: StaticAllocation,
+    memo: Optional[PlanMemo] = None,
 ) -> List[PassPlan]:
-    """Build every pass's plans (pass numbers 1..n)."""
+    """Build every pass's plans (pass numbers 1..n), reusing the plans
+    ``memo`` already holds (a fresh memo when none is given)."""
+    memo = memo_for(ag, assignment, deadness, memo)
     out: List[PassPlan] = []
-    start_sym = ag.symbol(ag.start)
     for pass_k in range(1, assignment.n_passes + 1):
         plans: Dict[int, EvaluationPlan] = {}
         groups: Set[str] = set()
         for prod in ag.productions:
-            builder = _PlanBuilder(ag, prod, pass_k, assignment, deadness, allocation)
-            plan = builder.build()
+            plan = memo.entry(prod, pass_k, allocation)[0]
             plans[prod.index] = plan
             for action in plan.actions:
                 if action.group and action.kind is not ActionKind.SUBSUME:
                     groups.add(action.group)
-        root_exports: List[Tuple[str, str]] = []
-        for attr in start_sym.synthesized:
-            group = allocation.group_of(ag.start, attr.name)
-            if group is not None and assignment.pass_of(ag.start, attr.name) == pass_k:
-                root_exports.append((attr.name, group))
-                groups.add(group)
+        exports = root_exports(ag, assignment, allocation, pass_k)
+        groups.update(group for _attr, group in exports)
         out.append(
             PassPlan(
                 pass_k=pass_k,
                 direction=assignment.direction(pass_k),
                 plans=plans,
                 groups=sorted(groups),
-                root_exports=root_exports,
+                root_exports=exports,
                 root_fields=deadness.fields_after_pass(ag.start, pass_k),
             )
         )

@@ -183,6 +183,7 @@ def refine_allocation(
     allocation: StaticAllocation,
     deadness,
     max_rounds: int = 12,
+    memo=None,
 ) -> StaticAllocation:
     """Re-examine the allocation against the *actually generated* plans.
 
@@ -193,12 +194,18 @@ def refine_allocation(
     whose single initializer made each attribute look unprofitable in
     isolation — the situation the paper's Conclusions attribute to its
     own algorithm's non-optimality).
+
+    Each trial is measured through ``memo`` (a
+    :class:`~repro.evalgen.plan.PlanMemo`; a fresh one when none is
+    given), so it re-plans only the productions whose plans can see the
+    groups it moved, and the caller can generate from the final plans.
     """
-    from repro.evalgen.plan import build_pass_plans
+    from repro.evalgen.plan import memo_for
 
     config = allocation.config
     if not config.enabled:
         return allocation
+    memo = memo_for(ag, assignment, deadness, memo)
 
     # All candidate attributes, grouped the way the allocation groups.
     candidates: Dict[str, Set[AttrId]] = {}
@@ -236,9 +243,7 @@ def refine_allocation(
 
     def measure(static: Set[AttrId]):
         """(static_lines, normal_lines) per group for this allocation."""
-        trial = StaticAllocation(config, static=set(static))
-        plans = build_pass_plans(ag, assignment, deadness, trial)
-        return _group_costs(ag, plans, trial)
+        return _group_costs(memo, StaticAllocation(config, static=set(static)))
 
     for _ in range(max_rounds):
         static_lines, normal_lines = measure(allocation.static)
@@ -267,47 +272,23 @@ def refine_allocation(
     return allocation
 
 
-def _group_costs(ag: AttributeGrammar, plans, allocation: StaticAllocation):
+def _group_costs(memo, allocation: StaticAllocation):
     """Weighted generated-line counts per static group: what the group
     costs as allocated vs what the same bindings would cost as plain
-    node-field assignments."""
-    from repro.evalgen.plan import ActionKind
+    node-field assignments — every plan's cached line costs, plus one
+    export line per static root attribute."""
+    from repro.evalgen.plan import root_exports
 
+    ag, assignment = memo.ag, memo.assignment
     static_lines: Dict[str, int] = {g: 0 for g in allocation.groups()}
-    normal_lines: Dict[str, int] = {g: 0 for g in allocation.groups()}
-    for pass_plan in plans:
-        for eplan in pass_plan.plans.values():
-            prod = ag.productions[eplan.production]
-
-            def sym_at(pos: int) -> str:
-                if pos == LHS_POSITION:
-                    return prod.lhs
-                if pos == LIMB_POSITION:
-                    return prod.limb
-                return prod.rhs[pos - 1]
-
-            for action in eplan.actions:
-                kind = action.kind
-                if kind in (ActionKind.SNAPSHOT, ActionKind.SETGLOBAL,
-                            ActionKind.ENTRY_SAVE, ActionKind.EXIT_RESTORE):
-                    if action.group in static_lines:
-                        static_lines[action.group] += 1
-                elif kind in (ActionKind.COMPUTE, ActionKind.SUBSUME):
-                    t = action.binding.target
-                    g = allocation.group_of(t.symbol, t.attr_name)
-                    if g in static_lines:
-                        normal_lines[g] += 1  # one code line either way
-                        if kind is ActionKind.COMPUTE:
-                            static_lines[g] += 1
-                elif kind is ActionKind.PUT:
-                    for attr_name, source in action.fields:
-                        if source[0] != "field":
-                            g = allocation.group_of(sym_at(action.position), attr_name)
-                            if g in static_lines:
-                                static_lines[g] += 1
-        for _attr, g in pass_plan.root_exports:
-            if g in static_lines:
-                static_lines[g] += 1
+    normal_lines: Dict[str, int] = dict(static_lines)
+    for pass_k in range(1, assignment.n_passes + 1):
+        for prod in ag.productions:
+            for g, (static, normal) in memo.entry(prod, pass_k, allocation)[1].items():
+                static_lines[g] += static
+                normal_lines[g] += normal
+        for _attr, g in root_exports(ag, assignment, allocation, pass_k):
+            static_lines[g] += 1
     return static_lines, normal_lines
 
 
@@ -317,6 +298,7 @@ def exhaustive_allocation(
     deadness,
     config: Optional[SubsumptionConfig] = None,
     max_candidates: int = 14,
+    memo=None,
 ):
     """Exhaustive search for the optimal static set (Conclusions, §V:
     "whether a more complete and global analysis of the attribute
@@ -324,15 +306,18 @@ def exhaustive_allocation(
 
     Tries *every* subset of the candidate attributes and measures the
     actual generated semantic-code bytes; only feasible for small
-    grammars (the candidate count is capped).  Returns
-    ``(best_allocation, best_sem_bytes, evaluated_subsets)``.
+    grammars (the candidate count is capped).  Every subset plans
+    through one :class:`~repro.evalgen.plan.PlanMemo` (``memo``, or a
+    fresh one), so a production is planned once per distinct view.
+    Returns ``(best_allocation, best_sem_bytes, evaluated_subsets)``.
     """
     from itertools import combinations
 
     from repro.evalgen.codegen_pascal import PascalCodeGenerator
-    from repro.evalgen.plan import build_pass_plans
+    from repro.evalgen.plan import build_pass_plans, memo_for
 
     config = config or SubsumptionConfig()
+    memo = memo_for(ag, assignment, deadness, memo)
     candidates: List[AttrId] = []
     for sym in ag.symbols.values():
         for attr in sym.attributes.values():
@@ -347,7 +332,7 @@ def exhaustive_allocation(
 
     def sem_bytes_of(static: Set[AttrId]) -> int:
         allocation = StaticAllocation(config, static=set(static))
-        plans = build_pass_plans(ag, assignment, deadness, allocation)
+        plans = build_pass_plans(ag, assignment, deadness, allocation, memo)
         artifacts = PascalCodeGenerator(ag).generate_all(plans)
         return sum(a.sem_bytes for a in artifacts)
 

@@ -73,9 +73,10 @@ def canonical_value(value: Any) -> str:
     Matches the ``repro run`` / differential-harness rendering: non-str
     iterables (``CatSeq`` chains, tuples) materialize as lists, then
     everything goes through ``repr`` — so values recorded from lazy
-    list structures compare equal across backends.
+    list structures compare equal across backends.  A dict renders by
+    its own ``repr``, so its values count, not only its keys.
     """
-    if hasattr(value, "__iter__") and not isinstance(value, str):
+    if hasattr(value, "__iter__") and not isinstance(value, (str, dict)):
         return repr(list(value))
     return repr(value)
 

@@ -466,7 +466,7 @@ BOTTOM = _Bottom()
 
 #: Names the rule below; a change to how values are hashed changes it,
 #: so that digests taken under the old rule are never compared with new.
-DIGEST_RULE = "lists-poly127-blake2b16/2"
+DIGEST_RULE = "lists-poly127-blake2b16/3"
 
 #: A sequence's element hashes ``v_0 … v_{n-1}`` (head first) combine
 #: as the polynomial ``sum(v_i * BASE**i) mod MOD``.  The polynomial of

@@ -155,9 +155,22 @@ def test_moving_one_element_changes_the_digest(items, data):
     )
 
 
+def test_dict_values_change_the_fingerprint():
+    """A dict attribute renders and fingerprints by its values too, not
+    only by its keys (once the rendering was ``repr(list(d))``)."""
+    from repro.passes.incremental import context_fingerprint
+
+    assert canonical_value({1: 2}) != canonical_value({1: 3})
+    assert digest({1: 2}) != digest({1: 3})
+    assert (context_fingerprint({"A": {1: 2}}, [])
+            != context_fingerprint({"A": {1: 3}}, []))
+    assert (context_fingerprint({}, [("G", {1: 2})])
+            != context_fingerprint({}, [("G", {1: 3})]))
+
+
 def test_nested_dict_values_change_the_digest():
-    """``canonical_value`` renders a dict by its keys, but the elements
-    of a container by their ``repr``, which shows a dict's values."""
+    """The elements of a container render by their ``repr``, which
+    shows a dict's values."""
     for wrap in (lambda d: (1, d), lambda d: Sequence.from_iterable([d]),
                  lambda d: ConsList.from_iterable([d, 2]),
                  lambda d: PartialFunction.empty().bind("k", d)):
