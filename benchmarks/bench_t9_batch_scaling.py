@@ -10,7 +10,7 @@ benchmark quantifies the fan-out:
 
 * **scaling** — wall-clock throughput of ``translate_many`` at
   ``jobs=1`` (in-process sequential) vs ``jobs=2`` and ``jobs=4``
-  (supervised workers, pipelined), with byte-identical outputs
+  (supervised workers), with byte-identical outputs
   asserted across all of them;
 * **warm startup** — per-worker build-cache rehydration cost,
   best-of-N in-process (the same code path a freshly spawned or

@@ -18,25 +18,20 @@ instead of rebuilding**.  This module is that batch driver:
   rehydrates the translator through :func:`build_batch_translator`
   from the build cache the driver has just written, so no worker
   rebuilds;
-* execution is **pipelined** at two levels: the driver keeps up to
-  ``pipeline_depth`` inputs in flight per worker, and inside each
-  worker a scan-ahead thread lexes input N+1 while input N is being
-  evaluated and its response flushed — with **per-input isolation**
-  preserved: one failed input is reported in its :class:`BatchItem`
-  while every other input completes (an input lost to a worker crash
-  while merely *queued* behind the culprit is re-dispatched once);
+* each worker runs one input at a time through the call sequential
+  batch makes (``translator.translate(text, memo_dir=...)``), with
+  **per-input isolation**: one failed input is reported in its
+  :class:`BatchItem` while every other input completes, and an input
+  whose worker crashed is retried once on a fresh worker;
 * ``timeout=`` (CLI ``--timeout``) bounds every input: a hung input is
   recorded as a failed :class:`BatchItem` with a typed
   :class:`~repro.errors.TranslationTimeout` and its worker is killed
-  and restarted, so one pathological input never stalls the pool
-  (deadlines collapse the pipeline to depth 1 so a queued input's
-  clock never runs while its predecessor executes);
+  and restarted, so one pathological input never stalls the pool;
 * ``KeyboardInterrupt`` terminates the workers and
   returns a *partial* :class:`BatchReport` (``interrupted=True``)
   instead of hanging in the pool join;
-* telemetry lands in the ``batch.*`` counters/gauges (including
-  ``batch.pipeline.*``) and ``batch.*`` trace instants (see
-  ``docs/performance.md``).
+* telemetry lands in the ``batch.*`` counters/gauges and ``batch.*``
+  trace instants (see ``docs/performance.md``).
 
 Sequential (``jobs <= 1``) and parallel executions produce identical
 results; the differential suite's ``cached`` axis pins the workers'
@@ -45,6 +40,7 @@ cache-rehydrated path to the others.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import sys
@@ -61,15 +57,10 @@ from repro.errors import (
 )
 from repro.evalgen.runtime import EvaluationResult
 
-#: How many inputs the driver keeps in flight per worker by default
-#: (the worker's scan-ahead stage overlaps them; see module docstring).
-DEFAULT_PIPELINE_DEPTH = 2
-
-#: An input lost to a worker crash while *queued* (not necessarily the
-#: input that killed the worker) is re-dispatched up to this many times
-#: in total before it is reported as failed.  A deterministic crasher
-#: therefore fails after the cap while its innocent queue-mates
-#: complete on the retry.
+#: An input whose worker crashed is dispatched up to this many times in
+#: total (each on a fresh incarnation) before it is reported as failed,
+#: so a transient crash costs nothing and a deterministic crasher fails
+#: after the cap — the serve daemon's ``max_retries=1``.
 _MAX_ATTEMPTS = 2
 
 
@@ -226,7 +217,6 @@ def run_batch(
     metrics=None,
     tracer=None,
     timeout: Optional[float] = None,
-    pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
 ) -> BatchReport:
     """Translate ``texts`` through ``translator``; see
     :meth:`repro.core.Translator.translate_many`.
@@ -236,11 +226,14 @@ def run_batch(
     requires the supervised-worker path: with ``jobs <= 1`` and a
     timeout the batch still runs through one supervised subprocess
     (same results, enforceable deadline) rather than in-process.
-
-    ``pipeline_depth`` caps the inputs in flight per worker (ignored —
-    collapsed to 1 — under a timeout, so a queued input's deadline
-    clock never runs while its predecessor executes).
+    A ``timeout`` that is not a positive, finite number raises
+    :class:`ValueError`.
     """
+    if timeout is not None and not 0 < timeout < math.inf:
+        raise ValueError(
+            "timeout must be a positive, finite number of seconds, "
+            f"not {timeout!r}"
+        )
     texts = list(texts)
     started = time.perf_counter()
     if tracer is not None:
@@ -258,12 +251,7 @@ def run_batch(
                 "CLI) so workers know how to reconstruct it"
             )
         items, interrupted = _run_supervised(
-            spec,
-            texts,
-            max(1, jobs),
-            timeout,
-            metrics,
-            max(1, pipeline_depth),
+            spec, texts, max(1, jobs), timeout, metrics
         )
     else:
         seq_spec = getattr(translator, "spawn_spec", None)
@@ -379,23 +367,19 @@ def _run_supervised(
     jobs: int,
     timeout: Optional[float],
     metrics=None,
-    pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
 ) -> Tuple[List[BatchItem], bool]:
     """Fan inputs across supervised worker subprocesses.
 
-    One driver thread per worker pulls inputs off a shared deque and
-    keeps up to ``pipeline_depth`` of them in flight on its
-    :class:`~repro.serve.workers.WorkerHandle` (depth 1 under a
-    timeout).  A timed-out input is recorded as failed and its worker
-    killed and restarted; a crashed worker takes its in-flight inputs
-    down — each is re-dispatched once (so inputs merely queued behind
-    the culprit complete) before being recorded as failed.  Ctrl-C
-    kills the workers and returns whatever finished
+    One driver thread per worker pops inputs off a shared deque and
+    runs each through :meth:`~repro.serve.workers.WorkerHandle.call`.
+    A timed-out input is recorded as failed and its worker killed and
+    restarted; a crashed worker is restarted and its input retried
+    once on the fresh incarnation before being recorded as failed.
+    Ctrl-C kills the workers and returns whatever finished
     (``interrupted=True``).
     """
     from repro.serve.workers import WorkerHandle
 
-    depth = 1 if timeout is not None else max(1, pipeline_depth)
     mp_context = _batch_mp_context()
     handles = [
         WorkerHandle(
@@ -403,135 +387,59 @@ def _run_supervised(
         ).start()
         for i in range(jobs)
     ]
-    if metrics is not None:
-        metrics.gauge("batch.pipeline.depth").set(depth)
-    #: (index, text, attempt) triples; attempts count dispatches.
-    pending = deque((i, t, 1) for i, t in enumerate(texts))
+    pending = deque(enumerate(texts))
     done: Dict[int, BatchItem] = {}
     lock = threading.Lock()
     stop = threading.Event()
 
-    def record(item: BatchItem) -> None:
-        with lock:
-            done[item.index] = item
-
-    def drive(handle: WorkerHandle) -> None:
-        #: index -> (text, attempt, t0_perf, deadline_monotonic|None)
-        outstanding: Dict[int, Tuple[str, int, float, Optional[float]]] = {}
-
-        def settle_crash(message: str) -> None:
-            # The incarnation died with these inputs in flight.  Any of
-            # them may be the culprit, so each gets one re-dispatch
-            # (innocent queue-mates complete on the retry; a
-            # deterministic crasher exhausts its attempts and fails).
-            for index in sorted(outstanding):
-                text, attempt, t0, _dl = outstanding[index]
-                if attempt < _MAX_ATTEMPTS and not stop.is_set():
-                    with lock:
-                        pending.append((index, text, attempt + 1))
-                    if metrics is not None:
-                        metrics.counter("batch.pipeline.requeued").inc()
-                else:
-                    record(
-                        BatchItem(
-                            index=index,
-                            ok=False,
-                            error_type="WorkerCrashed",
-                            error=message,
-                            seconds=time.perf_counter() - t0,
-                        )
-                    )
-            outstanding.clear()
-
-        while not stop.is_set():
-            # Top up the in-flight window from the shared queue.
-            submit_failed = False
-            while len(outstanding) < depth:
-                with lock:
-                    if not pending:
-                        break
-                    # Retries run in a window of one: a crashed worker
-                    # implicates *every* in-flight input, so pipelining
-                    # anything behind (or in front of) a re-dispatched
-                    # job would let a second crash exhaust an innocent
-                    # queue-mate's attempts.  Isolated, the next crash
-                    # blames exactly the culprit.
-                    if pending[0][2] > 1 and outstanding:
-                        break
-                    job = pending.popleft()
-                index, text, attempt = job
-                try:
-                    handle.submit(index, text)
-                except WorkerCrashed:
-                    with lock:
-                        pending.appendleft(job)
-                    submit_failed = True
-                    break
-                outstanding[index] = (
-                    text,
-                    attempt,
-                    time.perf_counter(),
-                    None if timeout is None else time.monotonic() + timeout,
-                )
-                if metrics is not None and len(outstanding) > 1:
-                    metrics.counter("batch.pipeline.overlapped").inc()
-                if attempt > 1:
-                    break  # nothing pipelines behind a retry
-            if not outstanding:
-                if submit_failed:
-                    if stop.is_set():
-                        return
-                    handle.restart()
-                    continue
-                with lock:
-                    if not pending:
-                        return
-                continue
-            deadline = None
-            if timeout is not None:
-                deadline = min(
-                    dl for *_rest, dl in outstanding.values()
-                    if dl is not None
-                )
+    def run_one(
+        handle: WorkerHandle, index: int, text: str
+    ) -> Optional[BatchItem]:
+        attempt = 1
+        while True:
+            t0 = time.perf_counter()
             try:
-                answer = handle.next_answer(
-                    deadline=deadline, timeout=timeout,
-                    cancelled=stop.is_set,
+                return _item_from_tuple(
+                    handle.call(
+                        index, text, timeout=timeout, cancelled=stop.is_set
+                    )
                 )
             except TranslationTimeout as exc:
-                # Only reachable under a timeout, where depth is 1: the
-                # single outstanding input is the hung one.
-                hung = min(
-                    outstanding, key=lambda i: outstanding[i][3] or 0.0
+                if not stop.is_set():
+                    handle.restart()  # the old incarnation is wedged
+                return BatchItem(
+                    index=index,
+                    ok=False,
+                    error_type="TranslationTimeout",
+                    error=str(exc),
+                    seconds=time.perf_counter() - t0,
                 )
-                text, attempt, t0, _dl = outstanding.pop(hung)
-                record(
-                    BatchItem(
-                        index=hung,
+            except WorkerCrashed as exc:
+                if stop.is_set():
+                    return None  # shutdown, not a verdict on this input
+                handle.restart()
+                if attempt == _MAX_ATTEMPTS:
+                    return BatchItem(
+                        index=index,
                         ok=False,
-                        error_type="TranslationTimeout",
+                        error_type="WorkerCrashed",
                         error=str(exc),
                         seconds=time.perf_counter() - t0,
                     )
-                )
-                if not stop.is_set():
-                    handle.restart()  # the old incarnation is wedged
-                settle_crash(
-                    f"worker {handle.worker_id} was killed after a "
-                    "timeout while this input was queued behind the "
-                    "hung one"
-                )
-                continue
-            except WorkerCrashed as exc:
-                if stop.is_set():
-                    return  # shutdown, not a verdict on these inputs
-                settle_crash(str(exc))
-                handle.restart()
-                continue
-            entry = outstanding.pop(answer[0], None)
-            if entry is None:
-                continue  # stale answer from a pre-restart job: drop it
-            record(_item_from_tuple(answer))
+                attempt += 1
+                if metrics is not None:
+                    metrics.counter("batch.retries").inc()
+
+    def drive(handle: WorkerHandle) -> None:
+        while not stop.is_set():
+            with lock:
+                if not pending:
+                    return
+                index, text = pending.popleft()
+            item = run_one(handle, index, text)
+            if item is not None:
+                with lock:
+                    done[index] = item
 
     threads = [
         threading.Thread(
@@ -552,7 +460,7 @@ def _run_supervised(
         interrupted = True
         stop.set()
         # Join the drivers BEFORE kill() discards the queues: a driver
-        # may be inside handle.next_answer()'s response_q.get(), and
+        # may be inside handle.call()'s response_q.get(), and
         # yanking the queue out from under it would crash the thread
         # instead of letting the cancelled callback end it within one
         # poll.

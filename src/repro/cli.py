@@ -32,6 +32,7 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -620,7 +621,6 @@ def cmd_batch(args) -> int:
     ]
     report = translator.translate_many(
         texts, jobs=args.jobs, metrics=metrics, timeout=args.timeout,
-        pipeline_depth=args.pipeline_depth,
     )
 
     if args.output_dir:
@@ -768,6 +768,19 @@ def cmd_selfcheck(args) -> int:
           f"{machine.n_copies} explicit copy-rules")
     print(f"  evaluated in {selfgen.linguist.n_passes} alternating passes")
     return 0
+
+
+def _seconds(value: str) -> float:
+    """argparse type for a deadline: a positive, finite float."""
+    try:
+        seconds = float(value)
+    except ValueError:
+        seconds = math.nan  # rejected below, with the same message
+    if not 0 < seconds < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive, finite number of seconds, not {value!r}"
+        )
+    return seconds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1081,16 +1094,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluator backend (default generated)",
     )
     p_batch.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout", type=_seconds, default=None, metavar="SECONDS",
         help="per-input deadline; a hung input is recorded as a failed "
         "item (TranslationTimeout) and its worker killed + restarted "
         "(implies supervised subprocess execution even with -j 1)",
-    )
-    p_batch.add_argument(
-        "--pipeline-depth", type=int, default=None, metavar="N",
-        help="inputs kept in flight per worker so scan of input N+1 "
-        "overlaps evaluation of input N (default 2; --timeout forces 1 "
-        "so a queued input's deadline clock never runs early)",
     )
     p_batch.add_argument(
         "--memo-dir", metavar="DIR",
@@ -1134,7 +1141,7 @@ def build_parser() -> argparse.ArgumentParser:
         "429 + Retry-After instead of buffering (default 16)",
     )
     p_serve.add_argument(
-        "--timeout", type=float, default=30.0, metavar="SECONDS",
+        "--timeout", type=_seconds, default=30.0, metavar="SECONDS",
         help="per-request deadline (default 30); a request that "
         "outlives it is cancelled and its worker killed + restarted",
     )

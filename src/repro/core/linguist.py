@@ -573,33 +573,29 @@ class Translator:
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
         timeout: Optional[float] = None,
-        pipeline_depth: Optional[int] = None,
     ):
         """Translate many independent inputs, optionally in parallel.
 
         With ``jobs <= 1`` the inputs run sequentially in-process; with
         ``jobs > 1`` they fan out across supervised worker subprocesses
-        (:mod:`repro.serve.workers`) that rehydrate this translator from
-        the build cache it was built through, which is why it must be
-        built with :func:`repro.batch.build_batch_translator` or
-        ``repro batch``.  Each input is isolated — one failure is
-        reported in its :class:`repro.batch.BatchItem` while the others
-        complete.  ``timeout`` bounds every input (enforced by killing
-        and restarting the worker, so it implies the supervised path
-        even for ``jobs=1``).  ``pipeline_depth`` is the pipelining knob
-        of :func:`repro.batch.run_batch`.
+        (:mod:`repro.serve.workers`), each running one input at a time
+        through this same :meth:`translate` call.  Workers rehydrate
+        this translator from the build cache it was built through,
+        which is why it must be built with
+        :func:`repro.batch.build_batch_translator` or ``repro batch``.
+        Each input is isolated — one failure is reported in its
+        :class:`repro.batch.BatchItem` while the others complete, and
+        an input whose worker crashed is retried once on a fresh
+        worker.  ``timeout`` (positive, finite seconds) bounds every
+        input (enforced by killing and restarting the worker, so it
+        implies the supervised path even for ``jobs=1``).
         Returns a :class:`repro.batch.BatchReport`.
         """
-        from repro.batch import DEFAULT_PIPELINE_DEPTH, run_batch
+        from repro.batch import run_batch
 
         return run_batch(
             self, texts, jobs=jobs, metrics=metrics, tracer=tracer,
             timeout=timeout,
-            pipeline_depth=(
-                DEFAULT_PIPELINE_DEPTH
-                if pipeline_depth is None
-                else pipeline_depth
-            ),
         )
 
     def translate_tokens(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -172,6 +173,12 @@ class HttpFrontend:
                 timeout = float(params["timeout"][0])
             except ValueError:
                 return 400, {}, _json_err("BadRequest", "bad timeout value")
+            if not 0 < timeout < math.inf:
+                # A NaN, infinite or non-positive deadline would time out
+                # at once, kill a worker and count a breaker failure.
+                return 400, {}, _json_err(
+                    "BadRequest", "timeout must be positive and finite"
+                )
         try:
             text = body.decode("utf-8")
         except UnicodeDecodeError:

@@ -24,16 +24,15 @@ The worker side (:func:`worker_main`) runs the translator its
 supervisor handed over when the process was forked — the serve daemon's
 warm instance, inherited with no hydration at all — and otherwise
 rehydrates it from the build cache named by its
-:class:`~repro.batch.WorkerSpec`, exactly the ``repro batch`` recipe,
-so a serve worker and a batch worker produce byte-identical results by
-construction.  Inside the worker the stages are **pipelined**: a
-scan-ahead thread lexes input N+1 while the main thread
-parses/evaluates input N and flushes its response, with
-per-input failure isolation preserved (a stage failure is reported on
-that input's response tuple only).  Result tuples use the batch wire
-shape ``(job_id, ok, root_attrs, n_passes, error_type, error,
-seconds)``; :func:`repro.batch._item_from_tuple` and the serve daemon
-both consume it.
+:class:`~repro.batch.WorkerSpec`, exactly the ``repro batch`` recipe.
+Its job loop is one call per input, the call sequential batch makes
+(``translator.translate(text, memo_dir=...)``), so a serve worker, a
+batch worker and ``repro batch -j 1`` produce byte-identical results by
+construction; a failure is reported on that input's response tuple
+only.  Result tuples use the batch wire shape ``(job_id, ok,
+root_attrs, n_passes, error_type, error, seconds)``;
+:func:`repro.batch._item_from_tuple` and the serve daemon both consume
+it.
 """
 
 from __future__ import annotations
@@ -55,13 +54,6 @@ DEFAULT_HEARTBEAT_INTERVAL = 0.5
 
 #: How long :meth:`WorkerHandle.call` sleeps between response polls.
 _POLL_SECONDS = 0.02
-
-#: How many inputs the worker's scan-ahead stage may lex beyond the one
-#: currently being evaluated (bounds token-buffer memory).
-SCAN_AHEAD = 2
-
-#: Sentinel for :meth:`WorkerHandle._await_answer`: match any job.
-_ANY = object()
 
 
 def _heartbeat_loop(beat, interval: float, stop: threading.Event) -> None:
@@ -105,11 +97,6 @@ def worker_main(
     failure to *build* the translator — is reported through the
     response queue with per-job isolation; the loop itself only exits
     on the sentinel.
-
-    Execution is pipelined: the scan stage runs on its own thread,
-    lexing up to :data:`SCAN_AHEAD` inputs past the one the main
-    thread is parsing/evaluating, so the first pass of input N+1 is
-    ready the moment input N's response is flushed.
     """
     from repro.testing.faults import maybe_hang
 
@@ -135,61 +122,27 @@ def worker_main(
     # root per worker id, so this process is the directory's only writer.
     memo_dir = getattr(spec, "memo_dir", None)
 
-    #: (job_id, text, tokens, stage_error, started) — or None to stop.
-    scanned: "queue.Queue" = queue.Queue(maxsize=SCAN_AHEAD)
-
-    def scan_loop() -> None:
-        while True:
-            job = request_q.get()
-            if job is None:
-                scanned.put(None)
-                return
-            job_id, text = job
-            started = time.perf_counter()
-            tokens = None
-            error: Optional[BaseException] = None
-            try:
-                maybe_hang(text)
-                if translator is None:
-                    raise build_error  # type: ignore[misc]
-                if translator.scanner is not None:
-                    tokens = list(translator.scanner.tokens(text))
-            except BaseException as exc:  # per-job isolation
-                error = exc
-            scanned.put((job_id, text, tokens, error, started))
-
-    threading.Thread(
-        target=scan_loop, daemon=True, name="repro-worker-scan"
-    ).start()
-
     while True:
-        item = scanned.get()
-        if item is None:
+        job = request_q.get()
+        if job is None:
             stop.set()
             return
-        job_id, text, tokens, error, started = item
-        result = None
-        if error is None:
-            try:
-                if tokens is not None:
-                    result = translator.translate_tokens(
-                        iter(tokens), memo_dir=memo_dir
-                    )
-                else:
-                    # Scanner-less translator: translate() raises the
-                    # canonical EvaluationError for this input.
-                    result = translator.translate(text, memo_dir=memo_dir)
-            except BaseException as exc:  # per-job isolation
-                error = exc
-        if error is not None:
+        job_id, text = job
+        started = time.perf_counter()
+        try:
+            maybe_hang(text)
+            if translator is None:
+                raise build_error  # type: ignore[misc]
+            result = translator.translate(text, memo_dir=memo_dir)
+        except BaseException as exc:  # per-job isolation
             response_q.put(
                 (
                     job_id,
                     False,
                     None,
                     0,
-                    type(error).__name__,
-                    str(error),
+                    type(exc).__name__,
+                    str(exc),
                     time.perf_counter() - started,
                 )
             )
@@ -212,9 +165,9 @@ class WorkerHandle:
 
     Not thread-safe for concurrent use — each handle is driven by one
     supervisor (the daemon binds one dispatcher task per handle; batch
-    binds one driver thread per handle).  One driver may keep several
-    jobs in flight on its handle via :meth:`submit` +
-    :meth:`next_answer` (the pipelined batch path).
+    binds one driver thread per handle), and that supervisor has at
+    most one job in flight on it: :meth:`call` sends one input and
+    waits for its answer.
     """
 
     def __init__(
@@ -350,14 +303,6 @@ class WorkerHandle:
 
     # -- request execution -------------------------------------------------
 
-    def submit(self, job_id: Any, text: str) -> None:
-        if self.request_q is None:
-            raise WorkerCrashed(
-                f"worker {self.worker_id} is not running",
-                worker_id=self.worker_id,
-            )
-        self.request_q.put((job_id, text))
-
     def call(
         self,
         job_id: Any,
@@ -376,33 +321,13 @@ class WorkerHandle:
         polled between waits; returning True aborts the wait with
         :class:`~repro.errors.WorkerCrashed` (used for pool shutdown).
         """
-        self.submit(job_id, text)
+        if self.request_q is None:
+            raise WorkerCrashed(
+                f"worker {self.worker_id} is not running",
+                worker_id=self.worker_id,
+            )
+        self.request_q.put((job_id, text))
         deadline = None if timeout is None else time.monotonic() + timeout
-        return self._await_answer(job_id, deadline, timeout, cancelled)
-
-    def next_answer(
-        self,
-        deadline: Optional[float] = None,
-        timeout: Optional[float] = None,
-        cancelled=None,
-    ) -> ResultTuple:
-        """Wait for *any* outstanding answer (the pipelined-batch path,
-        where several :meth:`submit`-ed jobs ride one incarnation).
-
-        ``deadline`` is an absolute ``time.monotonic()`` instant
-        (``timeout`` only labels the raised
-        :class:`~repro.errors.TranslationTimeout`); crash/cancel
-        semantics match :meth:`call`.
-        """
-        return self._await_answer(_ANY, deadline, timeout, cancelled)
-
-    def _await_answer(
-        self,
-        job_id: Any,
-        deadline: Optional[float],
-        timeout: Optional[float],
-        cancelled,
-    ) -> ResultTuple:
         while True:
             response_q = self.response_q
             if response_q is None:
@@ -425,7 +350,7 @@ class WorkerHandle:
                     worker_id=self.worker_id,
                 ) from None
             else:
-                if job_id is _ANY or answer[0] == job_id:
+                if answer[0] == job_id:
                     return answer
                 continue  # stale answer from a pre-restart job: drop it
             if cancelled is not None and cancelled():
@@ -438,7 +363,7 @@ class WorkerHandle:
                 # once more before declaring the job lost.
                 try:
                     answer = response_q.get(timeout=_POLL_SECONDS)
-                    if job_id is _ANY or answer[0] == job_id:
+                    if answer[0] == job_id:
                         return answer
                 except (queue.Empty, OSError, ValueError):
                     pass
@@ -449,11 +374,8 @@ class WorkerHandle:
                     worker_id=self.worker_id,
                 )
             if deadline is not None and time.monotonic() >= deadline:
-                label = "its deadline" if timeout is None else (
-                    f"its {timeout:.3g}s deadline"
-                )
                 raise TranslationTimeout(
-                    f"translation exceeded {label} "
+                    f"translation exceeded its {timeout:.3g}s deadline "
                     f"on worker {self.worker_id}",
                     seconds=timeout,
                 )

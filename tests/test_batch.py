@@ -174,6 +174,16 @@ class TestBatchTimeout:
         plain = translator.translate_many(INPUTS[:6], jobs=2)
         assert summarize(timed) == summarize(plain)
 
+    @pytest.mark.parametrize("timeout", [0, -1, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_timeout_is_rejected(
+        self, tmp_path, timeout
+    ):
+        """A deadline that cannot be met (or never ends) is a caller
+        error, not a per-input timeout that kills a worker each time."""
+        translator = make_translator(tmp_path)
+        with pytest.raises(ValueError, match="positive, finite"):
+            translator.translate_many(INPUTS[:2], timeout=timeout)
+
 
 class TestBatchInterrupt:
     def test_keyboard_interrupt_returns_partial_report(
@@ -281,16 +291,16 @@ class TestBatchCLI:
 
 
 class TestBatchPipelineIsolation:
-    """Failure isolation under the pipelined (scan-ahead) worker loop:
-    a worker dying *mid-input* must cost exactly that input."""
+    """Failure isolation under the supervised worker loop: a worker
+    dying *mid-input* must cost exactly that input."""
 
     def test_worker_death_mid_pipelined_input_is_isolated(
         self, tmp_path, monkeypatch
     ):
-        """SIGKILL-equivalent death (``os._exit(3)`` in the scan stage)
-        while inputs are pipelined behind the dying one: the culprit
-        fails as ``WorkerCrashed`` after its bounded re-dispatch,
-        and every innocent queue-mate completes."""
+        """Death (``os._exit(3)`` as the input arrives) while other
+        inputs wait behind the dying one: the culprit fails as
+        ``WorkerCrashed`` after its one retry on a fresh worker, and
+        every innocent input completes."""
         from repro.testing.faults import DIE_MARKER_ENV
 
         monkeypatch.setenv(DIE_MARKER_ENV, "@@die@@")
@@ -298,9 +308,7 @@ class TestBatchPipelineIsolation:
         translator = make_translator(tmp_path)
         die_index = 6
         texts = [*INPUTS[:die_index], "@@die@@", *INPUTS[die_index:10]]
-        report = translator.translate_many(
-            texts, jobs=2, pipeline_depth=2, metrics=metrics
-        )
+        report = translator.translate_many(texts, jobs=2, metrics=metrics)
         assert len(report.items) == len(texts)
         victim = report.items[die_index]
         assert not victim.ok
@@ -309,6 +317,7 @@ class TestBatchPipelineIsolation:
         assert all(
             item.ok for item in report.items if item.index != die_index
         ), "an innocent queue-mate of the dying input was lost"
+        assert metrics.snapshot()["batch.retries"] == 1
         # ...and the survivors are byte-identical to sequential runs.
         seq = translator.translate_many(
             [t for t in texts if t != "@@die@@"], jobs=1
@@ -323,8 +332,8 @@ class TestBatchPipelineIsolation:
         ]
 
     def test_interrupt_during_pipelined_batch(self, tmp_path, monkeypatch):
-        """Ctrl-C mid-pipelined-batch: a partial report of only
-        completed items comes back."""
+        """Ctrl-C mid-batch: a partial report of only completed items
+        comes back."""
         import _thread
         import threading
 
@@ -337,23 +346,12 @@ class TestBatchPipelineIsolation:
         timer = threading.Timer(2.0, _thread.interrupt_main)
         timer.start()
         try:
-            report = translator.translate_many(
-                texts, jobs=2, pipeline_depth=3
-            )
+            report = translator.translate_many(texts, jobs=2)
         finally:
             timer.cancel()
         assert report.interrupted
         assert len(report.items) < len(texts)
         assert all(item.ok for item in report.items)
-
-    def test_deep_pipeline_matches_sequential(self, tmp_path):
-        """``pipeline_depth=4`` reorders nothing observable: the report
-        is byte-identical (per index) to the sequential run, injected
-        failure included."""
-        translator = make_translator(tmp_path)
-        seq = translator.translate_many(INPUTS, jobs=1)
-        deep = translator.translate_many(INPUTS, jobs=2, pipeline_depth=4)
-        assert summarize(seq) == summarize(deep)
 
 
 def _worker_cache_counts(spec: WorkerSpec) -> dict:

@@ -97,6 +97,22 @@ class TestRun:
         assert "no CODE" in capsys.readouterr().err
 
 
+class TestDeadlineFlags:
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "soon"])
+    @pytest.mark.parametrize("verb", ["batch", "serve"])
+    def test_bad_timeout_is_a_usage_error(self, verb, value, capsys):
+        """A deadline must be positive and finite: anything else exits 2
+        before a worker starts (``--timeout 0`` used to fail every
+        input and kill its worker each time)."""
+        argv = [verb, source_path("calc")]
+        if verb == "batch":
+            argv.append("let a = 1 ; print a")
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, f"--timeout={value}"])
+        assert excinfo.value.code == 2
+        assert "positive, finite" in capsys.readouterr().err
+
+
 class TestFsckDirectory:
     def test_record_directory_resolves_to_its_provenance_log(
         self, capsys, tmp_path

@@ -16,6 +16,8 @@ Covers the robustness contract end to end:
 import asyncio
 import json
 import os
+import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.errors import (
     TranslationTimeout,
     WorkerCrashed,
 )
+from repro.evalgen.runtime import EvaluationResult
 from repro.grammars import load_source, source_path
 from repro.obs import MetricsRegistry
 from repro.serve.admission import Backoff, CircuitBreaker, Deadline
@@ -424,6 +427,63 @@ class TestWorkerHandle:
             handle.kill()
 
 
+class _FakeTranslator:
+    """A translator with a scanner that records how each job ran."""
+
+    def __init__(self):
+        self.scanner = SimpleNamespace(tokens=lambda text: iter(text.split()))
+        self.calls = []
+
+    def translate(self, text, memo_dir=None):
+        threads = sorted(t.name for t in threading.enumerate())
+        self.calls.append(("translate", text, memo_dir, threads))
+        if text == "bad":
+            raise ValueError("bad input")
+        return EvaluationResult({"OUT": [len(text)]}, 1)
+
+    def translate_tokens(self, tokens, memo_dir=None):
+        self.calls.append(("translate_tokens", list(tokens), memo_dir, []))
+        return EvaluationResult({"OUT": []}, 1)
+
+
+class TestWorkerLoop:
+    def test_each_job_is_one_translate_call(self):
+        """The worker loop runs every job through the same
+        ``translate(text, memo_dir=...)`` call as sequential batch, on
+        its own thread, with no scan-ahead stage beside it."""
+        import queue
+
+        from repro.serve.workers import worker_main
+
+        translator = _FakeTranslator()
+        request_q, response_q = queue.Queue(), queue.Queue()
+        for job in [(1, "a b"), (2, "bad"), (3, "c"), None]:
+            request_q.put(job)
+        worker_main(
+            SimpleNamespace(memo_dir="memo-w0"),
+            request_q,
+            response_q,
+            None,
+            0.5,
+            translator=translator,
+        )
+        assert [call[:3] for call in translator.calls] == [
+            ("translate", "a b", "memo-w0"),
+            ("translate", "bad", "memo-w0"),
+            ("translate", "c", "memo-w0"),
+        ]
+        assert not any(
+            "repro-worker-scan" in call[3] for call in translator.calls
+        )
+        answers = [response_q.get_nowait() for _ in range(3)]
+        assert [a[:6] for a in answers] == [
+            (1, True, {"OUT": [3]}, 1, None, None),
+            (2, False, None, 0, "ValueError", "bad input"),
+            (3, True, {"OUT": [1]}, 1, None, None),
+        ]
+        assert response_q.empty()
+
+
 # ---------------------------------------------------------------------------
 # the daemon
 # ---------------------------------------------------------------------------
@@ -806,6 +866,41 @@ class TestHttpFrontend:
                 await frontend.stop()
 
         run_server(tmp_path, body, metrics=MetricsRegistry())
+
+    def test_bad_timeout_is_rejected_before_admission(self, tmp_path):
+        """``?timeout=`` that is NaN, infinite or not positive gets 400:
+        admitted, it would time out at once, kill a worker and count a
+        breaker failure on every request."""
+        from repro.serve.http import HttpFrontend
+
+        metrics = MetricsRegistry()
+
+        async def body(server):
+            frontend = HttpFrontend(server, "127.0.0.1", 0)
+            host, port = await frontend.start()
+            try:
+                for value in ("nan", "inf", "0", "-1"):
+                    status, _, payload = await self.http(
+                        host, port, "POST", f"/translate?timeout={value}",
+                        b"let a = 6 ; print a * 7",
+                    )
+                    assert status == 400, value
+                    assert json.loads(payload)["error"] == "BadRequest"
+                status, _, payload = await self.http(
+                    host, port, "POST", "/translate?timeout=5",
+                    b"let a = 6 ; print a * 7",
+                )
+                assert status == 200
+                assert payload == b"OUT = [42]\n"
+                assert server.services["calc"].breaker.consecutive_failures == 0
+            finally:
+                await frontend.stop()
+
+        run_server(tmp_path, body, metrics=metrics)
+        snap = metrics.snapshot()
+        assert snap["serve.admitted"] == 1
+        assert snap.get("serve.worker_restarts", 0) == 0
+        assert snap.get("serve.timeouts", 0) == 0
 
     def test_oversized_body_gets_413_and_connection_close(self, tmp_path):
         """The 413 path never reads the oversized body, so the server
