@@ -204,19 +204,15 @@ class Spool:
     # -- reading ----------------------------------------------------------
 
     def read_forward(self) -> Iterator[Any]:
-        self._require_finalized()
-        for blob in self._iter_blobs_forward():
-            if self.accountant is not None:
-                self.accountant.charge_read(len(blob), self.channel)
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "spool.read", cat="io", channel=self.channel, nbytes=len(blob)
-                )
-            yield self._decode(blob)
+        return self._read(self._iter_blobs_forward)
 
     def read_backward(self) -> Iterator[Any]:
+        return self._read(self._iter_blobs_backward)
+
+    def _read(self, iter_blobs) -> Iterator[Any]:
+        """Decode, charge and trace every blob ``iter_blobs()`` yields."""
         self._require_finalized()
-        for blob in self._iter_blobs_backward():
+        for blob in iter_blobs():
             if self.accountant is not None:
                 self.accountant.charge_read(len(blob), self.channel)
             if self.tracer is not None:
@@ -727,12 +723,7 @@ class DiskSpool(Spool):
         self.n_records += len(blobs)
         self.data_bytes += nbytes
         if self.accountant is not None:
-            charge = getattr(self.accountant, "charge_write_many", None)
-            if charge is not None:
-                charge(len(blobs), nbytes, self.channel)
-            else:
-                for blob in blobs:
-                    self.accountant.charge_write(len(blob), self.channel)
+            self.accountant.charge_write_many(len(blobs), nbytes, self.channel)
         if self.tracer is not None:
             self.tracer.instant(
                 "spool.write", cat="io", channel=self.channel,
@@ -885,38 +876,55 @@ class DiskSpool(Spool):
         with open(self.path, "rb") as f:
             size = f.seek(0, os.SEEK_END)
             footer = self._read_footer3(f, size)
-            f.seek(footer.nt_offset)
-            head = f.read(_NT_HEAD.size)
-            if len(head) != _NT_HEAD.size:
-                raise self._corrupt(
-                    "name-table section head truncated",
-                    byte_offset=footer.nt_offset, reason="nametable",
-                )
-            nt_len, nt_crc = _NT_HEAD.unpack(head)
-            if nt_len != footer.nt_bytes:
-                raise self._corrupt(
-                    f"name-table length {nt_len} disagrees with the "
-                    f"footer ({footer.nt_bytes})",
-                    byte_offset=footer.nt_offset, reason="nametable",
-                )
-            payload = f.read(nt_len)
-            if len(payload) != nt_len:
-                raise self._corrupt(
-                    "name-table payload truncated",
-                    byte_offset=footer.nt_offset, reason="nametable",
-                )
-            if zlib.crc32(payload) != nt_crc:
-                raise self._corrupt(
-                    "name-table checksum mismatch (bit rot or torn write)",
-                    byte_offset=footer.nt_offset, reason="nametable",
-                )
-            try:
-                names = deserialize_names(payload)
-            except ValueError as exc:
-                raise self._corrupt(
-                    f"name-table payload undecodable: {exc}",
-                    byte_offset=footer.nt_offset, reason="nametable",
-                ) from exc
+            return self._read_nametable(
+                f, footer.nt_offset, size, footer.nt_bytes
+            )
+
+    def _read_nametable(
+        self, f, nt_offset: int, size: int, sealed_len: Optional[int] = None
+    ) -> RecordCodec:
+        """Parse + verify the name-table section at ``nt_offset`` and
+        build a codec over it.  ``sealed_len`` is the footer's promise;
+        salvage passes None when the footer is damaged and the section
+        must vouch for itself through its own length/crc framing."""
+        f.seek(nt_offset)
+        head = f.read(_NT_HEAD.size)
+        if len(head) != _NT_HEAD.size:
+            raise self._corrupt(
+                "name-table section head truncated",
+                byte_offset=nt_offset, reason="nametable",
+            )
+        nt_len, nt_crc = _NT_HEAD.unpack(head)
+        if sealed_len is not None and nt_len != sealed_len:
+            raise self._corrupt(
+                f"name-table length {nt_len} disagrees with the "
+                f"footer ({sealed_len})",
+                byte_offset=nt_offset, reason="nametable",
+            )
+        # Bound the read by the file before trusting the length word.
+        if nt_offset + _NT_HEAD.size + nt_len > size:
+            raise self._corrupt(
+                f"name-table length {nt_len} overruns the file",
+                byte_offset=nt_offset, reason="nametable",
+            )
+        payload = f.read(nt_len)
+        if len(payload) != nt_len:
+            raise self._corrupt(
+                "name-table payload truncated",
+                byte_offset=nt_offset, reason="nametable",
+            )
+        if zlib.crc32(payload) != nt_crc:
+            raise self._corrupt(
+                "name-table checksum mismatch (bit rot or torn write)",
+                byte_offset=nt_offset, reason="nametable",
+            )
+        try:
+            names = deserialize_names(payload)
+        except ValueError as exc:
+            raise self._corrupt(
+                f"name-table payload undecodable: {exc}",
+                byte_offset=nt_offset, reason="nametable",
+            ) from exc
         return RecordCodec(names)
 
     # -- forward reading ---------------------------------------------------
@@ -1070,8 +1078,9 @@ class DiskSpool(Spool):
 
     def _iter_blobs_backward(self) -> Iterator[bytes]:
         """Hop block-to-block from the back via the mirrored tails,
-        decode each block forward, and yield its records reversed —
-        memory stays bounded by one block, not the file."""
+        verify + decode each block through the forward block reader,
+        and yield its records reversed — memory stays bounded by one
+        block, not the file."""
         with open(self.path, "rb") as f:
             size = f.seek(0, os.SEEK_END)
             self._check_header(f, size)
@@ -1088,7 +1097,7 @@ class DiskSpool(Spool):
                         reason="framing",
                     )
                 f.seek(pos - _BLOCK_TAIL.size)
-                tail_crc, tail_n, tail_len = _BLOCK_TAIL.unpack(
+                _crc, _n, tail_len = _BLOCK_TAIL.unpack(
                     f.read(_BLOCK_TAIL.size)
                 )
                 start = pos - BLOCK_OVERHEAD - tail_len
@@ -1098,31 +1107,17 @@ class DiskSpool(Spool):
                         byte_offset=pos - _BLOCK_TAIL.size,
                         block_index=block_index, reason="framing",
                     )
+                # The head's record count places the block in the
+                # stream; the block reader then checks it against the
+                # tail like any other word.
                 f.seek(start)
-                head = f.read(_BLOCK_HEAD.size)
-                payload_len, n_records, want_crc = _BLOCK_HEAD.unpack(head)
-                first_record_index = max(
-                    footer.n_records - records_seen - n_records, 0
+                _len, n_records, _crc = _BLOCK_HEAD.unpack(
+                    f.read(_BLOCK_HEAD.size)
                 )
-                if payload_len != tail_len or n_records != tail_n or \
-                        want_crc != tail_crc:
-                    raise self._corrupt(
-                        "block head/tail framing mismatch",
-                        record_index=first_record_index,
-                        byte_offset=start, block_index=block_index,
-                        reason="framing",
-                    )
-                payload = f.read(payload_len)
-                if len(payload) != payload_len or \
-                        zlib.crc32(payload) != want_crc:
-                    raise self._corrupt(
-                        "block checksum mismatch (bit rot or torn write)",
-                        record_index=first_record_index,
-                        byte_offset=start, block_index=block_index,
-                        reason="checksum",
-                    )
-                blobs = self._split_block(
-                    payload, n_records, block_index, start, first_record_index,
+                f.seek(start)
+                blobs, _end = self._read_block_forward(
+                    f, start, pos, block_index,
+                    max(footer.n_records - records_seen - n_records, 0),
                 )
                 yield from reversed(blobs)
                 blocks_seen += 1
@@ -1323,17 +1318,6 @@ class RandomAccessReader:
             spool.metrics.counter("spool.codec.random_reads").inc()
         return spool._decode(blobs[rec])
 
-    def raw_record(self, index: int) -> bytes:
-        """The still-encoded blob of record ``index`` — same block read
-        and verification as :meth:`record`, no decode.  The blob is
-        valid verbatim only in a spool whose codec was seeded from this
-        spool's name table (:class:`DiskSpool` ``seed_names``)."""
-        block, rec = self.locate(index)
-        blobs = self._load_block(block)
-        if self.spool.metrics is not None:
-            self.spool.metrics.counter("spool.codec.random_reads").inc()
-        return blobs[rec]
-
     def raw_range(self, start: int, end: int) -> Tuple[List[bytes], int]:
         """All still-encoded blobs of records ``[start, end)`` plus the
         number of distinct blocks touched — the bulk splice read.  Each
@@ -1440,31 +1424,6 @@ def scan_spool(path: str, metrics=None, tracer=None) -> SpoolScanReport:
     return report
 
 
-def _try_recover_nametable(f, nt_start: int, size: int):
-    """Best-effort parse of a v3 name-table section at ``nt_start``.
-
-    Used when the footer is damaged and the section can no longer be
-    located through it.  Returns a :class:`RecordCodec` when the
-    section's own length/crc framing verifies, else ``None``.
-    """
-    if nt_start + _NT_HEAD.size > size:
-        return None
-    f.seek(nt_start)
-    head = f.read(_NT_HEAD.size)
-    if len(head) != _NT_HEAD.size:
-        return None
-    nt_len, nt_crc = _NT_HEAD.unpack(head)
-    if nt_start + _NT_HEAD.size + nt_len > size:
-        return None
-    payload = f.read(nt_len)
-    if len(payload) != nt_len or zlib.crc32(payload) != nt_crc:
-        return None
-    try:
-        return RecordCodec(deserialize_names(payload))
-    except ValueError:
-        return None
-
-
 def salvage_spool(
     src: str, dst: str, metrics=None, tracer=None
 ) -> SpoolScanReport:
@@ -1511,7 +1470,10 @@ def salvage_spool(
             elif not report.footer_ok:
                 # Under a damaged footer the name-table section is best
                 # guessed to start where the valid blocks end.
-                codec = _try_recover_nametable(f, nt_start, size)
+                try:
+                    codec = spool._read_nametable(f, nt_start, size)
+                except SpoolCorruptionError:
+                    codec = None
             else:
                 codec = None  # sealed name table failed its crc
         if codec is not None:

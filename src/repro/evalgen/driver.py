@@ -28,7 +28,6 @@ from repro.apt.linear import TreeNode
 from repro.apt.node import APTNode
 from repro.apt.storage import (
     DiskSpool,
-    MemorySpool,
     Spool,
     adaptive_spool_factory,
 )

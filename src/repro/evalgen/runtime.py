@@ -238,15 +238,11 @@ class EvaluatorRuntime:
         spool (memo-hit splice; bypasses node construction)."""
         self._output.append(record)
 
-    def splice_blob(self, blob: bytes) -> None:
-        """Append an already-*encoded* record verbatim (the raw memo
-        splice: the output spool's codec was seeded from the splice
-        source's name table, so the bytes need no decode/re-encode)."""
-        self._output.append_blob(blob)
-
     def splice_blobs(self, blobs) -> None:
-        """Bulk form of :meth:`splice_blob` — one whole memoized
-        subtree's records in a single batched append."""
+        """Append one whole memoized subtree's already-*encoded* records
+        verbatim in a single batched append (the raw memo splice: the
+        output spool's codec was seeded from the splice source's name
+        table, so the bytes need no decode/re-encode)."""
         self._output.append_blobs(blobs)
 
     @property

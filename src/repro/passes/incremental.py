@@ -135,22 +135,44 @@ def record_digest(record: tuple) -> bytes:
 
 
 class SubtreeIndex:
-    """Per-record subtree hashes and spans of one postfix APT spool.
+    """Per-record subtree hashes, spans and structure of one APT record
+    stream.
 
-    ``hashes[i]`` covers the whole subtree whose *last* (root) record
-    sits at forward index ``i``; ``spans[i]`` is that subtree's record
-    count, so the subtree occupies records ``[i - spans[i] + 1, i]`` —
-    postfix emission keeps every subtree contiguous.
+    ``hashes[i]`` covers the whole subtree rooted at forward index
+    ``i`` and ``spans[i]`` is its record count.  Both emission orders
+    keep every subtree contiguous: in postfix order the root is the
+    subtree's *last* record (``[i - spans[i] + 1, i]``), in prefix
+    order its *first* (``[i, i + spans[i] - 1]``).
+
+    The structure arrays are what a dirty-spine rehash
+    (:func:`_rehash_spine`) needs: ``own[i]`` is the record digest
+    (≠ the subtree hash for interiors); ``parts[i]`` the ordered
+    positions whose subtree hashes (or :data:`_OWN` for the record's
+    own digest) combine into the node's subtree hash, None for leaves
+    and limbs; ``parent[i]`` the enclosing node's position (-1 at the
+    root).
     """
 
-    __slots__ = ("hashes", "spans")
+    __slots__ = ("hashes", "spans", "own", "parts", "parent")
 
-    def __init__(self, hashes: List[bytes], spans: List[int]):
+    def __init__(
+        self,
+        hashes: List[bytes],
+        spans: List[int],
+        own: List[bytes],
+        parts: List[Optional[List[int]]],
+        parent: List[int],
+    ):
         self.hashes = hashes
         self.spans = spans
+        self.own = own
+        self.parts = parts
+        self.parent = parent
 
-    def __len__(self) -> int:
-        return len(self.hashes)
+
+#: Sentinel position in a ``parts`` list standing for the node's *own*
+#: record digest (as opposed to a child/limb subtree hash position).
+_OWN = -1
 
 
 def postfix_subtree_index(
@@ -164,197 +186,6 @@ def postfix_subtree_index(
     children's subtree hashes (in order), its limb's, and its own
     record digest.
     """
-    hashes: List[bytes] = []
-    spans: List[int] = []
-    stack: List[Tuple[int, bytes]] = []
-    limb: Optional[Tuple[int, bytes]] = None
-    for i, record in enumerate(records):
-        _symbol, production, _attrs, is_limb = record
-        d = record_digest(record)
-        if is_limb:
-            hashes.append(d)
-            spans.append(1)
-            limb = (i, d)
-            continue
-        if production is None:
-            hashes.append(d)
-            spans.append(1)
-            stack.append((i, d))
-            continue
-        prod = ag.productions[production]
-        n = len(prod.rhs)
-        children = stack[len(stack) - n :] if n else []
-        if n:
-            del stack[len(stack) - n :]
-        start = i
-        comb = hashlib.blake2b(digest_size=16)
-        for child_start, child_digest in children:
-            comb.update(child_digest)
-            start = min(start, child_start)
-        if prod.limb:
-            if limb is None:
-                raise MemoCorruptionError(
-                    f"postfix stream misses the limb of production "
-                    f"{prod.index} at record {i}",
-                    record_index=i,
-                    reason="framing",
-                )
-            comb.update(limb[1])
-            start = min(start, limb[0])
-        limb = None
-        comb.update(d)
-        digest = comb.digest()
-        hashes.append(digest)
-        spans.append(i - start + 1)
-        stack.append((start, digest))
-    return SubtreeIndex(hashes, spans)
-
-
-def prefix_subtree_index(
-    records: Iterable[tuple], ag: AttributeGrammar
-) -> SubtreeIndex:
-    """Hash every subtree of a *prefix* record stream in one sweep.
-
-    The prefix initial file (first pass left-to-right) emits ``node,
-    limb, children`` — subtrees are still contiguous, but a subtree's
-    *first* record is its root, so ``hashes[i]``/``spans[i]`` describe
-    the subtree occupying ``[i, i + spans[i] - 1]``.  Mirrors
-    :func:`~repro.apt.linear.iter_prefix`.
-    """
-    hashes: List[bytes] = []
-    spans: List[int] = []
-    #: [start index, digest parts (own record first), expect_limb,
-    #:  children remaining]
-    frames: List[list] = []
-
-    def finalize(frame: list, end_i: int) -> bytes:
-        comb = hashlib.blake2b(digest_size=16)
-        for part in frame[1]:
-            comb.update(part)
-        digest = comb.digest()
-        hashes[frame[0]] = digest
-        spans[frame[0]] = end_i - frame[0] + 1
-        return digest
-
-    def credit(digest: bytes, end_i: int) -> None:
-        """A subtree completed at ``end_i``; fold it into the enclosing
-        frame, cascading completions toward the root."""
-        while frames:
-            frame = frames[-1]
-            if frame[2]:
-                raise MemoCorruptionError(
-                    f"prefix stream misses the limb of the production "
-                    f"opened at record {frame[0]}",
-                    record_index=end_i,
-                    reason="framing",
-                )
-            frame[1].append(digest)
-            frame[3] -= 1
-            if frame[3] > 0:
-                return
-            frames.pop()
-            digest = finalize(frame, end_i)
-
-    for i, record in enumerate(records):
-        _symbol, production, _attrs, is_limb = record
-        d = record_digest(record)
-        hashes.append(d)
-        spans.append(1)
-        if is_limb:
-            if not frames or not frames[-1][2]:
-                raise MemoCorruptionError(
-                    f"prefix stream carries an unexpected limb at record {i}",
-                    record_index=i,
-                    reason="framing",
-                )
-            frame = frames[-1]
-            frame[1].append(d)
-            frame[2] = False
-            if frame[3] == 0:
-                frames.pop()
-                credit(finalize(frame, i), i)
-            continue
-        if production is None:
-            credit(d, i)
-            continue
-        prod = ag.productions[production]
-        frame = [i, [d], bool(prod.limb), len(prod.rhs)]
-        if frame[2] or frame[3]:
-            frames.append(frame)
-        else:
-            credit(d, i)
-    return SubtreeIndex(hashes, spans)
-
-
-# ---------------------------------------------------------------------------
-# front-end reuse: shape-preserving token patching + dirty-spine rehash
-# ---------------------------------------------------------------------------
-
-#: Sentinel position in a ``parts`` list standing for the node's *own*
-#: record digest (as opposed to a child/limb subtree hash position).
-_OWN = -1
-
-#: Front-end caching is skipped above this initial-spool byte estimate
-#: so the in-process cache cannot defeat the bounded-memory premise.
-_FRONTEND_BYTE_CAP = 64 * 1024 * 1024
-
-
-class _RecordListSpool(Spool):
-    """A finalized read-only spool over an in-memory record list.
-
-    The front-end reuse path hands the driver the previous run's
-    (patched) initial records without re-serializing them — the same
-    by-reference discipline :class:`~repro.apt.storage.AdaptiveSpool`
-    uses below its spill budget."""
-
-    def __init__(self, records: List[tuple]):
-        super().__init__(None, "initial")
-        self._records = records
-        self.n_records = len(records)
-        self._finalized = True
-
-    def read_forward(self):
-        return iter(self._records)
-
-    def read_backward(self):
-        return iter(reversed(self._records))
-
-
-class _Frontend:
-    """In-process cache of one memoized translation's front-end: the
-    token kind sequence, the initial APT records, the subtree index,
-    and the structural arrays a dirty-spine rehash needs."""
-
-    __slots__ = (
-        "kinds", "records", "index", "own", "parts", "parent",
-        "leaf_positions", "forward",
-    )
-
-    def __init__(
-        self, kinds, records, index, own, parts, parent,
-        leaf_positions, forward,
-    ):
-        self.kinds = kinds
-        self.records = records
-        self.index = index
-        #: Per-record *record* digest (≠ subtree hash for interiors).
-        self.own = own
-        #: Per-record combination recipe: ordered positions whose
-        #: subtree hashes (or :data:`_OWN` for the record's own digest)
-        #: produce the node's subtree hash; None for leaves/limbs.
-        self.parts = parts
-        #: Per-record enclosing-node position (-1 at the root).
-        self.parent = parent
-        #: Positions of token-derived records, in source order.
-        self.leaf_positions = leaf_positions
-        self.forward = forward
-
-
-def _structure_postfix(
-    records: List[tuple], ag: AttributeGrammar
-) -> Tuple[SubtreeIndex, List[bytes], List[Optional[List[int]]], List[int]]:
-    """:func:`postfix_subtree_index` plus the structure arrays
-    (identical hashes — the property suite pins the equivalence)."""
     hashes: List[bytes] = []
     spans: List[int] = []
     own: List[bytes] = []
@@ -411,13 +242,19 @@ def _structure_postfix(
         spans.append(i - start + 1)
         parts[i] = p_list
         stack.append((start, i, digest))
-    return SubtreeIndex(hashes, spans), own, parts, parent
+    return SubtreeIndex(hashes, spans, own, parts, parent)
 
 
-def _structure_prefix(
-    records: List[tuple], ag: AttributeGrammar
-) -> Tuple[SubtreeIndex, List[bytes], List[Optional[List[int]]], List[int]]:
-    """:func:`prefix_subtree_index` plus the structure arrays."""
+def prefix_subtree_index(
+    records: Iterable[tuple], ag: AttributeGrammar
+) -> SubtreeIndex:
+    """Hash every subtree of a *prefix* record stream in one sweep.
+
+    The prefix initial file (first pass left-to-right) emits ``node,
+    limb, children`` — subtrees are still contiguous, but a subtree's
+    *first* record is its root.  Mirrors
+    :func:`~repro.apt.linear.iter_prefix`.
+    """
     hashes: List[bytes] = []
     spans: List[int] = []
     own: List[bytes] = []
@@ -436,6 +273,8 @@ def _structure_prefix(
         parts_out[frame[0]] = frame[1]
 
     def credit(root_pos: int, end_i: int) -> None:
+        """A subtree completed at ``end_i``; fold it into the enclosing
+        frame, cascading completions toward the root."""
         while frames:
             frame = frames[-1]
             if frame[2]:
@@ -487,23 +326,74 @@ def _structure_prefix(
             frames.append(frame)
         else:
             credit(i, i)
-    return SubtreeIndex(hashes, spans), own, parts_out, parent
+    return SubtreeIndex(hashes, spans, own, parts_out, parent)
+
+
+# ---------------------------------------------------------------------------
+# front-end reuse: shape-preserving token patching + dirty-spine rehash
+# ---------------------------------------------------------------------------
+
+#: Front-end caching is skipped above this initial-spool byte estimate
+#: so the in-process cache cannot defeat the bounded-memory premise.
+_FRONTEND_BYTE_CAP = 64 * 1024 * 1024
+
+
+class _RecordListSpool(Spool):
+    """A finalized read-only spool over an in-memory record list.
+
+    The front-end reuse path hands the driver the previous run's
+    (patched) initial records without re-serializing them — the same
+    by-reference discipline :class:`~repro.apt.storage.AdaptiveSpool`
+    uses below its spill budget."""
+
+    def __init__(self, records: List[tuple]):
+        super().__init__(None, "initial")
+        self._records = records
+        self.n_records = len(records)
+        self._finalized = True
+
+    def read_forward(self):
+        return iter(self._records)
+
+    def read_backward(self):
+        return iter(reversed(self._records))
+
+
+class _Frontend:
+    """In-process cache of one memoized translation's front-end: the
+    token kind sequence, the initial APT records and their subtree
+    index."""
+
+    __slots__ = ("kinds", "records", "index", "leaf_positions", "forward")
+
+    def __init__(self, kinds, records, index, leaf_positions, forward):
+        self.kinds = kinds
+        self.records = records
+        self.index = index
+        #: Positions of token-derived records, in source order.
+        self.leaf_positions = leaf_positions
+        self.forward = forward
 
 
 def _rehash_spine(
-    hashes: List[bytes],
-    own: List[bytes],
-    parts: List[Optional[List[int]]],
-    parent: List[int],
+    index: SubtreeIndex,
+    records: List[tuple],
     dirty: List[int],
     forward: bool,
-) -> None:
-    """Recompute, in place, the subtree hashes of exactly the ancestors
-    of the ``dirty`` positions (whose own entries were already
-    updated).  Prefix order puts parents *before* children, so the
-    bottom-up sweep runs descending there, ascending for postfix."""
+) -> SubtreeIndex:
+    """The index of ``records``, which differ from the stream ``index``
+    was built over only at the ``dirty`` leaf positions: those get
+    fresh record digests, then exactly their ancestors' subtree hashes
+    are recomputed.  Prefix order puts parents *before* children, so
+    the bottom-up sweep runs descending there, ascending for postfix.
+    ``index`` itself is left untouched."""
+    own = list(index.own)
+    hashes = list(index.hashes)
+    parts = index.parts
+    parent = index.parent
     spine = set()
     for j in dirty:
+        own[j] = hashes[j] = record_digest(records[j])
         p = parent[j]
         while p >= 0 and p not in spine:
             spine.add(p)
@@ -513,6 +403,7 @@ def _rehash_spine(
         for p in parts[i]:
             comb.update(own[i] if p == _OWN else hashes[p])
         hashes[i] = comb.digest()
+    return SubtreeIndex(hashes, index.spans, own, parts, parent)
 
 
 def context_fingerprint(
@@ -1007,8 +898,8 @@ class MemoStore:
 
     def cache_frontend(self, tokens, initial: Spool, forward: bool) -> None:
         """Capture the fresh run's front-end for in-process reuse: the
-        token kind sequence, the initial records, and the subtree index
-        *with* its structure arrays.  Any failure (or an input above
+        token kind sequence, the initial records, and their subtree
+        index.  Any failure (or an input above
         :data:`_FRONTEND_BYTE_CAP`) just leaves the cache empty — the
         next run parses from scratch."""
         self._frontend = None
@@ -1017,8 +908,10 @@ class MemoStore:
             if getattr(initial, "data_bytes", 0) > _FRONTEND_BYTE_CAP:
                 return
             records = list(initial.read_forward())
-            builder = _structure_prefix if forward else _structure_postfix
-            index, own, parts, parent = builder(records, self.ag)
+            indexer = (
+                prefix_subtree_index if forward else postfix_subtree_index
+            )
+            index = indexer(records, self.ag)
             leaf_positions = [
                 i for i, r in enumerate(records)
                 if r[1] is None and not r[3]
@@ -1027,8 +920,8 @@ class MemoStore:
             if n_leaf_tokens != len(leaf_positions):
                 return
             self._frontend = _Frontend(
-                tuple(t.kind for t in tokens), records, index, own,
-                parts, parent, leaf_positions, forward,
+                tuple(t.kind for t in tokens), records, index,
+                leaf_positions, forward,
             )
             self._pending = (initial, index, forward)
         except Exception:
@@ -1059,7 +952,6 @@ class MemoStore:
                 return None
             symbols = self.ag.symbols
             records = fe.records
-            dirty: List[int] = []
             patched: Dict[int, tuple] = {}
             # Per-kind intrinsic spec, resolved once per distinct kind:
             # ``Symbol.intrinsic`` filters the attribute table on every
@@ -1079,32 +971,24 @@ class MemoStore:
                     for name in attr_names
                 }
                 if attrs != records[pos][2]:
-                    dirty.append(pos)
                     patched[pos] = (sym_name, None, attrs, False)
-            if dirty:
+            if patched:
                 records = list(records)
-                own = list(fe.own)
-                hashes = list(fe.index.hashes)
-                for pos in dirty:
-                    records[pos] = patched[pos]
-                    d = record_digest(patched[pos])
-                    own[pos] = d
-                    hashes[pos] = d
-                _rehash_spine(
-                    hashes, own, fe.parts, fe.parent, dirty, forward
-                )
+                for pos, record in patched.items():
+                    records[pos] = record
                 fe = _Frontend(
-                    fe.kinds, records, SubtreeIndex(hashes, fe.index.spans),
-                    own, fe.parts, fe.parent, fe.leaf_positions, forward,
+                    fe.kinds, records,
+                    _rehash_spine(fe.index, records, list(patched), forward),
+                    fe.leaf_positions, forward,
                 )
                 self._frontend = fe
             spool = _RecordListSpool(records)
             self._pending = (spool, fe.index, forward)
             if self.metrics is not None:
                 self.metrics.counter("incremental.frontend_reuses").inc()
-                if dirty:
+                if patched:
                     self.metrics.counter("incremental.dirty_leaves").inc(
-                        len(dirty)
+                        len(patched)
                     )
             return spool
         except Exception:
@@ -1310,13 +1194,16 @@ class MemoSession:
         self.plan = plan
         self.pass_k = plan.pass_k
         self.runtime = runtime
-        self.index = index
+        #: Only what lookups read: the driver keeps its sessions past the
+        #: run, and the structure arrays belong to the front-end cache.
+        self.hashes = index.hashes
+        self.spans = index.spans
         self.read_only = read_only
         self._forward = forward
         self._entries = store.entries.get(plan.pass_k) or {}
         self.groups: List[str] = list(plan.groups)
         self._gen_names = [(g, f"g_{sanitize(g)}") for g in self.groups]
-        self._n_total = len(index)
+        self._n_total = len(index.hashes)
         self._reads = 0
         self.new_entries: Dict[Tuple[str, str], MemoEntry] = {}
         metrics = store.metrics
@@ -1392,13 +1279,13 @@ class MemoSession:
         idx = node[RECORD_INDEX]
         if idx is None or node[3] or node[1] is None:
             return None
-        span = self.index.spans[idx]
+        span = self.spans[idx]
         if span < self.store.min_span:
             return None
         ctx = context_fingerprint(
             node[2], ((g, get_global(g)) for g in self.groups)
         )
-        key = (self.index.hashes[idx].hex(), ctx.hex())
+        key = (self.hashes[idx].hex(), ctx.hex())
         entry = self._entries.get(key)
         if entry is not None and entry.n_skip == span - 1:
             if self._splice(entry, node, set_global):

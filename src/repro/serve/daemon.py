@@ -29,6 +29,7 @@ returns exit code 0.  See ``docs/serving.md``.
 from __future__ import annotations
 
 import asyncio
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -384,7 +385,16 @@ class TranslationServer:
         :class:`~repro.errors.WorkerCrashed` (retries exhausted).
         Per-input translation errors come back as a ``ServeResult``
         with ``ok=False`` — the service worked; the input was bad.
+        A ``timeout`` that is not a positive, finite number raises
+        :class:`ValueError` before admission.
         """
+        if timeout is not None and not 0 < timeout < math.inf:
+            # A NaN, infinite or non-positive deadline would time out at
+            # once, kill a worker and count a breaker failure.
+            raise ValueError(
+                "timeout must be a positive, finite number of seconds, "
+                f"not {timeout!r}"
+            )
         service = self.services.get(grammar)
         if service is None:
             raise ServeError(

@@ -2,7 +2,7 @@
 (:func:`repro.passes.incremental.record_digest` and the two
 subtree-index sweeps).
 
-Three properties back the memo's correctness argument:
+Four properties back the memo's correctness argument:
 
 1. **Stability** — subtree hashes are a function of the decoded
    records, invariant under a v3 disk-spool round-trip and under
@@ -17,10 +17,14 @@ Three properties back the memo's correctness argument:
    <= i}``, the spine from the mutated record to the root.  This is
    the invariant the dirty-spine evaluator relies on: everything off
    the spine keeps its hash and stays spliceable.
+4. **Spine rehash** — after mutating k leaf records, the front-end's
+   dirty-spine rehash over the kept structure gives the same hashes
+   as a full re-index, in prefix and in postfix order.
 """
 
 import os
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apt.build import APTBuilder
@@ -28,10 +32,18 @@ from repro.apt.storage import DiskSpool, MemorySpool
 from repro.core import Linguist
 from repro.grammars import load_source, scanner_and_library
 from repro.passes.incremental import (
+    _rehash_spine,
     postfix_subtree_index,
+    prefix_subtree_index,
     record_digest,
 )
-from repro.workloads.generators import generate_calc_program
+from repro.passes.schedule import Direction
+from repro.workloads.generators import (
+    generate_ag_source,
+    generate_binary_numeral,
+    generate_calc_program,
+    generate_pascal_program,
+)
 
 SETTINGS = settings(
     max_examples=25,
@@ -276,3 +288,94 @@ def test_single_mutation_dirties_exactly_the_spine(data, n, seed):
     # The spine reaches the root and is a path: one node per nesting
     # level, monotonically widening spans.
     assert (len(records) - 1) in spine
+
+
+# ---------------------------------------------------------------------------
+# P4: the dirty-spine rehash agrees with a full re-index
+# ---------------------------------------------------------------------------
+
+
+class _Initial:
+    """A grammar's initial APT records in the order its translator
+    emits them: prefix when the first pass runs left to right,
+    postfix otherwise."""
+
+    _cache = {}
+
+    def __init__(self, grammar: str):
+        spec, library = scanner_and_library(grammar)
+        linguist = Linguist(load_source(grammar))
+        self.ag = linguist.ag
+        self.translator = linguist.make_translator(
+            spec, library=library, backend="interp"
+        )
+        self.forward = linguist.assignment.first_direction is Direction.L2R
+
+    @classmethod
+    def get(cls, grammar: str) -> "_Initial":
+        if grammar not in cls._cache:
+            cls._cache[grammar] = cls(grammar)
+        return cls._cache[grammar]
+
+    def records(self, text: str):
+        tokens = list(self.translator.scanner.tokens(text))
+        spool = MemorySpool(channel="initial")
+        builder = APTBuilder(
+            self.ag, spool, build_tree=False, prefix=self.forward
+        )
+        self.translator.parser.parse(tokens, listener=builder,
+                                     build_tree=False)
+        builder.finish()
+        return list(spool.read_forward())
+
+    def index(self, records):
+        indexer = prefix_subtree_index if self.forward else postfix_subtree_index
+        return indexer(records, self.ag)
+
+
+_DOCUMENTS = {
+    "calc": lambda n, seed: generate_calc_program(n, seed=seed),
+    "pascal": lambda n, seed: generate_pascal_program(n, seed=seed),
+    "linguist": lambda n, seed: generate_ag_source(n, seed=seed),
+    "binary": lambda n, seed: generate_binary_numeral(4 * n, seed=seed),
+}
+
+
+@pytest.mark.parametrize(
+    "grammar, forward",
+    [("calc", True), ("pascal", True), ("linguist", True),
+     ("binary", False)],
+)
+@SETTINGS
+@given(
+    data=st.data(),
+    n=st.integers(min_value=2, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_spine_rehash_matches_full_reindex(grammar, forward, data, n, seed):
+    initial = _Initial.get(grammar)
+    assert initial.forward is forward
+    records = initial.records(_DOCUMENTS[grammar](n, seed))
+    base = initial.index(records)
+    before = list(base.hashes)
+
+    leaves = [
+        i for i, (_s, production, _a, is_limb) in enumerate(records)
+        if production is None and not is_limb
+    ]
+    dirty = data.draw(
+        st.lists(st.sampled_from(leaves), min_size=1, max_size=5,
+                 unique=True),
+        label="mutated-leaves",
+    )
+    edited = list(records)
+    for k, j in enumerate(dirty):
+        symbol, production, attrs, is_limb = records[j]
+        edited[j] = (symbol, production, dict(attrs, EDIT=k), is_limb)
+
+    rehashed = _rehash_spine(base, edited, dirty, forward)
+    full = initial.index(edited)
+    assert rehashed.hashes == full.hashes
+    assert rehashed.spans == full.spans
+    assert rehashed.own == full.own
+    assert base.hashes == before, "the cached index must stay untouched"

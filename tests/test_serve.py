@@ -564,6 +564,25 @@ class TestTranslationServer:
 
         run_server(tmp_path, body)
 
+    def test_non_finite_timeout_is_rejected_before_admission(
+        self, tmp_path
+    ):
+        metrics = MetricsRegistry()
+
+        async def body(server):
+            for _ in range(3):
+                with pytest.raises(ValueError, match="positive, finite"):
+                    await server.submit(
+                        "calc", "let a = 1 ; print a", timeout=float("nan")
+                    )
+            assert server.services["calc"].breaker.state == "closed"
+
+        run_server(tmp_path, body, metrics=metrics)
+        snap = metrics.snapshot()
+        assert snap.get("serve.timeouts", 0) == 0
+        assert snap.get("serve.worker_restarts", 0) == 0
+        assert snap.get("serve.admitted", 0) == 0
+
     def test_queue_full_rejects_with_retry_after(
         self, tmp_path, monkeypatch
     ):

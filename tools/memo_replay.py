@@ -2,8 +2,9 @@
 """memo-replay: incremental re-translation across processes.
 
 Successive versions of a seeded calc and a seeded Pascal document, one
-edit apart (a swapped token, an inserted or a deleted statement), are
-each translated by a process of their own::
+edit apart (a swapped token, an inserted or a deleted statement), and
+of a seeded binary numeral, one flipped bit apart, are each translated
+by a process of their own::
 
     python -m repro run GRAMMAR VERSION_FILE --memo-dir DIR
 
@@ -36,6 +37,7 @@ from repro.core import Linguist  # noqa: E402
 from repro.grammars import load_source, scanner_and_library  # noqa: E402
 from repro.obs import MetricsRegistry  # noqa: E402
 from repro.workloads.generators import (  # noqa: E402
+    generate_binary_numeral,
     generate_calc_program,
     generate_pascal_program,
 )
@@ -114,6 +116,22 @@ def pascal_versions(n_edits: int, seed: int) -> list:
     return out
 
 
+def binary_versions(n_edits: int, seed: int) -> list:
+    """A 200-bit numeral and ``n_edits`` successive single-bit flips in
+    its back half.  ``binary`` runs two passes from a postfix initial
+    file, so pass 2 indexes and splices a real pass-1 spool."""
+    rng = random.Random(seed)
+    bits = list(generate_binary_numeral(200, seed=seed))
+    out = ["".join(bits)]
+    for _ in range(n_edits):
+        pos = rng.choice([
+            p for p in range(len(bits) // 2, len(bits)) if bits[p] != "."
+        ])
+        bits[pos] = "10"[int(bits[pos])]
+        out.append("".join(bits))
+    return out
+
+
 def in_process_hits(grammar: str, texts: list) -> list:
     spec, library = scanner_and_library(grammar)
     translator = Linguist(load_source(grammar)).make_translator(
@@ -178,10 +196,11 @@ def main(argv=None) -> int:
     os.makedirs(workdir, exist_ok=True)
     failures = replay("calc", calc_versions(args.edits, args.seed), workdir)
     failures += replay("pascal", pascal_versions(args.edits, args.seed), workdir)
+    failures += replay("binary", binary_versions(args.edits, args.seed), workdir)
     if failures:
         print(f"{failures} version(s) failed", file=sys.stderr)
         return 1
-    print(f"memo replay: {2 * (args.edits + 1)} versions across processes, all consistent")
+    print(f"memo replay: {3 * (args.edits + 1)} versions across processes, all consistent")
     return 0
 
 
