@@ -88,23 +88,6 @@ class GrammarBuilder:
         self._raw[prod.index] = raw_list
         return prod
 
-    def add_function(
-        self,
-        prod: Production,
-        targets: TargetSpec,
-        expr: ExprSpec,
-        location: SourceLocation = NOWHERE,
-    ) -> "GrammarBuilder":
-        """Attach one more semantic function to an existing production."""
-        if isinstance(targets, str):
-            targets = [targets]
-        parsed_targets = [parse_target_spec(t) for t in targets]
-        node = parse_expression(expr) if isinstance(expr, str) else expr
-        self._raw.setdefault(prod.index, []).append(
-            RawFunction(parsed_targets, node, location)
-        )
-        return self
-
     # -- finishing ----------------------------------------------------------
 
     def finish(self, sink: Optional[DiagnosticSink] = None) -> AttributeGrammar:

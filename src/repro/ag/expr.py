@@ -16,7 +16,7 @@ values pairwise for a multi-target semantic function (Figure 5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Sequence, Tuple, Union
+from typing import Any, Iterator, List, Tuple, Union
 
 
 class Expr:
@@ -162,11 +162,6 @@ class If(Expr):
 
     def arity(self) -> int:
         return len(self.then_branch)
-
-    def _else_exprs(self) -> Sequence[Expr]:
-        if isinstance(self.else_branch, If):
-            return [self.else_branch]
-        return self.else_branch
 
     def refs(self) -> Iterator[AttrRef]:
         yield from self.cond.refs()

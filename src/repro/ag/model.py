@@ -341,9 +341,6 @@ class AttributeGrammar:
             out.extend(sym.attributes.values())
         return out
 
-    def attributes_named(self, name: str) -> List[Attribute]:
-        return [a for a in self.all_attributes() if a.name == name]
-
     def underlying_cfg(self):
         """The underlying context-free grammar, for the LALR builder —
         "exactly the same input file" goes to both tools (§IV)."""

@@ -8,8 +8,8 @@ those implicit; evaluable in 4 alternating passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.ag.copyrules import is_copy_rule
 from repro.ag.model import AttributeGrammar, SymbolKind
@@ -36,11 +36,6 @@ class GrammarStatistics:
         if not self.n_semantic_functions:
             return 0.0
         return 100.0 * self.n_copy_rules / self.n_semantic_functions
-
-    def as_dict(self) -> Dict[str, object]:
-        d = asdict(self)
-        d["copy_rule_percent"] = round(self.copy_rule_percent, 1)
-        return d
 
     def render(self) -> str:
         rows = [

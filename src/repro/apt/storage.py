@@ -68,7 +68,7 @@ import struct
 import tempfile
 import zlib
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.apt.codec import (
     RecordAddress,
@@ -1157,6 +1157,25 @@ class DiskSpool(Spool):
             + RECORD_OVERHEAD * self.n_records
             + BLOCK_OVERHEAD * (self._n_blocks + pending)
         )
+
+
+def spool_descriptor(spool: Spool) -> Dict[str, int]:
+    """What a manifest records of a sealed spool to recognise it when
+    reopened: record count, payload bytes and stream CRC, in the key
+    order ``checkpoint.json`` and the MEMO1 header keep."""
+    return {
+        "n_records": spool.n_records,
+        "data_bytes": spool.data_bytes,
+        "stream_crc": getattr(spool, "_stream_crc", 0),
+    }
+
+
+def matches_descriptor(spool: Spool, desc: Dict[str, Any]) -> bool:
+    """True when the reopened ``spool`` is the one ``desc`` was written
+    for; a same-shaped stand-in differs at least in its stream CRC."""
+    return all(
+        desc.get(key) == value for key, value in spool_descriptor(spool).items()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import os
 from contextlib import nullcontext
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ag.circularity import check_noncircular
 from repro.ag.model import AttributeGrammar
@@ -465,13 +465,12 @@ class Translator:
             raise ValueError(f"unknown backend {backend!r}")
         #: Filled by each translate() call.
         self.last_driver: Optional[AlternatingPassDriver] = None
-        #: Lazily-built recording variant of the generated evaluator
-        #: (provenance hooks compiled in); the normal executor stays hot.
-        self._recording_eval: Optional[GeneratedEvaluator] = None
-        #: Lazily-built memo variants (incremental hooks compiled in)
-        #: and open MemoStores keyed by absolute memo directory.
-        self._memo_eval: Optional[GeneratedEvaluator] = None
-        self._memo_recording_eval: Optional[GeneratedEvaluator] = None
+        #: Lazily-built variants of the generated evaluator keyed by
+        #: ``(recording, memo)``: provenance and/or incremental hooks
+        #: compiled in, so the plain executor stays hot (see
+        #: :meth:`_variant`).
+        self._variants: Dict[Tuple[bool, bool], GeneratedEvaluator] = {}
+        #: Open MemoStores keyed by absolute memo directory.
         self._memo_identity: Optional[str] = None
         self._memo_stores: Dict[str, Any] = {}
         #: How to rebuild this translator in another process (set by the
@@ -651,15 +650,6 @@ class Translator:
                 productions=self.ag.productions,
                 metrics=metrics,
             )
-            if self.backend == "generated":
-                # Recording variant: same plans, provenance hooks
-                # compiled in.  Built once and kept; the non-recording
-                # executor (and its cached text) is untouched.
-                if self._recording_eval is None:
-                    self._recording_eval = GeneratedEvaluator(
-                        self.ag, self.linguist.plans, recording=True
-                    )
-                executor = self._recording_eval.executor
             # The initial spool must survive in the record directory for
             # the debug session's history queries; intermediates still go
             # through the normal factory (the checkpoint manager seals
@@ -682,23 +672,10 @@ class Translator:
         memo = None
         if memo_dir is not None:
             memo = self._memo_store(memo_dir, metrics=metrics, tracer=tracer)
-            if self.backend == "generated":
-                # Memo variants: same plans, incremental VISIT hooks
-                # compiled in.  The plain executor (and its cached
-                # text) is untouched, so memo_dir=None stays tax-free.
-                if recorder is not None:
-                    if self._memo_recording_eval is None:
-                        self._memo_recording_eval = GeneratedEvaluator(
-                            self.ag, self.linguist.plans,
-                            recording=True, memo=True,
-                        )
-                    executor = self._memo_recording_eval.executor
-                else:
-                    if self._memo_eval is None:
-                        self._memo_eval = GeneratedEvaluator(
-                            self.ag, self.linguist.plans, memo=True
-                        )
-                    executor = self._memo_eval.executor
+        if self.backend == "generated" and (
+            recorder is not None or memo is not None
+        ):
+            executor = self._variant(recorder is not None, memo is not None)
 
         strategy = (
             "bottom-up"
@@ -742,6 +719,19 @@ class Translator:
         )
         self.last_driver = driver
         return driver.run(initial, strategy=strategy, resume=resume)
+
+    def _variant(self, recording: bool, memo: bool):
+        """The executor of the generated evaluator with provenance
+        (``recording``) and/or incremental ``VISIT`` hooks (``memo``)
+        compiled in over the same plans; built once and kept, so the
+        plain executor and its cached text stay untouched."""
+        key = (recording, memo)
+        variant = self._variants.get(key)
+        if variant is None:
+            variant = self._variants[key] = GeneratedEvaluator(
+                self.ag, self.linguist.plans, recording=recording, memo=memo
+            )
+        return variant.executor
 
     def _memo_store(self, memo_dir: str, metrics=None, tracer=None):
         """Open (or reuse) the :class:`repro.passes.incremental.MemoStore`

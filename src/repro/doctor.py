@@ -50,7 +50,13 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.apt.storage import MAGIC_V3, salvage_spool, scan_spool
+from repro.apt.storage import (
+    MAGIC_V3,
+    DiskSpool,
+    matches_descriptor,
+    salvage_spool,
+    scan_spool,
+)
 from repro.buildcache.store import ENTRY_SUFFIX, MAGIC as CACHE_MAGIC
 from repro.obs.provenance import (
     PROV_FORMAT,
@@ -133,9 +139,6 @@ class DoctorReport:
 
     artifacts: List[ArtifactReport] = field(default_factory=list)
     repaired: bool = False
-
-    def by_state(self, state: str) -> List[ArtifactReport]:
-        return [a for a in self.artifacts if a.state == state]
 
     @property
     def clean(self) -> bool:
@@ -471,11 +474,10 @@ def _verify_manifest_entry(
     report = scan_spool(spool_path)
     if not report.ok:
         return False, f"pass {entry.get('pass')}: spool damaged"
-    if report.n_valid != entry.get("n_records"):
+    if not matches_descriptor(DiskSpool.open(spool_path), entry):
         return False, (
-            f"pass {entry.get('pass')}: manifest says "
-            f"{entry.get('n_records')} record(s), spool holds "
-            f"{report.n_valid}"
+            f"pass {entry.get('pass')}: spool does not match the "
+            "manifest (stale or swapped)"
         )
     return True, ""
 

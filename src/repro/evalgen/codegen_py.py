@@ -30,7 +30,13 @@ from repro.ag.model import (
     SymbolKind,
 )
 from repro.errors import GenerationError
-from repro.evalgen.plan import ActionKind, EvaluationPlan, PassPlan, sanitize
+from repro.evalgen.plan import (
+    ActionKind,
+    EvaluationPlan,
+    PassPlan,
+    global_slot,
+    sanitize,
+)
 from repro.evalgen.runtime import EvaluatorRuntime
 
 #: Line categories for the §V size accounting.
@@ -163,7 +169,7 @@ class PythonCodeGenerator:
         if kind == "temp":
             return source[1]
         if kind == "global":
-            return f"self.g_{sanitize(source[1])}"
+            return f"self.{global_slot(source[1])}"
         raise GenerationError(f"unknown value source {source!r}")
 
     # -- procedures -------------------------------------------------------------
@@ -224,7 +230,7 @@ class PythonCodeGenerator:
                     # hit path consumes the subtree from the sealed memo
                     # spool; the miss path visits and records.
                     em.emit(
-                        f"_mt = None if m is None else m.enter_gen({var}, self)",
+                        f"_mt = None if m is None else m.enter({var}, self.__dict__)",
                         PROV,
                         body,
                     )
@@ -244,7 +250,7 @@ class PythonCodeGenerator:
                 if self.memo:
                     em.emit("if _mt is not None:", PROV, inner)
                     em.emit(
-                        f"m.leave_gen(_mt, {var}, self)", PROV, inner + 1
+                        f"m.leave(_mt, {var}, self.__dict__)", PROV, inner + 1
                     )
             elif kind is ActionKind.COMPUTE:
                 binding = action.binding
@@ -280,7 +286,7 @@ class PythonCodeGenerator:
                         )
                     binding = action.binding
                     src = binding.copy_source()
-                    gvar = f"self.g_{sanitize(action.group)}"
+                    gvar = f"self.{global_slot(action.group)}"
                     em.emit(
                         f"rec.define({prod.index}, "
                         f"{binding.target.position}, "
@@ -292,24 +298,24 @@ class PythonCodeGenerator:
                     )
             elif kind is ActionKind.SNAPSHOT:
                 em.emit(
-                    f"{action.temp} = self.g_{sanitize(action.group)}", SEM, body
+                    f"{action.temp} = self.{global_slot(action.group)}", SEM, body
                 )
             elif kind is ActionKind.SETGLOBAL:
                 em.emit(
-                    f"self.g_{sanitize(action.group)} = "
+                    f"self.{global_slot(action.group)} = "
                     f"{self._source_code(action.source)}  # {action.comment}",
                     SEM,
                     body,
                 )
             elif kind is ActionKind.ENTRY_SAVE:
                 em.emit(
-                    f"sv_{sanitize(action.group)} = self.g_{sanitize(action.group)}",
+                    f"sv_{sanitize(action.group)} = self.{global_slot(action.group)}",
                     SEM,
                     body,
                 )
             elif kind is ActionKind.EXIT_RESTORE:
                 em.emit(
-                    f"self.g_{sanitize(action.group)} = sv_{sanitize(action.group)}",
+                    f"self.{global_slot(action.group)} = sv_{sanitize(action.group)}",
                     SEM,
                     body,
                 )
@@ -344,7 +350,7 @@ class PythonCodeGenerator:
         em.emit("def __init__(self, rt):", HUSK, 1)
         em.emit("self.rt = rt", HUSK, 2)
         for group in plan.groups:
-            em.emit(f"self.g_{sanitize(group)} = None", SEM, 2)
+            em.emit(f"self.{global_slot(group)} = None", SEM, 2)
         em.emit("", NOTE)
 
         # The driver entry: read the root, visit, collect exports, write.
@@ -354,7 +360,7 @@ class PythonCodeGenerator:
         em.emit(f"self.visit_{sanitize(self.ag.start)}(n0)", HUSK, 2)
         for attr_name, group in plan.root_exports:
             em.emit(
-                f"n0[2][{attr_name!r}] = self.g_{sanitize(group)}", SEM, 2
+                f"n0[2][{attr_name!r}] = self.{global_slot(group)}", SEM, 2
             )
         if self.recording:
             em.emit(

@@ -30,6 +30,8 @@ from repro.apt.storage import (
     DiskSpool,
     Spool,
     adaptive_spool_factory,
+    matches_descriptor,
+    spool_descriptor,
 )
 from repro.errors import EvaluationError, ResumeError, SpoolCorruptionError
 from repro.evalgen.plan import PassPlan
@@ -113,15 +115,19 @@ class CheckpointManager:
         self._write_manifest()
 
     def make_spool(
-        self, plan: PassPlan, accountant, channel: str, tracer=None, metrics=None
+        self, plan: PassPlan, accountant, channel: str, tracer=None,
+        metrics=None, seed_names=None,
     ) -> DiskSpool:
-        """The durable output spool for ``plan`` (kept after close)."""
+        """The durable output spool for ``plan`` (kept after close).
+        ``seed_names`` is the memo's splice-source name table, when a
+        memo pass writes here (see ``MemoStore.seed_names``)."""
         return DiskSpool(
             self.spool_path(plan.pass_k),
             accountant,
             channel,
             tracer=tracer,
             metrics=metrics,
+            seed_names=seed_names,
         )
 
     def record_pass(self, plan: PassPlan, spool: Spool) -> None:
@@ -134,9 +140,7 @@ class CheckpointManager:
             "pass": plan.pass_k,
             "direction": plan.direction.value,
             "spool": os.path.basename(getattr(spool, "path", "")),
-            "n_records": spool.n_records,
-            "data_bytes": spool.data_bytes,
-            "stream_crc": getattr(spool, "_stream_crc", 0),
+            **spool_descriptor(spool),
         }
         self._completed.append(entry)
         self._write_manifest()
@@ -228,11 +232,7 @@ class CheckpointManager:
             raise ResumeError(
                 f"checkpointed spool for pass {k} failed verification: {exc}"
             ) from exc
-        if (
-            spool.n_records != last.get("n_records")
-            or spool.data_bytes != last.get("data_bytes")
-            or spool._stream_crc != last.get("stream_crc")
-        ):
+        if not matches_descriptor(spool, last):
             raise ResumeError(
                 f"checkpointed spool for pass {k} does not match the "
                 f"manifest (expected {last.get('n_records')} records / "
@@ -448,9 +448,14 @@ class AlternatingPassDriver:
             # cold (a documented invalidation rule).
             memo_pass = memo is not None and resumed_spool is None
             if self.checkpoint is not None:
+                # A memo pass splices raw blobs, so its checkpoint file
+                # takes the splice source's name table too.
                 spool_out: Spool = self.checkpoint.make_spool(
                     plan, acc, f"pass{plan.pass_k}.out",
                     tracer=tracer, metrics=self.metrics,
+                    seed_names=(
+                        memo.seed_names(plan.pass_k) if memo_pass else None
+                    ),
                 )
             elif memo_pass:
                 # Each pass seals into the memo's next generation file

@@ -15,7 +15,13 @@ from typing import Any, Dict, List, Optional
 from repro.ag.model import AttributeGrammar, LHS_POSITION, LIMB_POSITION
 from repro.errors import EvaluationError
 from repro.evalgen.exprinterp import eval_expr
-from repro.evalgen.plan import ActionKind, EvaluationPlan, PassPlan, PlanAction
+from repro.evalgen.plan import (
+    ActionKind,
+    EvaluationPlan,
+    PassPlan,
+    PlanAction,
+    global_slot,
+)
 from repro.evalgen.runtime import EvaluatorRuntime
 from repro.obs.provenance import input_keys
 from repro.passes.incremental import MEMO_HIT
@@ -31,11 +37,11 @@ class InterpretiveEvaluator:
         """Run the whole pass: read the root, visit, write the root.
         Returns the root's node list (with this pass's exports filled
         in; see :mod:`repro.apt.node`)."""
-        globals_: Dict[str, Any] = {g: None for g in plan.groups}
+        globals_: Dict[str, Any] = {global_slot(g): None for g in plan.groups}
         root = runtime.get(self.ag.start)
         self._visit(root, plan, runtime, globals_)
         for attr_name, group in plan.root_exports:
-            root[2][attr_name] = globals_[group]
+            root[2][attr_name] = globals_[global_slot(group)]
         if runtime.rec is not None:
             runtime.rec.put(LHS_POSITION, root[0], runtime.out_index())
         runtime.put(root, plan.root_fields)
@@ -104,7 +110,7 @@ class InterpretiveEvaluator:
             if kind == "temp":
                 return temps[source[1]]
             if kind == "global":
-                return globals_[source[1]]
+                return globals_[global_slot(source[1])]
             raise EvaluationError(f"unknown value source {source!r}")
 
         for action in eplan.actions:
@@ -125,7 +131,7 @@ class InterpretiveEvaluator:
                 child = nodes[action.position]
                 memo = runtime.memo
                 if memo is not None:
-                    token = memo.enter_interp(child, globals_)
+                    token = memo.enter(child, globals_)
                     if token is MEMO_HIT:
                         continue  # subtree spliced from the memo
                 else:
@@ -137,7 +143,7 @@ class InterpretiveEvaluator:
                     self._visit(child, plan, runtime, globals_)
                     rec.exit_child()
                 if token is not None:
-                    memo.leave_interp(token, child, globals_)
+                    memo.leave(token, child, globals_)
             elif kind is ActionKind.COMPUTE:
                 binding = action.binding
 
@@ -180,7 +186,7 @@ class InterpretiveEvaluator:
                 if rec is not None:
                     binding = action.binding
                     src = binding.copy_source()
-                    value = globals_[action.group]
+                    value = globals_[global_slot(action.group)]
                     rec.define(
                         prod.index,
                         binding.target.position,
@@ -192,14 +198,14 @@ class InterpretiveEvaluator:
                         runtime.out_index(),
                     )
             elif kind is ActionKind.SNAPSHOT:
-                temps[action.temp] = globals_[action.group]
+                temps[action.temp] = globals_[global_slot(action.group)]
             elif kind is ActionKind.SETGLOBAL:
-                globals_[action.group] = source_value(action.source)
+                globals_[global_slot(action.group)] = source_value(action.source)
             elif kind is ActionKind.ENTRY_SAVE:
-                saves[action.group] = globals_[action.group]
+                saves[action.group] = globals_[global_slot(action.group)]
                 runtime.note_subsume_save(action.group)
             elif kind is ActionKind.EXIT_RESTORE:
-                globals_[action.group] = saves[action.group]
+                globals_[global_slot(action.group)] = saves[action.group]
                 runtime.note_subsume_restore(action.group)
             else:  # pragma: no cover
                 raise EvaluationError(f"unknown plan action {kind}")

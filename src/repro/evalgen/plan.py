@@ -155,6 +155,12 @@ def sanitize(name: str) -> str:
     return name.replace("$", "_")
 
 
+def global_slot(group: str) -> str:
+    """Where pass global ``group`` lives: the generated pass class's
+    instance attribute, and the interpreter's key for it."""
+    return f"g_{sanitize(group)}"
+
+
 def temp_name(key: OccKey) -> str:
     pos, attr = key
     tag = "L" if pos == LIMB_POSITION else str(pos)

@@ -233,23 +233,12 @@ class EvaluatorRuntime:
                     "(memo span disagrees with the spool)"
                 ) from None
 
-    def splice_record(self, record: Any) -> None:
-        """Append an already-evaluated record verbatim to the output
-        spool (memo-hit splice; bypasses node construction)."""
-        self._output.append(record)
-
     def splice_blobs(self, blobs) -> None:
         """Append one whole memoized subtree's already-*encoded* records
         verbatim in a single batched append (the raw memo splice: the
         output spool's codec was seeded from the splice source's name
         table, so the bytes need no decode/re-encode)."""
         self._output.append_blobs(blobs)
-
-    @property
-    def output_spool(self) -> Spool:
-        """The pass's output spool (the memo session inspects it to
-        decide whether the raw splice path applies)."""
-        return self._output
 
     def out_index(self) -> int:
         """Record index the *next* ``put`` call will occupy in

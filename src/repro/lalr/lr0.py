@@ -58,15 +58,6 @@ class LR0Automaton:
                         work.append(new)
         return frozenset(out)
 
-    def goto_set(self, items: ItemSet, symbol: str) -> ItemSet:
-        g = self.grammar
-        kernel = {
-            item.advanced()
-            for item in items
-            if item.next_symbol(g) == symbol
-        }
-        return self.closure(kernel) if kernel else frozenset()
-
     def _build(self) -> None:
         g = self.grammar
         start_kernel = frozenset({Item(0, 0)})

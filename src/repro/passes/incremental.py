@@ -48,11 +48,17 @@ import hashlib
 import os
 import pickle
 import re
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.ag.model import AttributeGrammar
 from repro.apt.node import RECORD_INDEX
-from repro.apt.storage import DiskSpool, RandomAccessReader, Spool
+from repro.apt.storage import (
+    DiskSpool,
+    RandomAccessReader,
+    Spool,
+    matches_descriptor,
+    spool_descriptor,
+)
 from repro.errors import MemoCorruptionError
 from repro.lalr.grammar import EOF_SYMBOL
 from repro.obs.provenance import canonical_value
@@ -792,60 +798,44 @@ class MemoStore:
                     path=self.manifest_path,
                     reason="header",
                 )
-            readers: Dict[int, RandomAccessReader] = {}
-            try:
-                for key, desc in spools.items():
-                    pass_k = int(key)
-                    spool_path = os.path.join(
-                        self.directory,
-                        os.path.basename(desc.get("spool", "")),
+            for key, desc in spools.items():
+                pass_k = int(key)
+                spool_path = os.path.join(
+                    self.directory,
+                    os.path.basename(desc.get("spool", "")),
+                )
+                try:
+                    spool = DiskSpool.open(
+                        spool_path, channel="memo.splice",
+                        tracer=self.tracer, metrics=self.metrics,
                     )
-                    try:
-                        spool = DiskSpool.open(
-                            spool_path, channel="memo.splice",
-                            tracer=self.tracer, metrics=self.metrics,
-                        )
-                    except Exception as exc:
-                        raise MemoCorruptionError(
-                            f"memo splice spool for pass {pass_k} failed "
-                            f"verification: {exc}",
-                            path=spool_path,
-                            reason="spool",
-                        ) from exc
-                    if (
-                        spool.n_records != desc.get("n_records")
-                        or spool.data_bytes != desc.get("data_bytes")
-                        or spool._stream_crc != desc.get("stream_crc")
-                    ):
-                        spool.close()
-                        raise MemoCorruptionError(
-                            f"memo splice spool for pass {pass_k} does not "
-                            "match the sealed manifest (stale or swapped "
-                            "generation)",
-                            path=spool_path,
-                            reason="stale",
-                        )
-                    readers[pass_k] = RandomAccessReader(spool)
-                for i, entry in enumerate(entries):
-                    reader = readers.get(entry.pass_k)
-                    if reader is None or entry.out_end > reader.spool.n_records:
-                        raise MemoCorruptionError(
-                            f"memo entry {i + 1} range [{entry.out_start}, "
-                            f"{entry.out_end}) of pass {entry.pass_k} "
-                            "overruns (or misses) its sealed spool",
-                            record_index=i + 1,
-                            path=self.manifest_path,
-                            reason="range",
-                        )
-            except MemoCorruptionError:
-                for reader in readers.values():
-                    try:
-                        reader.close()
-                        reader.spool.close()
-                    except Exception:
-                        pass
-                raise
-            self.readers = readers
+                    self.readers[pass_k] = RandomAccessReader(spool)
+                except Exception as exc:
+                    raise MemoCorruptionError(
+                        f"memo splice spool for pass {pass_k} failed "
+                        f"verification: {exc}",
+                        path=spool_path,
+                        reason="spool",
+                    ) from exc
+                if not matches_descriptor(spool, desc):
+                    raise MemoCorruptionError(
+                        f"memo splice spool for pass {pass_k} does not "
+                        "match the sealed manifest (stale or swapped "
+                        "generation)",
+                        path=spool_path,
+                        reason="stale",
+                    )
+            for i, entry in enumerate(entries):
+                reader = self.readers.get(entry.pass_k)
+                if reader is None or entry.out_end > reader.spool.n_records:
+                    raise MemoCorruptionError(
+                        f"memo entry {i + 1} range [{entry.out_start}, "
+                        f"{entry.out_end}) of pass {entry.pass_k} "
+                        "overruns (or misses) its sealed spool",
+                        record_index=i + 1,
+                        path=self.manifest_path,
+                        reason="range",
+                    )
             self._generation = max(self._generation, generation)
             self._adopt_entries(entries)
             if self.metrics is not None:
@@ -855,12 +845,7 @@ class MemoStore:
         except MemoCorruptionError as exc:
             # Silent cold miss: a damaged memo never fails a translation.
             self.load_error = exc
-            self.entries = {}
-            self._sorted = {}
-            self._starts = {}
-            self.readers = {}
-            if self.metrics is not None:
-                self.metrics.counter("incremental.invalidations").inc()
+            self.disable()
             if self.tracer is not None:
                 self.tracer.instant(
                     "incremental.invalidated", cat="robust", reason=exc.reason
@@ -1037,47 +1022,46 @@ class MemoStore:
     def next_generation(self) -> int:
         return self._generation + 1
 
+    def seed_names(self, pass_k: int):
+        """The name table every output spool of pass ``pass_k`` is
+        seeded with (None when the pass has no splice source): every id
+        of the splice source stays valid in the new spool, so a hit
+        splices the still-encoded blobs verbatim, with no decode and no
+        re-encode.  A source whose table fails to load disables the
+        memo here, so a pass only ever splices from the reader its
+        output was seeded from."""
+        reader = self.readers.get(pass_k)
+        if reader is None:
+            return None
+        source = reader.spool
+        try:
+            if source._codec is None:
+                source._codec = source._load_codec()
+        except Exception:
+            self.disable()
+            return None
+        return source._codec.names
+
     def make_output_spool(
         self, pass_k: int, accountant, channel: str, tracer=None, metrics=None
     ) -> DiskSpool:
         """The durable output spool of pass ``pass_k`` in the *next*
         generation — distinct from the current generation's file, which
-        may be spliced from while this one is written.
-
-        When the current generation holds a splice source for this
-        pass, the new spool's codec is seeded with a copy of that
-        source's name table: every id of the old generation stays
-        valid, so hits can splice the still-encoded blobs verbatim
-        (no decode, no re-encode)."""
-        reader = self.readers.get(pass_k)
-        seed = None
-        if reader is not None:
-            try:
-                source = reader.spool
-                codec = source._codec
-                if codec is None:
-                    codec = source._codec = source._load_codec()
-                seed = codec.names
-            except Exception:
-                seed = None
-        spool = DiskSpool(
+        may be spliced from while this one is written — seeded per
+        :meth:`seed_names`."""
+        return DiskSpool(
             self._spool_path(pass_k, self.next_generation()),
             accountant,
             channel,
             tracer=tracer,
             metrics=metrics,
-            seed_names=seed,
+            seed_names=self.seed_names(pass_k),
             # Memo spools are cache artifacts: skip the fsync at seal
             # time.  A file torn by power loss fails its stream-CRC
             # check at the next load and the memo degrades to a cold
             # miss — never a wrong translation.
             durable=False,
         )
-        if seed is not None:
-            # Tag the spool with its seed source so the session can
-            # prove the raw splice path is sound for this pairing.
-            spool._memo_raw_source = reader
-        return spool
 
     def commit_run(
         self, commits: List[Tuple["MemoSession", Any]]
@@ -1094,9 +1078,7 @@ class MemoStore:
                 continue
             spools[str(session.pass_k)] = {
                 "spool": os.path.basename(spool_path),
-                "n_records": spool_out.n_records,
-                "data_bytes": spool_out.data_bytes,
-                "stream_crc": getattr(spool_out, "_stream_crc", 0),
+                **spool_descriptor(spool_out),
             }
             entries.extend(session.new_entries.values())
         if not spools:
@@ -1146,7 +1128,8 @@ class MemoStore:
             )
 
     def disable(self) -> None:
-        """Drop all splice state after a read failure mid-run."""
+        """Drop all splice state and count one invalidation: a failed
+        load, a splice source that fails mid-run."""
         self._close_readers()
         self.entries = {}
         self._sorted = {}
@@ -1172,11 +1155,10 @@ class _Token:
 class MemoSession:
     """One run's view of the memo, attached to pass 1's runtime.
 
-    The evaluators call :meth:`enter_interp`/:meth:`enter_gen` at each
-    ``VISIT``; the session decides candidate / hit / miss.  On a hit it
-    splices and returns :data:`MEMO_HIT`; on a recordable miss it
-    returns a token the matching ``leave_*`` call turns into a new
-    memo entry.
+    Both evaluators call :meth:`enter` at each ``VISIT``; the session
+    decides candidate / hit / miss.  On a hit it splices and returns
+    :data:`MEMO_HIT`; on a recordable miss it returns a token the
+    matching :meth:`leave` call turns into a new memo entry.
     """
 
     def __init__(
@@ -1188,7 +1170,7 @@ class MemoSession:
         read_only: bool = False,
         forward: bool = False,
     ):
-        from repro.evalgen.plan import sanitize
+        from repro.evalgen.plan import global_slot
 
         self.store = store
         self.plan = plan
@@ -1201,8 +1183,8 @@ class MemoSession:
         self.read_only = read_only
         self._forward = forward
         self._entries = store.entries.get(plan.pass_k) or {}
-        self.groups: List[str] = list(plan.groups)
-        self._gen_names = [(g, f"g_{sanitize(g)}") for g in self.groups]
+        #: ``(group, scope key)`` of each pass global.
+        self._slots = [(g, global_slot(g)) for g in plan.groups]
         self._n_total = len(index.hashes)
         self._reads = 0
         self.new_entries: Dict[Tuple[str, str], MemoEntry] = {}
@@ -1240,42 +1222,11 @@ class MemoSession:
 
     # -- the evaluator-facing API -----------------------------------------
 
-    def enter_interp(self, node, globals_: Dict[str, Any]):
-        """Interpretive backend ``VISIT`` hook."""
-        return self._enter(node, globals_.get, globals_.__setitem__)
-
-    def leave_interp(self, token, node, globals_: Dict[str, Any]) -> None:
-        self._leave(token, node, globals_.get)
-
-    def enter_gen(self, node, ev):
-        """Generated backend ``VISIT`` hook (``ev`` is the pass-class
-        instance; globals live as its ``g_<group>`` attributes)."""
-        if self._gen_names:
-            return self._enter(
-                node,
-                lambda g, _names=dict(self._gen_names), _ev=ev: getattr(
-                    _ev, _names[g]
-                ),
-                lambda g, v, _names=dict(self._gen_names), _ev=ev: setattr(
-                    _ev, _names[g], v
-                ),
-            )
-        return self._enter(node, lambda g: None, lambda g, v: None)
-
-    def leave_gen(self, token, node, ev) -> None:
-        if token is None:
-            return
-        names = dict(self._gen_names)
-        self._leave(token, node, lambda g: getattr(ev, names[g]))
-
-    # -- core --------------------------------------------------------------
-
-    def _enter(
-        self,
-        node,
-        get_global: Callable[[str], Any],
-        set_global: Callable[[str, Any], None],
-    ):
+    def enter(self, node, scope: Dict[str, Any]):
+        """The ``VISIT`` hook.  ``scope`` maps each pass global's
+        :func:`~repro.evalgen.plan.global_slot` to its live value: the
+        generated pass instance's ``__dict__``, the interpreter's
+        globals dict."""
         idx = node[RECORD_INDEX]
         if idx is None or node[3] or node[1] is None:
             return None
@@ -1283,12 +1234,12 @@ class MemoSession:
         if span < self.store.min_span:
             return None
         ctx = context_fingerprint(
-            node[2], ((g, get_global(g)) for g in self.groups)
+            node[2], ((g, scope[slot]) for g, slot in self._slots)
         )
         key = (self.hashes[idx].hex(), ctx.hex())
         entry = self._entries.get(key)
         if entry is not None and entry.n_skip == span - 1:
-            if self._splice(entry, node, set_global):
+            if self._splice(entry, node, scope):
                 return MEMO_HIT
         if self.read_only and self.runtime.rec is None:
             # Nothing to record into and no provenance to annotate:
@@ -1298,26 +1249,20 @@ class MemoSession:
             self._c_spine.inc()
         return _Token(key, self.runtime.out_index(), span - 1)
 
-    def _splice(self, entry: MemoEntry, node, set_global) -> bool:
+    def _splice(self, entry: MemoEntry, node, scope: Dict[str, Any]) -> bool:
         """Reuse ``entry`` for ``node``: all fallible reads first, then
-        the irreversible skip + splice + state restore."""
+        the irreversible skip + splice + state restore.  The output
+        spool was seeded from this reader's name table
+        (:meth:`MemoStore.seed_names`), so the sealed blobs are valid
+        there verbatim."""
         store = self.store
         reader = store.readers.get(self.pass_k)
         if reader is None:
             return False
         runtime = self.runtime
-        # Raw fast path: the output spool's codec was seeded from this
-        # reader's name table (make_output_spool), so the sealed blobs
-        # are valid verbatim — no decode, no re-encode.  Read-only runs
-        # (checkpoint/record spools) take the decoding path.
-        raw = getattr(runtime.output_spool, "_memo_raw_source", None) is reader
         try:
             post_attrs, post_globals = entry.payload()
             blobs, n_blocks = reader.raw_range(entry.out_start, entry.out_end)
-            records = None
-            if not raw:
-                decode = reader.spool._decode
-                records = [decode(blob) for blob in blobs]
         except Exception:
             # Damaged splice source: nothing was consumed yet, so this
             # hit (and every future one this run) degrades to a miss.
@@ -1326,14 +1271,10 @@ class MemoSession:
         runtime.skip_records(entry.n_skip)
         self._reads += entry.n_skip
         out_start = runtime.out_index()
-        if raw:
-            runtime.splice_blobs(blobs)
-        else:
-            for record in records:
-                runtime.splice_record(record)
+        runtime.splice_blobs(blobs)
         node[2] = dict(post_attrs)
-        for group, value in zip(self.groups, post_globals):
-            set_global(group, value)
+        for (_group, slot), value in zip(self._slots, post_globals):
+            scope[slot] = value
         rec = runtime.rec
         if rec is not None:
             rec.reuse(node[0], entry.n_skip + 1, out_start, entry.out_len)
@@ -1351,7 +1292,8 @@ class MemoSession:
                 )
         return True
 
-    def _leave(self, token, node, get_global: Callable[[str], Any]) -> None:
+    def leave(self, token, node, scope: Dict[str, Any]) -> None:
+        """Close a miss :meth:`enter` returned ``token`` for."""
         if token is None:
             return
         self.misses += 1
@@ -1361,7 +1303,7 @@ class MemoSession:
             return
         out_len = self.runtime.out_index() - token.out_start
         try:
-            payload = (dict(node[2]), [get_global(g) for g in self.groups])
+            payload = (dict(node[2]), [scope[slot] for _g, slot in self._slots])
             blob = base64.b64encode(
                 pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             ).decode("ascii")

@@ -44,12 +44,6 @@ class ScannerSpec:
         self.keywords[lexeme] = kind if kind is not None else lexeme
         return self
 
-    def token_kinds(self) -> List[str]:
-        """All non-skip token kinds this spec can produce."""
-        kinds = [k for k, _ in self.rules if k not in self.skip]
-        kinds.extend(v for v in self.keywords.values() if v not in kinds)
-        return kinds
-
     def generate(self, names: Optional[NameTable] = None, filename: str = "<input>") -> Scanner:
         return ScannerGenerator(self).generate(names=names, filename=filename)
 

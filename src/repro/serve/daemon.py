@@ -34,7 +34,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import (
     GrammarUnavailable,
@@ -787,36 +787,3 @@ class TranslationServer:
         if self.metrics is not None:
             self.metrics.counter(name).inc()
 
-
-def specs_for_grammars(
-    grammar_files: Sequence[str],
-    cache_dir: str,
-    direction: str = "r2l",
-    backend: str = "generated",
-    memo_dir: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Build the ``{grammar_name: WorkerSpec}`` map the server needs
-    from ``.ag`` file paths (grammar name = file stem, as the batch CLI
-    resolves scanners).  ``memo_dir`` roots a per-grammar incremental
-    memo (``memo_dir/<grammar>``); each worker slot then keeps its own
-    subdirectory under that, so repeated requests against a grammar are
-    served warm (clean subtrees spliced from the sealed memo)."""
-    import os
-
-    from repro.batch import WorkerSpec
-
-    specs: Dict[str, Any] = {}
-    for path in grammar_files:
-        name = os.path.splitext(os.path.basename(path))[0]
-        with open(path, "r", encoding="utf-8") as f:
-            source = f.read()
-        specs[name] = WorkerSpec(
-            source=source,
-            filename=path,
-            grammar_name=name,
-            direction=direction,
-            cache_dir=cache_dir,
-            backend=backend,
-            memo_dir=os.path.join(memo_dir, name) if memo_dir else None,
-        )
-    return specs

@@ -394,6 +394,39 @@ class TestDoctor:
         assert not os.path.exists(os.path.join(d, "pass2.spool"))
         assert run_doctor([d]).clean
 
+    def test_repair_drops_a_same_shaped_swapped_spool_so_resume_runs(
+        self, tmp_path
+    ):
+        """A pass spool swapped for another input's spool of the same
+        shape passes a record-count check; the doctor must compare the
+        whole sealed descriptor, or ``--resume`` refuses the directory
+        the repair was meant to save."""
+        from repro.core import Linguist
+        from repro.grammars import load_source, scanner_and_library
+
+        spec, library = scanner_and_library("calc")
+        tr = Linguist(load_source("calc")).make_translator(
+            spec, library=library
+        )
+        texts = {"a": "let a = 6 ; print a * 7", "b": "let a = 5 ; print a * 7"}
+        for name, text in texts.items():
+            tr.translate(text, checkpoint_dir=str(tmp_path / name))
+        spools = [
+            DiskSpool.open(str(tmp_path / name / "pass1.spool"))
+            for name in texts
+        ]
+        assert spools[0].n_records == spools[1].n_records
+        assert spools[0].data_bytes == spools[1].data_bytes
+        shutil.copy(
+            str(tmp_path / "b" / "pass1.spool"),
+            str(tmp_path / "a" / "pass1.spool"),
+        )
+        run_doctor([str(tmp_path / "a")], repair=True)
+        resumed = tr.translate(
+            texts["a"], checkpoint_dir=str(tmp_path / "a"), resume=True
+        )
+        assert resumed.root_attrs == tr.translate(texts["a"]).root_attrs
+
     def test_orphaned_pass_spool_detected(self, tmp_path):
         d = str(tmp_path)
         make_sealed_spool(tmp_path / "pass0.spool", n=2)

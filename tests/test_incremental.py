@@ -235,6 +235,55 @@ def test_corrupt_splice_spool_is_a_cold_miss(tmp_path):
     assert c["invalidations"] >= 1 and c["hits"] == 0
 
 
+def test_damaged_block_head_is_a_cold_miss(tmp_path):
+    """Block damage the footer checks cannot see still fails the load,
+    not the translation: the reader's block walk is part of it."""
+    memo = str(tmp_path / "memo")
+    cold = make_translator().translate(PROGRAM, memo_dir=memo)
+    spool = next(
+        os.path.join(memo, n) for n in os.listdir(memo)
+        if re.match(r"^pass\d+\.g\d+\.spool$", n)
+    )
+    # High byte of the first block's payload length (after the 12-byte
+    # file header): the length now overruns the sealed data region.
+    _flip_byte(spool, 15)
+    metrics = MetricsRegistry()
+    again = make_translator().translate(
+        PROGRAM, memo_dir=memo, metrics=metrics
+    )
+    c = counters(metrics)
+    assert canonical_attrs(again.root_attrs) == canonical_attrs(
+        cold.root_attrs
+    )
+    assert c["invalidations"] == 1 and c["hits"] == 0
+
+
+def test_damaged_name_table_disables_the_memo_before_the_pass(tmp_path):
+    """The footer checks of the load cannot see name-table damage; it
+    surfaces when the pass takes its seed, which disables the memo, so
+    no pass splices from a source its output was not seeded from."""
+    from repro.apt.storage import _FOOTER3
+
+    memo = str(tmp_path / "memo")
+    cold = make_translator().translate(PROGRAM, memo_dir=memo)
+    spool = next(
+        os.path.join(memo, n) for n in os.listdir(memo)
+        if re.match(r"^pass\d+\.g\d+\.spool$", n)
+    )
+    # The name-table payload ends where the sealed footer begins.
+    _flip_byte(spool, os.path.getsize(spool) - _FOOTER3.size - 1)
+    metrics = MetricsRegistry()
+    again = make_translator().translate(
+        PROGRAM, memo_dir=memo, metrics=metrics
+    )
+    c = counters(metrics)
+    assert canonical_attrs(again.root_attrs) == canonical_attrs(
+        cold.root_attrs
+    )
+    assert c["entries_loaded"] > 0
+    assert c["invalidations"] == 1 and c["hits"] == 0
+
+
 def test_foreign_grammar_memo_is_invalidated(tmp_path):
     """A memo written by another grammar fails the identity check."""
     memo = str(tmp_path / "memo")
@@ -265,8 +314,8 @@ def test_empty_memo_dir_translates_cold(tmp_path):
 def test_memoless_translation_builds_no_memo_machinery(tmp_path):
     tr = make_translator()
     plain = tr.translate(PROGRAM)
-    assert tr._memo_eval is None
-    assert tr._memo_recording_eval is None
+    assert tr._variants.get((False, True)) is None
+    assert tr._variants.get((True, True)) is None
     assert tr._memo_stores == {}
     memoed = make_translator().translate(
         PROGRAM, memo_dir=str(tmp_path / "memo")
@@ -307,6 +356,73 @@ def test_record_run_consults_memo_and_records_reuse_instants(tmp_path):
     reuse = [e for e in log.events if e.get("e") == "reuse"]
     assert reuse, "no reuse instants in the provenance log"
     assert all(e["r"] >= 1 and e["l"] >= 1 for e in reuse)
+
+
+@pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
+def test_memo_record_run_spools_decode_like_a_cold_record_run(tmp_path, fuse):
+    """A recorded memo run splices raw blobs into its checkpointed pass
+    spools (seeded from the splice source's name table); every pass
+    spool still decodes to the records of a memo-less recorded run."""
+    from repro.apt.storage import DiskSpool
+
+    memo = str(tmp_path / "memo")
+    tr = make_translator(fuse=fuse)
+    tr.translate(PROGRAM, memo_dir=memo)
+    edited = edit_last_statement(PROGRAM)
+    metrics = MetricsRegistry()
+    tr.translate(
+        edited, record=str(tmp_path / "memo-rec"), memo_dir=memo,
+        metrics=metrics,
+    )
+    assert counters(metrics)["hits"] >= 1
+    make_translator(fuse=fuse).translate(
+        edited, record=str(tmp_path / "cold-rec")
+    )
+    names = sorted(
+        name for name in os.listdir(tmp_path / "cold-rec")
+        if re.match(r"^pass\d+\.spool$", name)
+    )
+    assert len(names) == (1 if fuse else 2)
+    for name in names:
+        spliced, cold = (
+            list(DiskSpool.open(str(tmp_path / rec / name)).read_forward())
+            for rec in ("memo-rec", "cold-rec")
+        )
+        assert spliced == cold, name
+
+
+def test_memo_runs_keep_only_the_last_run_alive(tmp_path):
+    """The paper's bounded residency, across runs: after ten memo
+    translations through one translator, only the last run's driver
+    and sessions are reachable (a splice source must not chain the
+    run that wrote it, and that run's own source, into memory)."""
+    import gc
+
+    from repro.evalgen.driver import AlternatingPassDriver
+    from repro.passes.incremental import MemoSession
+
+    memo = str(tmp_path / "memo")
+    tr = make_translator()
+    text = PROGRAM
+    for _ in range(10):
+        tr.translate(text, memo_dir=memo)
+        text = edit_last_statement(text)
+    store = tr._memo_stores[os.path.abspath(memo)]
+    gc.collect()
+    live = gc.get_objects()
+    drivers = [
+        o for o in live
+        if isinstance(o, AlternatingPassDriver) and o.memo is store
+    ]
+    sessions = [
+        o for o in live if isinstance(o, MemoSession) and o.store is store
+    ]
+    assert drivers == [tr.last_driver]
+    assert sessions
+    assert all(
+        any(s is kept for kept in tr.last_driver.memo_sessions)
+        for s in sessions
+    )
 
 
 def test_resumed_run_evaluates_cold(tmp_path):

@@ -496,7 +496,7 @@ def test_disabled_mode_emits_no_artifacts(tmp_path):
         calc_scanner_spec(), library=library_for("calc")
     )
     translator.translate(CALC_PROGRAM)
-    assert translator._recording_eval is None
+    assert translator._variants.get((True, False)) is None
     assert list(tmp_path.iterdir()) == []
 
 
