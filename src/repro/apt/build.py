@@ -35,6 +35,10 @@ from repro.regex.scanner import Token
 
 IntrinsicFn = Callable[[Token, str, str], object]
 
+#: Intrinsic attribute names :func:`default_intrinsics` derives from a
+#: token's location rather than its text.
+LOCATION_INTRINSICS = frozenset(("LINE", "COL", "COLUMN"))
+
 
 def default_intrinsics(token: Token, symbol: str, attr_name: str) -> object:
     """Conventional intrinsic attribute values set by the parser (§IV:
@@ -46,9 +50,9 @@ def default_intrinsics(token: Token, symbol: str, attr_name: str) -> object:
     lexeme as an int when it looks like one, else the lexeme itself.
     """
     upper = attr_name.upper()
-    if upper == "LINE":
-        return token.location.line
-    if upper in ("COL", "COLUMN"):
+    if upper in LOCATION_INTRINSICS:
+        if upper == "LINE":
+            return token.location.line
         return token.location.column
     if upper in ("NAME", "SYM$NAME", "OBJ", "NAMEINDEX"):
         return token.name_index

@@ -110,6 +110,11 @@ RECORD_OVERHEAD = _LEN.size
 BLOCK_OVERHEAD = _BLOCK_HEAD.size + _BLOCK_TAIL.size
 
 
+#: One framed slice of a verified block for :meth:`DiskSpool.splice_range`:
+#: ``(payload view, lo, hi, first record, end record, record offsets)``.
+SplicePiece = Tuple[memoryview, int, int, int, int, List[int]]
+
+
 def _footer3_bytes(
     n_records: int, data_bytes: int, n_blocks: int,
     nt_offset: int, nt_bytes: int, stream_crc: int,
@@ -190,12 +195,6 @@ class Spool:
             self.tracer.instant(
                 "spool.write", cat="io", channel=self.channel, nbytes=len(blob)
             )
-
-    def append_blobs(self, blobs: List[bytes]) -> None:
-        """Append many already-encoded records (subclasses may batch
-        the framing and accounting)."""
-        for blob in blobs:
-            self.append_blob(blob)
 
     def finalize(self) -> None:
         """End the writing phase; the spool becomes readable."""
@@ -605,6 +604,12 @@ class DiskSpool(Spool):
         self._block_records = 0
         self._n_blocks = 0
         self._nt_bytes = 0
+        #: Record start offsets inside the block being filled, and
+        #: ``(payload length, record starts)`` of every sealed block —
+        #: kept only after :meth:`keep_layout`, for a reader in this
+        #: process (a memo splice source) that must not split blocks.
+        self._starts: Optional[List[int]] = None
+        self.block_layout: Optional[List[Tuple[int, List[int]]]] = None
         self._tmp_path: Optional[str] = path + ".tmp"
         self._writer: Optional[io.BufferedWriter] = _aw.open_file(
             self._tmp_path, "wb"
@@ -638,6 +643,8 @@ class DiskSpool(Spool):
         spool._block_records = 0
         spool._n_blocks = 0
         spool._nt_bytes = 0
+        spool._starts = None
+        spool.block_layout = None
         spool.block_size = DEFAULT_BLOCK_SIZE
         return spool
 
@@ -684,6 +691,8 @@ class DiskSpool(Spool):
         if self._writer is None:
             raise EvaluationError(f"spool {self.channel!r} is not open for writing")
         buf = self._block_buf
+        if self._starts is not None:
+            self._starts.append(len(buf))
         buf += _LEN.pack(len(blob))
         buf += blob
         self._block_records += 1
@@ -691,43 +700,76 @@ class DiskSpool(Spool):
         if len(buf) >= self.block_size:
             self._flush_block()
 
-    def append_blobs(self, blobs: List[bytes]) -> None:
-        """Bulk raw append: one accounting charge and one trace event
-        for the whole batch, with the framing loop kept local.  The
-        incremental memo splices thousands of sealed blobs per hit
-        through here; per-record overhead is the price of a splice."""
+    def keep_layout(self) -> None:
+        """Keep every block's record offsets while writing, for
+        :class:`RandomAccessReader` to take over (see
+        :attr:`block_layout`)."""
+        self._starts = []
+        self.block_layout = []
+
+    def splice_range(
+        self,
+        pieces: List["SplicePiece"],
+        count: int,
+        data_bytes: int,
+        crc_from: int,
+        crc_to: int,
+    ) -> None:
+        """Append ``count`` records verbatim, as the framed byte slices
+        of verified blocks :meth:`RandomAccessReader.pieces` returned.
+
+        ``data_bytes`` is the records' payload length (framing
+        excluded) and ``crc_to`` the CRC32 of those payload bytes
+        continued from ``crc_from``.  CRC32 is affine in its start
+        value, so the stream CRC continues over the range through two
+        CRCs of as many zero bytes.  Blocks close at the very record
+        where appending the records one by one would close them, so the
+        file is byte for byte what :meth:`append_blob` would write.  The
+        output spool must share the source's name table
+        (``seed_names``)."""
         if self._finalized:
             raise EvaluationError(f"spool {self.channel!r} already finalized")
         if self._writer is None:
             raise EvaluationError(f"spool {self.channel!r} is not open for writing")
-        pack = _LEN.pack
-        block_size = self.block_size
-        # The stream CRC chains per appended blob, which is by definition
-        # the CRC of the blobs' concatenation — one C-level pass beats
-        # thousands of tiny zlib calls on the splice path.
-        joined = b"".join(blobs)
-        nbytes = len(joined)
-        self._stream_crc = zlib.crc32(joined, self._stream_crc)
-        buf = self._block_buf
-        recs = self._block_records
-        for blob in blobs:
-            buf += pack(len(blob))
-            buf += blob
-            recs += 1
-            if len(buf) >= block_size:
-                self._block_records = recs
-                self._flush_block()
+        zeros = bytes(data_bytes)
+        self._stream_crc = (
+            crc_to ^ zlib.crc32(zeros, crc_from)
+            ^ zlib.crc32(zeros, self._stream_crc)
+        )
+        size = self.block_size
+        for view, lo, hi, i_lo, i_hi, starts in pieces:
+            while True:
                 buf = self._block_buf
-                recs = 0
-        self._block_records = recs
-        self.n_records += len(blobs)
-        self.data_bytes += nbytes
+                fill = len(buf)
+                if hi - lo < size - fill:
+                    end, i_end = hi, i_hi
+                else:
+                    # The first record end at which the block reaches
+                    # its size: one bisection over the block's offsets.
+                    i_end = bisect.bisect_left(starts, lo + size - fill, i_lo, i_hi)
+                    end = starts[i_end] if i_end < i_hi else hi
+                if self._starts is not None:
+                    shift = fill - lo
+                    self._starts += (
+                        [o + shift for o in starts[i_lo:i_end]]
+                        if shift else starts[i_lo:i_end]
+                    )
+                buf += view[lo:end]
+                self._block_records += i_end - i_lo
+                if len(buf) < size:
+                    break
+                self._flush_block()
+                lo, i_lo = end, i_end
+                if lo == hi:
+                    break
+        self.n_records += count
+        self.data_bytes += data_bytes
         if self.accountant is not None:
-            self.accountant.charge_write_many(len(blobs), nbytes, self.channel)
+            self.accountant.charge_write_many(count, data_bytes, self.channel)
         if self.tracer is not None:
             self.tracer.instant(
                 "spool.write", cat="io", channel=self.channel,
-                nbytes=nbytes, n_records=len(blobs),
+                nbytes=data_bytes, n_records=count,
             )
 
     def _flush_block(self) -> None:
@@ -745,6 +787,9 @@ class DiskSpool(Spool):
             _BLOCK_TAIL.pack(crc, self._block_records, len(payload))
         )
         self._n_blocks += 1
+        if self._starts is not None:
+            self.block_layout.append((len(payload), self._starts))
+            self._starts = []
         if self.metrics is not None:
             self.metrics.counter("spool.codec.blocks_written").inc()
             self.metrics.counter("spool.codec.block_payload_bytes").inc(
@@ -1003,6 +1048,20 @@ class DiskSpool(Spool):
         first_record_index: int,
     ) -> Tuple[List[bytes], int]:
         """Read + verify one block at ``pos``; return (records, end pos)."""
+        payload, n_records = self._read_block_payload(
+            f, pos, data_end, block_index, first_record_index
+        )
+        blobs = self._split_block(
+            payload, n_records, block_index, pos, first_record_index
+        )
+        return blobs, pos + BLOCK_OVERHEAD + len(payload)
+
+    def _read_block_payload(
+        self, f, pos: int, data_end: int, block_index: int,
+        first_record_index: int,
+    ) -> Tuple[bytes, int]:
+        """Read + verify one block's frame and checksum at ``pos``;
+        return its payload and record count."""
         head = f.read(_BLOCK_HEAD.size)
         if len(head) != _BLOCK_HEAD.size:
             raise self._corrupt(
@@ -1046,10 +1105,7 @@ class DiskSpool(Spool):
                 record_index=first_record_index, byte_offset=pos,
                 block_index=block_index, reason="checksum",
             )
-        blobs = self._split_block(
-            payload, n_records, block_index, pos, first_record_index
-        )
-        return blobs, pos + BLOCK_OVERHEAD + payload_len
+        return payload, n_records
 
     def _walk_blocks(
         self, f, data_end: int
@@ -1162,7 +1218,7 @@ class DiskSpool(Spool):
 def spool_descriptor(spool: Spool) -> Dict[str, int]:
     """What a manifest records of a sealed spool to recognise it when
     reopened: record count, payload bytes and stream CRC, in the key
-    order ``checkpoint.json`` and the MEMO1 header keep."""
+    order ``checkpoint.json`` and the MEMO2 generation records keep."""
     return {
         "n_records": spool.n_records,
         "data_bytes": spool.data_bytes,
@@ -1246,35 +1302,60 @@ class RandomAccessReader:
 
     The streaming readers replay a whole pass; the time-travel debugger
     instead needs *one node's* state out of the middle of a sealed
-    spool.  This reader walks the block frames once at attach time —
-    header fields only, no payload reads — building a ``(file offset,
-    first record index)`` index, then serves ``record(i)`` by verifying
+    spool, and the incremental memo a range of records.  This reader
+    walks the block frames once at attach time — header fields only, no
+    payload reads — building a per-block index (file offset, first
+    record, first framed byte), then serves ``record(i)`` by verifying
     + decoding only the one block that holds record ``i`` (with a
-    one-block cache for locality).
+    one-block cache for locality).  ``layout`` (a writer's
+    :attr:`DiskSpool.block_layout`) stands in for the walk and also
+    supplies each block's record offsets, so no block is split to find
+    a record.
 
     Addresses are :class:`~repro.apt.codec.RecordAddress` triples
     ``(pass, block, record-in-block)`` — the replay coordinates the
     provenance log prints.
     """
 
-    def __init__(self, spool: DiskSpool):
+    def __init__(
+        self,
+        spool: DiskSpool,
+        layout: Optional[List[Tuple[int, List[int]]]] = None,
+    ):
         if not spool._finalized:
             raise EvaluationError(
                 "random access requires a sealed spool (finalize() first)"
             )
         self.spool = spool
         self._f = open(spool.path, "rb")
-        size = self._f.seek(0, os.SEEK_END)
         self._cache_block: Optional[int] = None
-        self._cache_blobs: List[bytes] = []
+        self._cache_payload = b""
+        self._cache_blobs: Optional[List[bytes]] = None
         #: Per-block file offsets.
         self._starts: List[int] = []
         #: First record index of each block (parallel to _starts).
         self._firsts: List[int] = []
-        footer = spool._read_footer3(self._f, size)
-        self._data_end = footer.nt_offset
+        #: Offset of each block's payload in the stream of framed
+        #: records (block frames excluded).
+        self._framed: List[int] = []
+        #: Record start offsets inside each block's payload, once known.
+        self._records: List[Optional[List[int]]] = []
+        try:
+            size = self._f.seek(0, os.SEEK_END)
+            footer = spool._read_footer3(self._f, size)
+            self._data_end = footer.nt_offset
+            if layout is None:
+                self._walk_heads()
+            else:
+                self._adopt(layout)
+        except BaseException:
+            self.close()
+            raise
+
+    def _walk_heads(self) -> None:
+        spool = self.spool
         pos = _HEADER.size
-        index = 0
+        index = framed = 0
         while pos < self._data_end:
             self._f.seek(pos)
             head = self._f.read(_BLOCK_HEAD.size)
@@ -1292,10 +1373,31 @@ class RandomAccessReader:
                     record_index=index, byte_offset=pos,
                     block_index=len(self._starts), reason="framing",
                 )
-            self._starts.append(pos)
-            self._firsts.append(index)
+            self._add_block(pos, index, framed, None)
             index += n_records
+            framed += payload_len
             pos += BLOCK_OVERHEAD + payload_len
+
+    def _adopt(self, layout: List[Tuple[int, List[int]]]) -> None:
+        pos = _HEADER.size
+        index = framed = 0
+        for payload_len, starts in layout:
+            self._add_block(pos, index, framed, starts)
+            index += len(starts)
+            framed += payload_len
+            pos += BLOCK_OVERHEAD + payload_len
+        if pos != self._data_end or index != self.spool.n_records:
+            raise self.spool._corrupt(
+                f"writer layout ({index} records, data ends at {pos}) "
+                f"disagrees with the sealed footer",
+                byte_offset=pos, reason="footer",
+            )
+
+    def _add_block(self, pos, first, framed, starts) -> None:
+        self._starts.append(pos)
+        self._firsts.append(first)
+        self._framed.append(framed)
+        self._records.append(starts)
 
     @property
     def n_records(self) -> int:
@@ -1316,16 +1418,91 @@ class RandomAccessReader:
         block, rec = self.locate(index)
         return RecordAddress(pass_k, block, rec)
 
-    def _load_block(self, block: int) -> List[bytes]:
-        """Read + verify ``block``'s blobs (one-block cache)."""
+    def _n_in(self, block: int) -> int:
+        nxt = block + 1
+        end = self._firsts[nxt] if nxt < len(self._firsts) else self.spool.n_records
+        return end - self._firsts[block]
+
+    def _payload(self, block: int) -> bytes:
+        """Read + verify ``block``'s payload (one-block cache)."""
         if self._cache_block != block:
             pos = self._starts[block]
             self._f.seek(pos)
-            self._cache_blobs, _end = self.spool._read_block_forward(
+            self._cache_payload, _n = self.spool._read_block_payload(
                 self._f, pos, self._data_end, block, self._firsts[block]
             )
             self._cache_block = block
+            self._cache_blobs = None
+        return self._cache_payload
+
+    def _load_block(self, block: int) -> List[bytes]:
+        """``block``'s verified blobs (one-block cache)."""
+        payload = self._payload(block)
+        if self._cache_blobs is None:
+            self._cache_blobs = self.spool._split_block(
+                payload, self._n_in(block), block, self._starts[block],
+                self._firsts[block],
+            )
         return self._cache_blobs
+
+    def _record_starts(self, block: int) -> Tuple[List[int], int]:
+        """Offsets of ``block``'s records in its payload, and how many
+        records had to be split out of the payload to find them (none
+        when the writer's layout or an earlier split knows them)."""
+        starts = self._records[block]
+        if starts is not None:
+            return starts, 0
+        starts = []
+        pos = 0
+        for blob in self._load_block(block):
+            starts.append(pos)
+            pos += _LEN.size + len(blob)
+        self._records[block] = starts
+        return starts, len(starts)
+
+    def pieces(
+        self, start: int, count: int, data_start: int, data_bytes: int
+    ) -> Tuple[List["SplicePiece"], int]:
+        """Records ``[start, start + count)`` as framed byte slices of
+        verified blocks, for :meth:`DiskSpool.splice_range`; their
+        payload bytes begin at ``data_start`` and span ``data_bytes``.
+        Every read and check happens here, so a damaged source raises
+        before anything is written.  Also returns how many records had
+        to be split out of blocks to find record boundaries."""
+        if start < 0 or count < 0 or start + count > self.spool.n_records:
+            raise EvaluationError(
+                f"record range [{start}, {start + count}) out of range "
+                f"(spool holds {self.spool.n_records} records)"
+            )
+        lo_f = data_start + RECORD_OVERHEAD * start
+        hi_f = lo_f + data_bytes + RECORD_OVERHEAD * count
+        out: List[SplicePiece] = []
+        split = 0
+        block = bisect.bisect_right(self._firsts, start) - 1
+        index, end = start, start + count
+        while index < end:
+            payload = self._payload(block)
+            starts, walked = self._record_starts(block)
+            split += walked
+            first = self._firsts[block]
+            n = len(starts)
+            stop = min(end, first + n)
+            lo = lo_f - self._framed[block]
+            hi = hi_f - self._framed[block] if stop == end else len(payload)
+            i_lo, i_hi = index - first, stop - first
+            if starts[i_lo] != lo or (
+                starts[i_hi] if i_hi < n else len(payload)
+            ) != hi:
+                raise self.spool._corrupt(
+                    f"record range [{start}, {end}) does not start and "
+                    f"end on record boundaries of block {block}",
+                    record_index=index, block_index=block, reason="range",
+                )
+            out.append((memoryview(payload), lo, hi, i_lo, i_hi, starts))
+            lo_f += hi - lo
+            index = stop
+            block += 1
+        return out, split
 
     def record(self, index: int) -> Any:
         """Decode record ``index``, reading (and fully verifying) only
@@ -1336,28 +1513,6 @@ class RandomAccessReader:
         if spool.metrics is not None:
             spool.metrics.counter("spool.codec.random_reads").inc()
         return spool._decode(blobs[rec])
-
-    def raw_range(self, start: int, end: int) -> Tuple[List[bytes], int]:
-        """All still-encoded blobs of records ``[start, end)`` plus the
-        number of distinct blocks touched — the bulk splice read.  Each
-        block is loaded (and verified) once, then sliced."""
-        if start >= end:
-            return [], 0
-        out: List[bytes] = []
-        n_blocks = 0
-        index = start
-        while index < end:
-            block, rec = self.locate(index)
-            blobs = self._load_block(block)
-            take = min(end - index, len(blobs) - rec)
-            out.extend(blobs[rec : rec + take])
-            index += take
-            n_blocks += 1
-        if self.spool.metrics is not None:
-            self.spool.metrics.counter("spool.codec.random_reads").inc(
-                len(out)
-            )
-        return out, n_blocks
 
     def close(self) -> None:
         if self._f is not None:
@@ -1497,7 +1652,8 @@ def salvage_spool(
                 codec = None  # sealed name table failed its crc
         if codec is not None:
             out._codec = codec
-            out.append_blobs(blobs_ok)
+            for blob in blobs_ok:
+                out.append_blob(blob)
             recovered = len(blobs_ok)
         out.finalize()
     except BaseException:

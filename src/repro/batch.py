@@ -82,7 +82,7 @@ class WorkerSpec:
     backend: str = "generated"
     #: Incremental-memo root for this grammar, or None to translate
     #: cold.  Each worker slot writes to its own ``w<worker_id>``
-    #: subdirectory (one MEMO1 writer per directory), so a restarted
+    #: subdirectory (one memo writer per directory), so a restarted
     #: worker re-warms from its predecessor's generation; the
     #: sequential path uses the directory itself.
     memo_dir: Optional[str] = None

@@ -142,11 +142,12 @@ def cmd_run(args) -> int:
     from repro.obs import MetricsRegistry
 
     metrics = MetricsRegistry() if args.memo_dir else None
-    result = translator.translate(
-        text, checkpoint_dir=args.checkpoint_dir, resume=args.resume,
-        spool_memory_budget=args.spool_memory_budget, record=args.record,
-        disk_budget=disk_budget, memo_dir=args.memo_dir, metrics=metrics,
-    )
+    with translator:
+        result = translator.translate(
+            text, checkpoint_dir=args.checkpoint_dir, resume=args.resume,
+            spool_memory_budget=args.spool_memory_budget, record=args.record,
+            disk_budget=disk_budget, memo_dir=args.memo_dir, metrics=metrics,
+        )
     if args.memo_dir:
         hits = metrics.counter("incremental.hits").value
         misses = metrics.counter("incremental.misses").value
@@ -619,9 +620,10 @@ def cmd_batch(args) -> int:
     texts = [
         _read(item) if os.path.exists(item) else item for item in args.inputs
     ]
-    report = translator.translate_many(
-        texts, jobs=args.jobs, metrics=metrics, timeout=args.timeout,
-    )
+    with translator:
+        report = translator.translate_many(
+            texts, jobs=args.jobs, metrics=metrics, timeout=args.timeout,
+        )
 
     if args.output_dir:
         os.makedirs(args.output_dir, exist_ok=True)
@@ -853,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--memo-dir", metavar="DIR",
         help="incremental re-translation: persist per-pass subtree memo "
-        "entries (sealed MEMO1 manifest + splice-source spools) into DIR; "
+        "entries (sealed MEMO2 manifest + splice-source spools) into DIR; "
         "a later run of edited input re-evaluates only the dirty spine "
         "and splices sealed output for clean subtrees, byte-identically",
     )

@@ -478,6 +478,20 @@ class Translator:
         #: ``translate_many(jobs > 1)``).  A repro.batch.WorkerSpec.
         self.spawn_spec = None
 
+    def close(self) -> None:
+        """Close the memo stores this translator opened (their splice
+        readers hold the memo's spool files open).  A later memo
+        translation reopens its store from disk."""
+        stores, self._memo_stores = self._memo_stores, {}
+        for store in stores.values():
+            store.close()
+
+    def __enter__(self) -> "Translator":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def _make_scanner(self, spec: ScannerSpec) -> Scanner:
         """Generate (or cache-rehydrate) the described language's scanner."""
         cache = self.linguist.cache
@@ -553,8 +567,15 @@ class Translator:
                 "this translator was built without a scanner spec; "
                 "use translate_tokens()"
             )
+        if memo_dir is not None and record is None and checkpoint_dir is None:
+            # A memo run re-lexes only the window an edit of the last
+            # text through this memo can have changed.
+            memo = self._memo_store(memo_dir, metrics=metrics, tracer=tracer)
+            tokens = memo.scan(self.scanner, text)
+        else:
+            tokens = self.scanner.tokens(text)
         return self.translate_tokens(
-            self.scanner.tokens(text),
+            tokens,
             tracer=tracer,
             metrics=metrics,
             checkpoint_dir=checkpoint_dir,

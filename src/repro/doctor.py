@@ -2,7 +2,7 @@
 
 Six durable formats can leave artifacts on a host — sealed v3 spools,
 build-cache entries, PROV1 provenance logs, SRVJ1 request journals,
-checkpoint manifests, and MEMO1 incremental-memo manifests
+checkpoint manifests, and MEMO2 incremental-memo manifests
 (with their generation-numbered splice spools) — and a crash, an
 ENOSPC, or a killed daemon can leave any of them mid-flight.  ``repro
 fsck`` judges *one* file; the doctor walks a whole tree, classifies
@@ -63,7 +63,11 @@ from repro.obs.provenance import (
     salvage_provenance,
     scan_provenance,
 )
-from repro.passes.incremental import MEMO_FORMAT, salvage_memo, scan_memo
+from repro.passes.incremental import (
+    MEMO_FORMAT,
+    salvage_memo,
+    scan_memo,
+)
 from repro.serve.journal import (
     JOURNAL_FORMAT,
     replay_journal,
@@ -96,7 +100,7 @@ class ArtifactFormat:
     UNKNOWN = "unknown"
 
 
-#: Generation-numbered splice-source spools living beside a MEMO1
+#: Generation-numbered splice-source spools living beside a memo
 #: manifest (``pass2.g7.spool``).  Checkpoint logic must never treat
 #: them as checkpoint pass spools: their lifecycle belongs to the memo
 #: manifest, not to ``checkpoint.json``.
@@ -665,12 +669,17 @@ def _repair_manifest(
     directory = os.path.dirname(manifest_path)
     completed = doc.get("completed", [])
     kept: List[Dict[str, Any]] = []
+    dropped: List[str] = []
     for entry in completed:
-        ok, _why = _verify_manifest_entry(directory, entry)
-        if not ok:
-            break
-        kept.append(entry)
-    if len(kept) == len(completed):
+        ok, why = _verify_manifest_entry(directory, entry)
+        if ok and not dropped:
+            kept.append(entry)
+        else:
+            dropped.append(
+                why if not ok
+                else f"pass {entry.get('pass')}: follows a dropped pass"
+            )
+    if not dropped:
         return
     doc = dict(doc)
     doc["completed"] = kept
@@ -680,8 +689,9 @@ def _repair_manifest(
     if art is not None:
         art.action = "truncated-manifest"
         art.detail = (
-            f"kept {len(kept)}/{len(completed)} pass(es); resume restarts "
-            "from the last verified pass"
+            f"kept {len(kept)}/{len(completed)} pass(es), dropped "
+            f"{'; '.join(dropped)}; resume restarts from the last "
+            "verified pass"
         )
     # Spools past the truncation point are now orphans; sweep them.
     listed = {entry.get("spool") for entry in kept}

@@ -289,7 +289,7 @@ class ProvenanceCorruptionError(CorruptionError, ProvenanceError):
 
 
 class MemoCorruptionError(CorruptionError):
-    """A sealed MEMO1 incremental-translation memo failed an integrity
+    """A sealed MEMO2 incremental-translation memo failed an integrity
     check.  Never fatal to a translation: the loader degrades it to a
     silent cold miss (``incremental.invalidations``) and ``repro
     fsck``/``doctor`` surface this error instead.  Beyond the sealed-log

@@ -10,6 +10,7 @@ optional trace records the get/eval/visit/put event stream (EXP-F2).
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.apt.node import record_bytes
@@ -222,23 +223,27 @@ class EvaluatorRuntime:
 
     def skip_records(self, n: int) -> None:
         """Consume ``n`` input records without building nodes — the
-        memo-hit path's input advance past a spliced subtree."""
-        reader = self.reader
-        for _ in range(n):
-            try:
-                next(reader)
-            except StopIteration:
-                raise EvaluationError(
-                    "APT input exhausted while skipping a memoized subtree "
-                    "(memo span disagrees with the spool)"
-                ) from None
+        memo-hit path's input advance past a spliced subtree, in one
+        C-level ``islice`` over the reader."""
+        if n and next(itertools.islice(self.reader, n - 1, n), _SKIPPED) is _SKIPPED:
+            raise EvaluationError(
+                "APT input exhausted while skipping a memoized subtree "
+                "(memo span disagrees with the spool)"
+            )
 
-    def splice_blobs(self, blobs) -> None:
+    def splice(self, pieces, count: int, data_bytes: int, crc_from: int, crc_to: int) -> None:
         """Append one whole memoized subtree's already-*encoded* records
-        verbatim in a single batched append (the raw memo splice: the
-        output spool's codec was seeded from the splice source's name
-        table, so the bytes need no decode/re-encode)."""
-        self._output.append_blobs(blobs)
+        verbatim, as framed byte slices of the splice source's blocks
+        (the raw memo splice: the output spool's codec was seeded from
+        the splice source's name table, so the bytes need no
+        decode/re-encode); see :meth:`~repro.apt.storage.DiskSpool.splice_range`."""
+        self._output.splice_range(pieces, count, data_bytes, crc_from, crc_to)
+
+    def out_mark(self) -> tuple:
+        """``(records, payload bytes, stream CRC)`` written to the
+        output spool so far: where a memoized range starts or ends."""
+        out = self._output
+        return out.n_records, out.data_bytes, out._stream_crc
 
     def out_index(self) -> int:
         """Record index the *next* ``put`` call will occupy in
@@ -304,6 +309,11 @@ class EvaluatorRuntime:
             self._c_restores.inc()
         if self.tracer is not None:
             self.tracer.instant("subsume.restore", cat="evt", group=group)
+
+
+#: What :meth:`EvaluatorRuntime.skip_records` gets from a reader that
+#: ran out.
+_SKIPPED = object()
 
 
 def _exhausted(expected: str) -> EvaluationError:

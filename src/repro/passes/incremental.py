@@ -1,4 +1,4 @@
-"""Incremental re-translation: APT subtree memoization (MEMO1).
+"""Incremental re-translation: APT subtree memoization (MEMO2).
 
 LINGUIST-86's root-to-node-stack pass discipline means the attribute
 state live at any node is exactly the stack above it, which makes a
@@ -13,11 +13,12 @@ next to nothing else (``memo_dir``) and holds, across translations of
 * the sealed v3 spool of **every pass** of the previous run
   (``pass<k>.g<N>.spool`` — generation-numbered so a splice source is
   never the file being written), and
-* a ``MEMO1`` manifest (``memo.ndjson``, a sealed line log —
-  :mod:`repro.util.sealedlog`, shared with PROV1 and SRVJ1) of
-  per-pass entries mapping ``(subtree hash, inherited-context
-  fingerprint)`` to the output record range that subtree produced, its
-  input span, and the post-visit attribute/global state.
+* a ``MEMO2`` manifest (``memo.ndjson``, a sealed line log —
+  :mod:`repro.util.sealedlog`, shared with PROV1 and SRVJ1) logging
+  each generation's per-pass entries, which map ``(subtree hash,
+  inherited-context fingerprint)`` to the output record range that
+  subtree produced, its input span, and the post-visit attribute/global
+  state.
 
 The memo is *per pass* because every pass of the alternating paradigm
 reads a subtree-contiguous spool and writes a postfix spool (the §II
@@ -25,7 +26,7 @@ reversal trick): pass 1 splices against the parser's postfix (or
 prefix) emission, pass k against pass k-1's postfix output.  On
 re-translation the evaluator consults the memo at every candidate
 ``VISIT``: a hit **splices** the memoized record range out of the
-sealed spool (random block access via
+sealed spool (framed byte slices of its verified blocks via
 :class:`~repro.apt.storage.RandomAccessReader`) instead of evaluating
 the subtree, skips the matching input records, and restores the
 post-visit state — only the dirty spine from the edit site to the root
@@ -33,11 +34,19 @@ is re-evaluated, in every pass.  Resumed (checkpoint-restart) runs
 always evaluate cold — one of the documented invalidation rules
 (docs/performance.md).
 
-Any integrity failure (foreign manifest, stale spool identity, CRC
-damage, unpicklable payload) degrades to a **silent cold miss** — a
-corrupt memo can cost speed, never correctness.  ``repro fsck`` and
-``repro doctor`` verify and salvage the manifest like every other
-sealed artifact.
+What an edit costs follows the edit, not the document: the text is
+re-lexed only in the window the edit can have changed
+(:meth:`MemoStore.scan`), only that window's leaves are re-derived
+(:meth:`MemoStore.reuse_frontend`), a hit copies whole framed slices
+of blocks (:meth:`~repro.apt.storage.DiskSpool.splice_range`), and a
+commit appends the generation's new entries plus one ``carry`` record
+per hit to the manifest (:meth:`MemoStore.commit_run`).
+
+Any integrity failure (foreign or older-format manifest, stale spool
+identity, CRC damage, unpicklable payload) degrades to a **silent cold
+miss** — a corrupt memo can cost speed, never correctness.  ``repro
+fsck`` and ``repro doctor`` verify and salvage the manifest like every
+other sealed artifact.
 """
 
 from __future__ import annotations
@@ -45,12 +54,14 @@ from __future__ import annotations
 import base64
 import bisect
 import hashlib
+import itertools
 import os
 import pickle
 import re
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.ag.model import AttributeGrammar
+from repro.apt.build import LOCATION_INTRINSICS, default_intrinsics
 from repro.apt.node import RECORD_INDEX
 from repro.apt.storage import (
     DiskSpool,
@@ -62,6 +73,7 @@ from repro.apt.storage import (
 from repro.errors import MemoCorruptionError
 from repro.lalr.grammar import EOF_SYMBOL
 from repro.obs.provenance import canonical_value
+from repro.regex.scanner import ScanState, TokenWindow
 from repro.util import sealedlog
 from repro.util.lists import DIGEST_RULE, feed_value
 
@@ -85,7 +97,7 @@ __all__ = [
 ]
 
 #: Format tag in the manifest header line; bump on layout changes.
-MEMO_FORMAT = "MEMO1"
+MEMO_FORMAT = "MEMO2"
 
 #: Manifest file name inside a memo directory.
 MEMO_LOG = "memo.ndjson"
@@ -367,13 +379,12 @@ class _RecordListSpool(Spool):
 
 class _Frontend:
     """In-process cache of one memoized translation's front-end: the
-    token kind sequence, the initial APT records and their subtree
-    index."""
+    token list, the initial APT records and their subtree index."""
 
-    __slots__ = ("kinds", "records", "index", "leaf_positions", "forward")
+    __slots__ = ("tokens", "records", "index", "leaf_positions", "forward")
 
-    def __init__(self, kinds, records, index, leaf_positions, forward):
-        self.kinds = kinds
+    def __init__(self, tokens, records, index, leaf_positions, forward):
+        self.tokens = tokens
         self.records = records
         self.index = index
         #: Positions of token-derived records, in source order.
@@ -483,42 +494,51 @@ def memo_identity(
 class MemoEntry:
     """One memoized subtree of one pass: where its output lives, how
     much input it covers, and the post-visit state to restore on a
-    hit."""
+    hit.
+
+    ``key`` is the raw subtree hash followed by the raw context
+    fingerprint.  The output range is ``out_len`` records from
+    ``out_start``, whose payload bytes start at ``data_start`` and span
+    ``data_len``; ``crc_to`` is their CRC32 continued from
+    ``crc_from`` — what a splice needs to continue the output's stream
+    CRC without reading them (:meth:`DiskSpool.splice_range
+    <repro.apt.storage.DiskSpool.splice_range>`).  The CRC pair holds
+    in any generation the range is carried into, so only the two
+    positions move."""
 
     __slots__ = (
-        "pass_k", "h", "x", "out_start", "out_len", "n_skip", "blob",
-        "_payload", "_line",
+        "pass_k", "key", "out_start", "out_len", "n_skip", "data_start",
+        "data_len", "crc_from", "crc_to", "blob", "_payload",
     )
 
     def __init__(
         self,
         pass_k: int,
-        h: str,
-        x: str,
+        key: bytes,
         out_start: int,
         out_len: int,
         n_skip: int,
+        data_start: int,
+        data_len: int,
+        crc_from: int,
+        crc_to: int,
         blob: str,
         payload: Optional[tuple] = None,
     ):
         self.pass_k = pass_k
-        self.h = h
-        self.x = x
+        self.key = key
         self.out_start = out_start
         self.out_len = out_len
         self.n_skip = n_skip
+        self.data_start = data_start
+        self.data_len = data_len
+        self.crc_from = crc_from
+        self.crc_to = crc_to
         #: base64(pickle((post_attrs, post_globals))) — decoded lazily
         #: unless the entry was made in this process, whose live
         #: ``payload`` (the very objects pickled) it keeps instead.
         self.blob = blob
         self._payload: Optional[tuple] = payload
-        #: Cached framed manifest line (computed once; steady-state
-        #: re-commits reuse it instead of re-serializing the entry).
-        self._line: Optional[str] = None
-
-    @property
-    def key(self) -> Tuple[str, str]:
-        return (self.h, self.x)
 
     @property
     def out_end(self) -> int:
@@ -530,65 +550,86 @@ class MemoEntry:
             self._payload = pickle.loads(base64.b64decode(self.blob))
         return self._payload
 
-    def shifted(self, delta: int) -> "MemoEntry":
-        """The same entry with its output range moved by ``delta``
-        records (nested carry-forward on a hit).  A zero shift — the
-        common case when an edit preserves the tree shape — returns the
-        entry itself, keeping its cached manifest line; any shift keeps
-        its decoded payload."""
-        if delta == 0:
+    def shifted(self, records: int, data: int) -> "MemoEntry":
+        """The same entry with its output range moved by ``records``
+        records and ``data`` payload bytes (nested carry-forward on a
+        hit).  A zero shift — the common case when an edit preserves
+        the tree shape — returns the entry itself; any shift keeps its
+        decoded payload."""
+        if not records and not data:
             return self
         return MemoEntry(
-            self.pass_k, self.h, self.x, self.out_start + delta,
-            self.out_len, self.n_skip, self.blob, self._payload,
+            self.pass_k, self.key, self.out_start + records, self.out_len,
+            self.n_skip, self.data_start + data, self.data_len,
+            self.crc_from, self.crc_to, self.blob, self._payload,
         )
-
-    def line(self) -> str:
-        """The framed MEMO1 manifest line for this entry (cached)."""
-        if self._line is None:
-            self._line = sealedlog.frame(self.to_doc())
-        return self._line
 
     def to_doc(self) -> Dict[str, Any]:
         return {
             "e": "memo",
             "p": self.pass_k,
-            "h": self.h,
-            "x": self.x,
+            "k": self.key.hex(),
             "o": self.out_start,
             "l": self.out_len,
-            "k": self.n_skip,
+            "s": self.n_skip,
+            "d": [self.data_start, self.data_len, self.crc_from, self.crc_to],
             "b": self.blob,
         }
 
     @classmethod
     def from_doc(cls, doc: Dict[str, Any], index: int, path: str) -> "MemoEntry":
         try:
+            data_start, data_len, crc_from, crc_to = doc["d"]
             entry = cls(
-                doc["p"], doc["h"], doc["x"], doc["o"], doc["l"],
-                doc["k"], doc["b"],
+                doc["p"], bytes.fromhex(doc["k"]), doc["o"], doc["l"],
+                doc["s"], data_start, data_len, crc_from, crc_to, doc["b"],
             )
-        except KeyError as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise MemoCorruptionError(
-                f"memo entry {index} misses field {exc}",
+                f"memo entry {index} is malformed ({exc!r})",
                 record_index=index,
                 path=path,
                 reason="framing",
             ) from None
         if (
-            entry.out_start < 0
-            or entry.out_len < 0
-            or entry.n_skip < 0
-            or not isinstance(entry.pass_k, int)
+            len(entry.key) != 32
+            or not all(
+                isinstance(v, int) and v >= 0
+                for v in (entry.pass_k, entry.out_start, entry.out_len,
+                          entry.n_skip, data_start, data_len)
+            )
+            or not all(
+                isinstance(v, int) and 0 <= v < 1 << 32
+                for v in (crc_from, crc_to)
+            )
             or entry.pass_k < 1
         ):
             raise MemoCorruptionError(
-                f"memo entry {index} has a negative range",
+                f"memo entry {index} has a malformed key or range",
                 record_index=index,
                 path=path,
                 reason="framing",
             )
         return entry
+
+
+class _Carry(NamedTuple):
+    """A hit's carry-forward, as the manifest logs it: every entry of
+    the previous generation nested in records ``[start, start + length)``
+    of pass ``pass_k`` moves by ``records`` records and ``data`` payload
+    bytes into the new one (:meth:`MemoStore.entries_within`)."""
+
+    pass_k: int
+    start: int
+    length: int
+    records: int
+    data: int
+
+    def to_doc(self) -> Dict[str, Any]:
+        return {
+            "e": "carry", "p": self.pass_k, "o": self.start,
+            "l": self.length, "r": self.records, "y": self.data,
+        }
 
 
 def _resolve_manifest_path(path_or_dir: str) -> str:
@@ -598,61 +639,93 @@ def _resolve_manifest_path(path_or_dir: str) -> str:
 
 
 def looks_like_memo_manifest(path: str) -> bool:
-    """Cheap sniff: a memo manifest's header line carries the MEMO1 tag."""
+    """Cheap sniff: a memo manifest's header line carries the memo tag."""
     return sealedlog.sniff(sealedlog.head(path)) == MEMO_FORMAT
 
 
 class MemoScanReport(sealedlog.SealedScan):
     """Outcome of a sweep over a memo manifest (``repro fsck``): the
-    MEMO1 schema over the sealed line log — a seal is required and every
-    record after the header is a valid memo entry, kept as a
-    :class:`MemoEntry` that caches its verified line."""
+    MEMO2 schema over the sealed line log — a seal is required, and
+    after the header come generations, each a ``gen`` record naming its
+    splice spools followed by that generation's ``memo`` entries and
+    ``carry`` records, kept as :class:`MemoEntry`, :class:`_Carry` and
+    the ``gen`` dict.  A manifest in an older memo format fails the
+    header check (reason ``header``)."""
 
     tag = MEMO_FORMAT
     error_type = MemoCorruptionError
 
-    def entry(self, obj: Dict[str, Any], index: int, line: str) -> MemoEntry:
-        if obj.get("e") != "memo":
+    def __init__(self, path: str):
+        super().__init__(path)
+        #: ``memo`` entry lines verified before any damage.
+        self.n_valid = 0
+        self._gens = 0
+
+    def entry(self, obj: Dict[str, Any], index: int, line: str) -> Any:
+        kind = obj.get("e")
+        if kind == "gen":
+            if isinstance(obj.get("g"), int) and isinstance(obj.get("spools"), dict):
+                self._gens += 1
+                return obj
+        elif kind not in ("memo", "carry"):
             raise MemoCorruptionError(
-                f"memo record {index} has unknown kind {obj.get('e')!r}",
+                f"memo record {index} has unknown kind {kind!r}",
                 record_index=index,
                 path=self.path,
                 reason="framing",
             )
-        entry = MemoEntry.from_doc(obj, index, self.path)
-        entry._line = line + "\n"
-        return entry
-
-    @property
-    def n_valid(self) -> int:
-        """Entry lines verified before any damage (header excluded)."""
-        return max(len(self.records) - 1, 0)
+        elif not self._gens:
+            raise MemoCorruptionError(
+                f"memo {kind} record {index} precedes the first generation",
+                record_index=index,
+                path=self.path,
+                reason="framing",
+            )
+        elif kind == "memo":
+            self.n_valid += 1
+            return MemoEntry.from_doc(obj, index, self.path)
+        else:
+            fields = [obj.get(name) for name in ("p", "o", "l", "r", "y")]
+            if all(isinstance(v, int) for v in fields) and min(fields[:3]) >= 0:
+                return _Carry(*fields)
+        raise MemoCorruptionError(
+            f"memo {kind} record {index} is malformed",
+            record_index=index,
+            path=self.path,
+            reason="framing",
+        )
 
     @property
     def n_entries(self) -> Optional[int]:
-        """The sealed entry count (None unless the manifest is clean)."""
-        return self.n_valid if self.ok else None
+        """Live entries of the last generation (None unless the
+        manifest is clean)."""
+        if not self.ok:
+            return None
+        _gen, tables = _replay(self.records[1:])
+        return sum(len(t.by_key) for t in tables.values())
 
     @property
     def spools(self) -> List[str]:
-        """Basenames of the splice-source spools a *clean* manifest
-        references (``repro doctor`` uses this to tell live generations
-        from stale debris)."""
-        spools = self.records[0].get("spools") if self.ok else None
-        if not isinstance(spools, dict):
+        """Basenames of the splice-source spools a *clean* manifest's
+        last generation references (``repro doctor`` uses this to tell
+        live generations from stale debris)."""
+        gens = [r for r in self.records[1:] if isinstance(r, dict)]
+        if not self.ok or not gens:
             return []
         return [
             os.path.basename(str(desc.get("spool", "")))
-            for desc in spools.values()
+            for desc in gens[-1]["spools"].values()
             if isinstance(desc, dict)
         ]
 
     def render(self) -> str:
         head = self.path
         if self.ok:
+            n = self.n_entries
             return (
                 f"{head}\n  format {MEMO_FORMAT}, sealed, "
-                f"{self.n_valid} memo entr{'y' if self.n_valid == 1 else 'ies'}"
+                f"{n} live memo entr{'y' if n == 1 else 'ies'} "
+                f"({self.n_valid} logged over {self._gens} generation(s))"
             )
         return (
             f"{head}\n  format {MEMO_FORMAT}: {self.error}\n"
@@ -662,11 +735,17 @@ class MemoScanReport(sealedlog.SealedScan):
 
 def scan_memo(path: str, metrics=None) -> MemoScanReport:
     """Sweep a memo manifest, verifying every line; never raises."""
-    report = MemoScanReport.scan(_resolve_manifest_path(path)).require_seal()
+    report = MemoScanReport.scan(_resolve_manifest_path(path))
+    if report.error is None:
+        report.require_seal()
     if metrics is not None:
         name = "memo_scans_clean" if report.ok else "memo_scan_errors"
         metrics.counter(f"robust.{name}").inc()
     return report
+
+
+def _record_doc(record: Any) -> Dict[str, Any]:
+    return record if isinstance(record, dict) else record.to_doc()
 
 
 def salvage_memo(path: str, out: str, metrics=None) -> MemoScanReport:
@@ -683,11 +762,70 @@ def salvage_memo(path: str, out: str, metrics=None) -> MemoScanReport:
         # the spools) so downstream loads take a clean cold miss.
         header = {"e": "hdr", "format": MEMO_FORMAT, "salvaged": True}
     sealedlog.reseal(
-        out, [sealedlog.frame(header)] + [e.line() for e in report.records[1:]]
+        out,
+        [sealedlog.frame(header)]
+        + [sealedlog.frame(_record_doc(r)) for r in report.records[1:]],
     )
     if metrics is not None:
         metrics.counter("robust.memo_entries_salvaged").inc(report.n_valid)
     return report
+
+
+class _Table:
+    """One generation's memo entries of one pass, by key, with the
+    out_start order :meth:`MemoStore.entries_within` walks built on
+    first use."""
+
+    __slots__ = ("by_key", "_sorted", "_starts")
+
+    def __init__(self, by_key: Optional[Dict[bytes, MemoEntry]] = None):
+        self.by_key: Dict[bytes, MemoEntry] = {} if by_key is None else by_key
+        self._sorted: Optional[List[MemoEntry]] = None
+        self._starts: List[int] = []
+
+    def within(self, start: int, end: int) -> List[MemoEntry]:
+        """Entries whose output range nests inside ``[start, end)``."""
+        if self._sorted is None:
+            self._sorted = sorted(
+                self.by_key.values(), key=lambda e: e.out_start
+            )
+            self._starts = [e.out_start for e in self._sorted]
+        lo = bisect.bisect_left(self._starts, start)
+        out: List[MemoEntry] = []
+        for nested in self._sorted[lo:]:
+            if nested.out_start >= end:
+                break
+            if nested.out_start + nested.out_len <= end:
+                out.append(nested)
+        return out
+
+
+def _replay(records: List[Any]) -> Tuple[Optional[dict], Dict[int, _Table]]:
+    """The last generation of a verified MEMO2 log (None when it has
+    none) and its entry tables: every generation's ``memo`` and
+    ``carry`` records applied in log order, exactly as the sessions that
+    wrote them filled their tables."""
+    gen: Optional[dict] = None
+    tables: Dict[int, _Table] = {}
+    previous: Dict[int, _Table] = {}
+    for record in records:
+        if isinstance(record, dict):
+            gen, previous, tables = record, tables, {}
+            continue
+        table = tables.get(record.pass_k)
+        if table is None:
+            table = tables[record.pass_k] = _Table()
+        if isinstance(record, MemoEntry):
+            table.by_key.setdefault(record.key, record)
+            continue
+        source = previous.get(record.pass_k)
+        if source is None:
+            continue
+        for nested in source.within(record.start, record.start + record.length):
+            table.by_key.setdefault(
+                nested.key, nested.shifted(record.records, record.data)
+            )
+    return gen, tables
 
 
 # ---------------------------------------------------------------------------
@@ -698,9 +836,10 @@ def salvage_memo(path: str, out: str, metrics=None) -> MemoScanReport:
 class MemoStore:
     """The durable memo of one translator in one directory.
 
-    Constructed per translation (loading is cheap: one manifest sweep
-    plus a spool footer verification); any load failure records an
-    ``incremental.invalidations`` tick and starts cold.
+    Opened once per translator and directory (loading is one manifest
+    sweep and replay plus a spool footer verification); any load
+    failure records an ``incremental.invalidations`` tick and starts
+    cold.
     """
 
     def __init__(
@@ -722,11 +861,15 @@ class MemoStore:
         self.min_span = min_span
         self.identity = identity or memo_identity(ag, plans, library)
         os.makedirs(directory, exist_ok=True)
-        #: pass_k -> {(hash hex, ctx hex) -> MemoEntry}, previous gen.
-        self.entries: Dict[int, Dict[Tuple[str, str], MemoEntry]] = {}
-        #: pass_k -> old entries sorted by out_start (carry-forward).
-        self._sorted: Dict[int, List[MemoEntry]] = {}
-        self._starts: Dict[int, List[int]] = {}
+        #: pass_k -> the current generation's entries of that pass.
+        self.entries: Dict[int, _Table] = {}
+        #: Where the manifest's seal is, when this store wrote or loaded
+        #: the manifest on disk: the next commit appends after it.
+        self._seal: Optional[sealedlog.SealMark] = None
+        #: Records appended and generations committed since the
+        #: manifest was last written whole (see :meth:`commit_run`).
+        self._appended = 0
+        self._appends = 0
         #: pass_k -> random-access reader over that pass's sealed spool.
         self.readers: Dict[int, RandomAccessReader] = {}
         self._generation = 0
@@ -738,6 +881,10 @@ class MemoStore:
         #: pass-1 session need not re-hash an input stream whose index
         #: the front-end path already holds.
         self._pending: Optional[Tuple[Spool, SubtreeIndex, bool]] = None
+        #: The last text scanned through :meth:`scan`, and the token
+        #: window its tokens carry to :meth:`reuse_frontend`.
+        self._scan: Optional[ScanState] = None
+        self._window: Optional[Tuple[list, TokenWindow]] = None
         self._load()
 
     # -- loading -----------------------------------------------------------
@@ -782,23 +929,21 @@ class MemoStore:
             report = scan_memo(self.manifest_path)
             if report.error is not None:
                 raise report.error
-            header, entries = report.records[0], report.records[1:]
-            if header.get("identity") != self.identity:
+            if report.records[0].get("identity") != self.identity:
                 raise MemoCorruptionError(
                     "memo manifest was written by a different grammar, "
                     "plan set, or library (identity mismatch)",
                     path=self.manifest_path,
                     reason="identity",
                 )
-            generation = header.get("generation")
-            spools = header.get("spools")
-            if not isinstance(generation, int) or not isinstance(spools, dict):
+            gen, tables = _replay(report.records[1:])
+            if gen is None:
                 raise MemoCorruptionError(
-                    "memo header misses its generation/spools fields",
+                    "memo manifest holds no generation",
                     path=self.manifest_path,
                     reason="header",
                 )
-            for key, desc in spools.items():
+            for key, desc in gen["spools"].items():
                 pass_k = int(key)
                 spool_path = os.path.join(
                     self.directory,
@@ -825,22 +970,29 @@ class MemoStore:
                         path=spool_path,
                         reason="stale",
                     )
-            for i, entry in enumerate(entries):
-                reader = self.readers.get(entry.pass_k)
-                if reader is None or entry.out_end > reader.spool.n_records:
-                    raise MemoCorruptionError(
-                        f"memo entry {i + 1} range [{entry.out_start}, "
-                        f"{entry.out_end}) of pass {entry.pass_k} "
-                        "overruns (or misses) its sealed spool",
-                        record_index=i + 1,
-                        path=self.manifest_path,
-                        reason="range",
-                    )
-            self._generation = max(self._generation, generation)
-            self._adopt_entries(entries)
+            n_entries = 0
+            for pass_k, table in tables.items():
+                reader = self.readers.get(pass_k)
+                for entry in table.by_key.values():
+                    if reader is None or entry.out_end > reader.spool.n_records:
+                        raise MemoCorruptionError(
+                            f"memo entry range [{entry.out_start}, "
+                            f"{entry.out_end}) of pass {pass_k} overruns "
+                            "(or misses) its sealed spool",
+                            path=self.manifest_path,
+                            reason="range",
+                        )
+                n_entries += len(table.by_key)
+            self._generation = max(self._generation, gen["g"])
+            self.entries = tables
+            self._seal = report.seal
+            self._appended = max(len(report.records) - 1 - n_entries, 0)
+            self._appends = sum(
+                1 for r in report.records[1:] if isinstance(r, dict)
+            )
             if self.metrics is not None:
                 self.metrics.counter("incremental.entries_loaded").inc(
-                    len(entries)
+                    n_entries
                 )
         except MemoCorruptionError as exc:
             # Silent cold miss: a damaged memo never fails a translation.
@@ -851,17 +1003,6 @@ class MemoStore:
                     "incremental.invalidated", cat="robust", reason=exc.reason
                 )
 
-    def _adopt_entries(self, entries: Iterable[MemoEntry]) -> None:
-        self.entries = {}
-        self._sorted = {}
-        self._starts = {}
-        for entry in entries:
-            self.entries.setdefault(entry.pass_k, {})[entry.key] = entry
-        for pass_k, table in self.entries.items():
-            ordered = sorted(table.values(), key=lambda e: e.out_start)
-            self._sorted[pass_k] = ordered
-            self._starts[pass_k] = [e.out_start for e in ordered]
-
     # -- carry-forward -----------------------------------------------------
 
     def entries_within(self, entry: MemoEntry) -> List[MemoEntry]:
@@ -869,24 +1010,29 @@ class MemoStore:
         ``entry``'s (including ``entry`` itself) — re-emitted, offset,
         into the new generation on a hit so the memo's grain survives
         splicing."""
-        starts = self._starts.get(entry.pass_k, [])
-        lo = bisect.bisect_left(starts, entry.out_start)
-        out: List[MemoEntry] = []
-        for nested in self._sorted.get(entry.pass_k, [])[lo:]:
-            if nested.out_start >= entry.out_end:
-                break
-            if nested.out_end <= entry.out_end:
-                out.append(nested)
-        return out
+        table = self.entries.get(entry.pass_k)
+        if table is None:
+            return []
+        return table.within(entry.out_start, entry.out_end)
 
     # -- front-end reuse ---------------------------------------------------
 
+    def scan(self, scanner, text: str) -> list:
+        """The tokens of ``text``, re-lexed by ``scanner`` only in the
+        window an edit of the last text scanned through this store can
+        have changed (:meth:`~repro.regex.scanner.Scanner.rescan`).  The
+        window is held for the :meth:`reuse_frontend` call that receives
+        these tokens."""
+        state, window = scanner.rescan(text, self._scan)
+        self._scan = state
+        self._window = (state.tokens, window)
+        return state.tokens
+
     def cache_frontend(self, tokens, initial: Spool, forward: bool) -> None:
         """Capture the fresh run's front-end for in-process reuse: the
-        token kind sequence, the initial records, and their subtree
-        index.  Any failure (or an input above
-        :data:`_FRONTEND_BYTE_CAP`) just leaves the cache empty — the
-        next run parses from scratch."""
+        token list, the initial records, and their subtree index.  Any
+        failure (or an input above :data:`_FRONTEND_BYTE_CAP`) just
+        leaves the cache empty — the next run parses from scratch."""
         self._frontend = None
         self._pending = None
         try:
@@ -905,8 +1051,7 @@ class MemoStore:
             if n_leaf_tokens != len(leaf_positions):
                 return
             self._frontend = _Frontend(
-                tuple(t.kind for t in tokens), records, index,
-                leaf_positions, forward,
+                tokens, records, index, leaf_positions, forward
             )
             self._pending = (initial, index, forward)
         except Exception:
@@ -923,50 +1068,79 @@ class MemoStore:
         translator's ``intrinsic_fn``).  Changed leaves dirty exactly
         their spine, which is rehashed in place of a full sweep.
 
+        When ``tokens`` came from :meth:`scan`, only its token window is
+        compared and recomputed: the re-lexed tokens, plus the moved
+        ones whose symbol reads ``LINE``/``COL`` (every moved one under
+        a custom ``intrinsic_fn``).  Other tokens are compared whole.
+
         Returns the ready initial spool (and arms the one-shot index
         handoff for :meth:`begin_session`), or None when the cache
         cannot serve — the caller parses from scratch."""
+        pending, self._window = self._window, None
+        if pending is not None and pending[0] is tokens and self.metrics is not None:
+            window = pending[1]
+            self.metrics.counter("incremental.relexed_tokens").inc(
+                window.new_end - window.start
+            )
         fe = self._frontend
         if fe is None or fe.forward != forward:
             return None
-        if tuple(t.kind for t in tokens) != fe.kinds:
+        old = fe.tokens
+        if pending is not None and pending[0] is tokens and pending[1].old is old:
+            window = pending[1]
+        else:
+            window = TokenWindow(0, len(tokens), len(old), len(tokens), old)
+        if len(tokens) != len(old):
+            return None
+        start, new_end = window.start, window.new_end
+        if any(
+            t.kind != o.kind
+            for t, o in zip(tokens[start:new_end], old[start:window.old_end])
+        ):
             return None
         try:
-            leaf_tokens = [t for t in tokens if t.kind != EOF_SYMBOL]
-            if len(leaf_tokens) != len(fe.leaf_positions):
-                return None
+            leaf_positions = fe.leaf_positions
+            n_leaves = len(leaf_positions)
             symbols = self.ag.symbols
             records = fe.records
             patched: Dict[int, tuple] = {}
+            located = intrinsic_fn is not default_intrinsics
             # Per-kind intrinsic spec, resolved once per distinct kind:
             # ``Symbol.intrinsic`` filters the attribute table on every
             # access, which is far too hot for a per-leaf loop.
-            spec: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
-            for pos, token in zip(fe.leaf_positions, leaf_tokens):
+            spec: Dict[str, Tuple[str, Tuple[str, ...], bool]] = {}
+            moved = range(new_end, min(window.moved_end, n_leaves))
+            for k in itertools.chain(range(start, min(new_end, n_leaves)), moved):
+                token = tokens[k]
                 cached = spec.get(token.kind)
                 if cached is None:
                     sym = symbols[token.kind]
+                    names = tuple(a.name for a in sym.intrinsic)
                     cached = spec[token.kind] = (
-                        sym.name,
-                        tuple(a.name for a in sym.intrinsic),
+                        sym.name, names, located or any(
+                            n.upper() in LOCATION_INTRINSICS for n in names
+                        ),
                     )
-                sym_name, attr_names = cached
+                sym_name, attr_names, reads_location = cached
+                if k >= new_end and not reads_location:
+                    continue
                 attrs = {
                     name: intrinsic_fn(token, sym_name, name)
                     for name in attr_names
                 }
+                pos = leaf_positions[k]
                 if attrs != records[pos][2]:
                     patched[pos] = (sym_name, None, attrs, False)
             if patched:
                 records = list(records)
                 for pos, record in patched.items():
                     records[pos] = record
-                fe = _Frontend(
-                    fe.kinds, records,
-                    _rehash_spine(fe.index, records, list(patched), forward),
-                    fe.leaf_positions, forward,
-                )
-                self._frontend = fe
+                index = _rehash_spine(fe.index, records, list(patched), forward)
+            else:
+                index = fe.index
+            fe = self._frontend = _Frontend(
+                tokens, records, index, leaf_positions, forward
+            )
             spool = _RecordListSpool(records)
             self._pending = (spool, fe.index, forward)
             if self.metrics is not None:
@@ -1048,8 +1222,9 @@ class MemoStore:
         """The durable output spool of pass ``pass_k`` in the *next*
         generation — distinct from the current generation's file, which
         may be spliced from while this one is written — seeded per
-        :meth:`seed_names`."""
-        return DiskSpool(
+        :meth:`seed_names`.  It keeps its block layout, which the next
+        generation's reader takes over (:meth:`commit_run`)."""
+        spool = DiskSpool(
             self._spool_path(pass_k, self.next_generation()),
             accountant,
             channel,
@@ -1062,16 +1237,30 @@ class MemoStore:
             # miss — never a wrong translation.
             durable=False,
         )
+        spool.keep_layout()
+        return spool
 
     def commit_run(
         self, commits: List[Tuple["MemoSession", Any]]
     ) -> None:
-        """Seal the new generation after a completed run: write one
-        MEMO1 manifest referencing every pass's fresh spool, adopt it
-        all for in-process reuse, drop the old generation's files."""
+        """Seal the new generation after a completed run: log it in the
+        MEMO2 manifest, adopt it for in-process reuse, and drop the old
+        generation's files.
+
+        The manifest is a log of generations.  A commit appends one: a
+        ``gen`` record naming every pass's fresh spool, then each
+        session's new ``memo`` entries and ``carry`` records (one per
+        hit, standing for every entry it carried forward) in the order
+        the session made them — so its cost follows the entries the run
+        changed, not the memo.  Once the records appended since the
+        manifest was last written whole outnumber the live entries, or
+        after :data:`_MAX_APPENDS` generations, the commit rewrites it
+        as one generation of live entries instead, which bounds both
+        the file and the replay a load performs."""
         generation = self.next_generation()
         spools: Dict[str, Dict[str, Any]] = {}
-        entries: List[MemoEntry] = []
+        tables: Dict[int, _Table] = {}
+        events: List[Any] = []
         for session, spool_out in commits:
             spool_path = getattr(spool_out, "path", None)
             if spool_path is None or not os.path.exists(spool_path):
@@ -1080,60 +1269,79 @@ class MemoStore:
                 "spool": os.path.basename(spool_path),
                 **spool_descriptor(spool_out),
             }
-            entries.extend(session.new_entries.values())
+            tables[session.pass_k] = _Table(session.new_entries)
+            events.extend(session.events)
         if not spools:
             return
-        header = {
-            "e": "hdr",
-            "format": MEMO_FORMAT,
-            "grammar": self.ag.name,
-            "identity": self.identity,
-            "generation": generation,
-            "spools": spools,
-            "min_span": self.min_span,
-        }
-        # ``fsync=False`` because the manifest, like the spools it
-        # references, is a cache: a torn write fails the seal CRC on the
-        # next load and reads as a cold miss.
-        sealedlog.reseal(
-            self.manifest_path,
-            [sealedlog.frame(header)] + [e.line() for e in entries],
-            fsync=False,
-        )
+        gen = {"e": "gen", "g": generation, "spools": spools}
+        live = sum(len(t.by_key) for t in tables.values())
+        # In-place appends and ``fsync=False`` because the manifest,
+        # like the spools it references, is a cache: a torn write fails
+        # the seal CRC on the next load and reads as a cold miss.
+        if (
+            self._seal is not None
+            and self._appends < _MAX_APPENDS
+            and self._appended + len(events) + 1 <= live
+            and self._seal.holds(self.manifest_path)
+        ):
+            written = len(events)
+            self._seal = sealedlog.extend(
+                self.manifest_path, self._seal,
+                [sealedlog.frame(gen)]
+                + [sealedlog.frame(e.to_doc()) for e in events],
+            )
+            self._appended += written + 1
+            self._appends += 1
+        else:
+            header = {
+                "e": "hdr",
+                "format": MEMO_FORMAT,
+                "grammar": self.ag.name,
+                "identity": self.identity,
+                "min_span": self.min_span,
+            }
+            lines = [sealedlog.frame(header), sealedlog.frame(gen)]
+            for table in tables.values():
+                lines.extend(
+                    sealedlog.frame(e.to_doc()) for e in table.by_key.values()
+                )
+            written = len(lines) - 2
+            self._seal = sealedlog.reseal(
+                self.manifest_path, lines, fsync=False
+            )
+            self._appended = 0
+            self._appends = 1
         # Adopt the new generation in-process and retire the old files.
         self._close_readers()
-        for pass_k, gen, name in self._existing_spool_files():
-            if gen != generation:
+        for pass_k, gen_k, name in self._existing_spool_files():
+            if gen_k != generation:
                 try:
                     os.unlink(os.path.join(self.directory, name))
                 except OSError:
                     pass
         self._generation = generation
-        self._adopt_entries(entries)
+        self.entries = tables
         for session, spool_out in commits:
-            spool_path = getattr(spool_out, "path", None)
-            if spool_path is None:
+            if session.pass_k not in tables:
                 continue
             try:
-                spool = DiskSpool.open(
-                    spool_path, channel="memo.splice",
-                    tracer=self.tracer, metrics=self.metrics,
+                # The writer's own spool and block layout: no footer
+                # re-read, no head walk, no block split to find records.
+                self.readers[session.pass_k] = RandomAccessReader(
+                    spool_out, layout=spool_out.block_layout
                 )
-                self.readers[session.pass_k] = RandomAccessReader(spool)
             except Exception:
                 self.readers.pop(session.pass_k, None)
         if self.metrics is not None:
-            self.metrics.counter("incremental.entries_written").inc(
-                len(entries)
-            )
+            self.metrics.counter("incremental.entries_written").inc(written)
 
     def disable(self) -> None:
         """Drop all splice state and count one invalidation: a failed
-        load, a splice source that fails mid-run."""
+        load, a splice source that fails mid-run.  The next commit
+        rewrites the manifest whole."""
         self._close_readers()
         self.entries = {}
-        self._sorted = {}
-        self._starts = {}
+        self._seal = None
         if self.metrics is not None:
             self.metrics.counter("incremental.invalidations").inc()
 
@@ -1141,14 +1349,21 @@ class MemoStore:
         self._close_readers()
 
 
+#: Generations a manifest may hold before a commit rewrites it whole:
+#: bounds the replay a load performs.
+_MAX_APPENDS = 32
+
+
 class _Token:
     """Miss token: carries what :meth:`MemoSession.leave` needs."""
 
-    __slots__ = ("key", "out_start", "n_skip")
+    __slots__ = ("key", "mark", "n_skip")
 
-    def __init__(self, key: Tuple[str, str], out_start: int, n_skip: int):
+    def __init__(self, key: bytes, mark: tuple, n_skip: int):
         self.key = key
-        self.out_start = out_start
+        #: :meth:`~repro.evalgen.runtime.EvaluatorRuntime.out_mark` at
+        #: the visit's start.
+        self.mark = mark
         self.n_skip = n_skip
 
 
@@ -1182,24 +1397,30 @@ class MemoSession:
         self.spans = index.spans
         self.read_only = read_only
         self._forward = forward
-        self._entries = store.entries.get(plan.pass_k) or {}
+        table = store.entries.get(plan.pass_k)
+        self._entries = table.by_key if table is not None else {}
         #: ``(group, scope key)`` of each pass global.
         self._slots = [(g, global_slot(g)) for g in plan.groups]
         self._n_total = len(index.hashes)
         self._reads = 0
-        self.new_entries: Dict[Tuple[str, str], MemoEntry] = {}
+        #: The next generation's entries, and the ``memo`` entries and
+        #: ``carry`` records that filled it, in order, for the manifest.
+        self.new_entries: Dict[bytes, MemoEntry] = {}
+        self.events: List[Any] = []
         metrics = store.metrics
         if metrics is not None:
             self._c_hits = metrics.counter("incremental.hits")
             self._c_misses = metrics.counter("incremental.misses")
             self._c_records = metrics.counter("incremental.spliced_records")
             self._c_blocks = metrics.counter("incremental.spliced_blocks")
+            self._c_split = metrics.counter("incremental.split_records")
             self._c_spine = metrics.counter("incremental.spine_nodes")
         else:
             self._c_hits = None
             self._c_misses = None
             self._c_records = None
             self._c_blocks = None
+            self._c_split = None
             self._c_spine = None
         #: Plain tallies (always kept — the edit-replay smoke and the
         #: benchmark read them without a metrics registry).
@@ -1233,10 +1454,9 @@ class MemoSession:
         span = self.spans[idx]
         if span < self.store.min_span:
             return None
-        ctx = context_fingerprint(
+        key = self.hashes[idx] + context_fingerprint(
             node[2], ((g, scope[slot]) for g, slot in self._slots)
         )
-        key = (self.hashes[idx].hex(), ctx.hex())
         entry = self._entries.get(key)
         if entry is not None and entry.n_skip == span - 1:
             if self._splice(entry, node, scope):
@@ -1247,14 +1467,14 @@ class MemoSession:
             return None
         if self._c_spine is not None:
             self._c_spine.inc()
-        return _Token(key, self.runtime.out_index(), span - 1)
+        return _Token(key, self.runtime.out_mark(), span - 1)
 
     def _splice(self, entry: MemoEntry, node, scope: Dict[str, Any]) -> bool:
         """Reuse ``entry`` for ``node``: all fallible reads first, then
         the irreversible skip + splice + state restore.  The output
         spool was seeded from this reader's name table
-        (:meth:`MemoStore.seed_names`), so the sealed blobs are valid
-        there verbatim."""
+        (:meth:`MemoStore.seed_names`), so the sealed blocks' bytes are
+        valid there verbatim."""
         store = self.store
         reader = store.readers.get(self.pass_k)
         if reader is None:
@@ -1262,7 +1482,10 @@ class MemoSession:
         runtime = self.runtime
         try:
             post_attrs, post_globals = entry.payload()
-            blobs, n_blocks = reader.raw_range(entry.out_start, entry.out_end)
+            pieces, n_split = reader.pieces(
+                entry.out_start, entry.out_len, entry.data_start,
+                entry.data_len,
+            )
         except Exception:
             # Damaged splice source: nothing was consumed yet, so this
             # hit (and every future one this run) degrades to a miss.
@@ -1270,8 +1493,11 @@ class MemoSession:
             return False
         runtime.skip_records(entry.n_skip)
         self._reads += entry.n_skip
-        out_start = runtime.out_index()
-        runtime.splice_blobs(blobs)
+        out_start, out_data, _crc = runtime.out_mark()
+        runtime.splice(
+            pieces, entry.out_len, entry.data_len, entry.crc_from,
+            entry.crc_to,
+        )
         node[2] = dict(post_attrs)
         for (_group, slot), value in zip(self._slots, post_globals):
             scope[slot] = value
@@ -1283,13 +1509,20 @@ class MemoSession:
         if self._c_hits is not None:
             self._c_hits.inc()
             self._c_records.inc(entry.out_len)
-            self._c_blocks.inc(n_blocks)
+            self._c_blocks.inc(len(pieces))
+            self._c_split.inc(n_split)
         if not self.read_only:
-            delta = out_start - entry.out_start
+            carry = _Carry(
+                self.pass_k, entry.out_start, entry.out_len,
+                out_start - entry.out_start, out_data - entry.data_start,
+            )
+            self.events.append(carry)
+            new_entries = self.new_entries
             for nested in store.entries_within(entry):
-                self.new_entries.setdefault(
-                    nested.key, nested.shifted(delta)
-                )
+                if nested.key not in new_entries:
+                    new_entries[nested.key] = nested.shifted(
+                        carry.records, carry.data
+                    )
         return True
 
     def leave(self, token, node, scope: Dict[str, Any]) -> None:
@@ -1299,9 +1532,10 @@ class MemoSession:
         self.misses += 1
         if self._c_misses is not None:
             self._c_misses.inc()
-        if self.read_only:
+        if self.read_only or token.key in self.new_entries:
             return
-        out_len = self.runtime.out_index() - token.out_start
+        out_start, data_start, crc_from = token.mark
+        out_end, data_end, crc_to = self.runtime.out_mark()
         try:
             payload = (dict(node[2]), [scope[slot] for _g, slot in self._slots])
             blob = base64.b64encode(
@@ -1311,10 +1545,10 @@ class MemoSession:
             # Unpicklable attribute value: this subtree is simply not
             # memoizable; the translation itself is unaffected.
             return
-        self.new_entries.setdefault(
-            token.key,
-            MemoEntry(
-                self.pass_k, token.key[0], token.key[1],
-                token.out_start, out_len, token.n_skip, blob, payload,
-            ),
+        entry = MemoEntry(
+            self.pass_k, token.key, out_start, out_end - out_start,
+            token.n_skip, data_start, data_end - data_start, crc_from,
+            crc_to, blob, payload,
         )
+        self.new_entries[token.key] = entry
+        self.events.append(entry)

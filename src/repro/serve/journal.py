@@ -4,7 +4,7 @@ A long-lived service that can be killed at any instant owes its
 operator an exact answer to "which requests completed?".  The serve
 daemon streams one line per request-state transition into an
 append-only sealed line log (:mod:`repro.util.sealedlog`, shared with
-PROV1 and MEMO1), and a graceful drain appends the seal line.  Unlike
+PROV1 and MEMO2), and a graceful drain appends the seal line.  Unlike
 a provenance log the journal must be *readable after a crash* — a
 SIGKILLed daemon leaves an unsealed journal, possibly with one torn
 final line, and that is an expected state: the checksum-valid

@@ -126,6 +126,8 @@ def worker_main(
         job = request_q.get()
         if job is None:
             stop.set()
+            if translator is not None:
+                translator.close()
             return
         job_id, text = job
         started = time.perf_counter()
@@ -180,7 +182,7 @@ class WorkerHandle:
         translator=None,
     ):
         if getattr(spec, "memo_dir", None):
-            # One MEMO1 writer per directory: each worker slot keeps
+            # One memo writer per directory: each worker slot keeps
             # its own subdirectory under the grammar's memo root, and a
             # supervised *restart* of the slot re-warms from whatever
             # generation its predecessor sealed there.

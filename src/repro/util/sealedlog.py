@@ -1,4 +1,4 @@
-"""The sealed line log: the one framing behind PROV1, SRVJ1 and MEMO1.
+"""The sealed line log: the one framing behind PROV1, SRVJ1 and MEMO2.
 
 Three durable formats share this layout — the provenance log
 (:mod:`repro.obs.provenance`), the serve request journal
@@ -21,9 +21,10 @@ Three durable formats share this layout — the provenance log
 This module owns the mechanism: :func:`frame`/:func:`verify` for one
 line, :class:`Appender` for a streaming writer with a running stream
 CRC, :class:`SealedScan` for the one verifying walk (verified records
-up to the first damage), and :func:`reseal` for publishing a complete
+up to the first damage), :func:`reseal` for publishing a complete
 log — a salvaged prefix or a whole manifest — through
-:func:`repro.util.atomic_write.atomic_write`.  Each format is a
+:func:`repro.util.atomic_write.atomic_write`, and :func:`extend` for
+appending to a sealed cache log in place.  Each format is a
 :class:`SealedScan` subclass that adds only its record schema.
 """
 
@@ -39,7 +40,9 @@ from repro.util.atomic_write import atomic_write
 
 __all__ = [
     "Appender",
+    "SealMark",
     "SealedScan",
+    "extend",
     "frame",
     "head",
     "reseal",
@@ -122,17 +125,64 @@ class Appender:
         self.f.write(frame({"e": "seal", "n": n, "crc": self.crc}))
 
 
-def reseal(path: str, lines: List[str], fsync: bool = True) -> None:
+def reseal(path: str, lines: List[str], fsync: bool = True) -> "SealMark":
     """Atomically publish a complete log at ``path``: the framed
     ``lines`` (header first) and a seal covering them.  Each line is
     encoded once; ``fsync=False`` suits cache artifacts whose torn write
-    only costs a cold miss."""
+    only costs a cold miss.  Returns where the seal landed, for
+    :func:`extend`."""
     body = "".join(lines).encode("utf-8")
-    seal = frame({"e": "seal", "n": max(len(lines) - 1, 0),
-                  "crc": zlib.crc32(body)})
+    mark = SealMark(len(body), zlib.crc32(body), max(len(lines) - 1, 0))
     with atomic_write(path, fsync=fsync) as f:
         f.write(body)
-        f.write(seal.encode("utf-8"))
+        f.write(mark.line().encode("utf-8"))
+    return mark
+
+
+class SealMark:
+    """Where a sealed log's seal line starts (``offset``), the stream
+    CRC of every byte before it and the record count it seals."""
+
+    __slots__ = ("offset", "crc", "n")
+
+    def __init__(self, offset: int, crc: int, n: int):
+        self.offset = offset
+        self.crc = crc
+        self.n = n
+
+    def line(self) -> str:
+        return frame({"e": "seal", "n": self.n, "crc": self.crc})
+
+    def holds(self, path: str) -> bool:
+        """True when the log at ``path`` still ends in this seal: its
+        seal line, which carries the CRC of every byte before it, sits
+        at ``offset`` and nothing follows it."""
+        line = self.line().encode("utf-8")
+        try:
+            with open(path, "rb") as f:
+                f.seek(self.offset)
+                return f.read(len(line) + 1) == line
+        except OSError:
+            return False
+
+
+def extend(path: str, mark: SealMark, lines: List[str]) -> SealMark:
+    """Append the framed ``lines`` to the sealed log at ``path`` whose
+    seal is at ``mark``, moving the seal past them: the seal line is
+    overwritten in place, so the cost follows the lines appended, not
+    the log.  Not atomic, so only for cache artifacts: a crash midway
+    leaves a torn or unsealed log, which its reader treats as damage."""
+    body = "".join(lines).encode("utf-8")
+    new = SealMark(
+        mark.offset + len(body), zlib.crc32(body, mark.crc),
+        mark.n + len(lines),
+    )
+    with open(path, "r+b") as f:
+        f.seek(mark.offset)
+        f.write(body)
+        f.write(new.line().encode("utf-8"))
+        f.truncate()
+    return new
 
 
 class SealedScan:
@@ -159,6 +209,8 @@ class SealedScan:
         self.error: Optional[CorruptionError] = None
         #: Lines read (the torn fragment excluded).
         self.n_lines = 0
+        #: Where the seal line is, once verified.
+        self.seal: Optional[SealMark] = None
 
     @property
     def ok(self) -> bool:
@@ -239,6 +291,7 @@ class SealedScan:
                             index, "seal",
                         )
                     self.sealed = True
+                    self.seal = SealMark(here, crc, count)
                     continue
                 base = self.rebase(obj)
                 if base is not None:

@@ -156,7 +156,7 @@ class BackendSuite:
     * ``incremental`` — a memo-equipped translator
       (``translate(..., memo_dir=)``): the text is translated once to
       warm the memo, then translated again with clean subtrees
-      *spliced* from the sealed MEMO1 manifest; the spliced result is
+      *spliced* from the sealed MEMO2 manifest; the spliced result is
       the axis value, so incremental re-translation is pinned
       byte-identical to every from-scratch path.
 

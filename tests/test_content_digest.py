@@ -6,7 +6,7 @@ context fingerprint hashes attribute values.
 The memo keys a ``VISIT`` by a digest of its inherited context, so the
 digest must be:
 
-1. **stable** — a value restored from a pickled MEMO1 payload digests
+1. **stable** — a value restored from a pickled MEMO2 payload digests
    like the live value it was pickled from;
 2. **shape-blind** — a rope digests by its elements in order, whatever
    ``append`` calls built it, and like the ``Sequence`` it pickles to;

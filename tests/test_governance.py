@@ -421,11 +421,17 @@ class TestDoctor:
             str(tmp_path / "b" / "pass1.spool"),
             str(tmp_path / "a" / "pass1.spool"),
         )
-        run_doctor([str(tmp_path / "a")], repair=True)
+        report = run_doctor([str(tmp_path / "a")], repair=True)
         resumed = tr.translate(
             texts["a"], checkpoint_dir=str(tmp_path / "a"), resume=True
         )
         assert resumed.root_attrs == tr.translate(texts["a"]).root_attrs
+        # The repair says why it dropped the pass.
+        (manifest,) = [
+            a for a in report.artifacts if a.action == "truncated-manifest"
+        ]
+        assert "kept 0/1 pass(es), dropped pass 1: spool does not match " \
+            "the manifest (stale or swapped)" in manifest.detail
 
     def test_orphaned_pass_spool_detected(self, tmp_path):
         d = str(tmp_path)

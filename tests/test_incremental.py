@@ -6,10 +6,11 @@ backends and fusion settings, the documented invalidation rules
 (corruption and checkpoint-resume always degrade to a cold miss, never
 a wrong answer), read-only consultation under ``record=`` (with
 ``reuse`` provenance instants), and the fsck/doctor surface over the
-sealed MEMO1 manifest.
+sealed MEMO2 manifest.
 """
 
 import hashlib
+import json
 import os
 import pickle
 import re
@@ -28,6 +29,7 @@ from repro.passes.incremental import (
     scan_memo,
 )
 from repro.testing.faults import bit_flip
+from repro.util import sealedlog
 from repro.workloads.generators import (
     generate_calc_program,
     generate_pascal_program,
@@ -481,7 +483,7 @@ def test_sniff_scan_salvage_roundtrip(tmp_path):
 
 def test_damage_in_the_seal_line_names_the_seal_record(tmp_path):
     """Lines split on newline only: a bit-5 flip turns a ``,`` of a
-    5-line manifest's seal line into a form feed, which must not start a
+    6-line manifest's seal line into a form feed, which must not start a
     new record."""
     from types import SimpleNamespace
 
@@ -491,12 +493,14 @@ def test_damage_in_the_seal_line_names_the_seal_record(tmp_path):
     store = MemoStore(memo, SimpleNamespace(name="g"), [], identity="id")
     spool = os.path.join(memo, "pass1.g1.spool")
     open(spool, "wb").close()
-    entries = {
-        (f"h{i}", "x"): MemoEntry(1, f"h{i}", "x", 8 * i, 8, 9, "")
+    entries = [
+        MemoEntry(1, bytes([i]) * 32, 8 * i, 8, 9, 0, 0, 0, 0, "")
         for i in range(3)
-    }
+    ]
     store.commit_run([(
-        SimpleNamespace(pass_k=1, new_entries=entries),
+        SimpleNamespace(
+            pass_k=1, new_entries={e.key: e for e in entries}, events=entries
+        ),
         SimpleNamespace(path=spool, n_records=24, data_bytes=1, _stream_crc=0),
     )])
     store.close()
@@ -504,11 +508,11 @@ def test_damage_in_the_seal_line_names_the_seal_record(tmp_path):
     assert scan_memo(manifest).ok
     with open(manifest, "rb") as f:
         data = f.read()
-    assert data.count(b"\n") == 5
+    assert data.count(b"\n") == 6  # header, generation, 3 entries, seal
     seal_start = data.rstrip(b"\n").rfind(b"\n") + 1
     bit_flip(manifest, data.index(b",", seal_start), bit=5)
     damaged = scan_memo(manifest)
-    assert damaged.error.record_index == 4
+    assert damaged.error.record_index == 5
     assert damaged.n_valid == 3
 
 
@@ -648,3 +652,234 @@ def test_in_process_edit_session_unpickles_no_payload(tmp_path, monkeypatch):
             hits += counters(metrics)["hits"]
     assert hits > 0
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the O(edit) path: windowed re-scan, block-range splice, delta commit
+# ---------------------------------------------------------------------------
+
+
+def test_t10_edit_relexes_two_tokens_and_splits_no_record(tmp_path):
+    """One spliced edit of the EXP-T10 input (calc, 200 statements, seed
+    17, last literal bumped: ``print x123 + 6`` becomes ``print x124 +
+    6``) re-lexes the edited line up to where the old tokens resume
+    (``print``, ``x124``) and splices its one hit as framed slices of
+    the sealed blocks, whose record offsets the writer handed over: no
+    record is split out of a block or re-framed.  A store loaded from
+    disk has no writer layout, so it splits every block it touches
+    once."""
+    program = generate_calc_program(200, seed=17)
+    memo = str(tmp_path / "memo")
+    tr = make_translator()
+    tr.translate(program, memo_dir=memo)
+    metrics = MetricsRegistry()
+    tr.translate(edit_last_statement(program), memo_dir=memo, metrics=metrics)
+    snap = metrics.snapshot()
+    assert snap["incremental.relexed_tokens"] == 2
+    assert snap["incremental.split_records"] == 0
+    assert (snap["incremental.hits"], snap["incremental.spliced_records"]) == (1, 4347)
+    metrics = MetricsRegistry()
+    make_translator().translate(program, memo_dir=memo, metrics=metrics)
+    snap = metrics.snapshot()
+    assert snap["incremental.relexed_tokens"] == 1268  # a whole scan
+    assert snap["incremental.split_records"] == 4371  # all 3 blocks
+    assert snap["incremental.spliced_blocks"] == 3
+
+
+def test_forty_pascal_edits_hold_no_more_blocks(tmp_path):
+    """Memory held by one translator's memo session stays flat over 40
+    edits: everything a translation allocates beyond the live memo
+    (its driver, spools, sessions and the previous generation) is
+    released by the next one."""
+    import gc
+    import tracemalloc
+
+    head, _, rest = generate_pascal_program(60, seed=3).partition("begin\n")
+    body, _, _ = rest.rpartition("\nend.")
+    stmts = body.split(";\n")
+
+    def edit(k):
+        i = (k * 7) % len(stmts)
+        for j in list(range(i, len(stmts))) + list(range(i)):
+            new, n = re.subn(r"\b(\d+)\b", lambda m: str(int(m.group()) + 1),
+                             stmts[j], count=1)
+            if n:
+                stmts[j] = new
+                break
+        return head + "begin\n" + ";\n".join(stmts) + "\nend."
+
+    memo = str(tmp_path / "memo")
+    held = {}
+    tracemalloc.start()
+    try:
+        with make_translator("pascal") as tr:
+            for k in range(41):
+                tr.translate(edit(k), memo_dir=memo)
+                if k in (5, 40):
+                    gc.collect()
+                    held[k] = sum(
+                        s.count for s in
+                        tracemalloc.take_snapshot().statistics("filename")
+                    )
+    finally:
+        tracemalloc.stop()
+    assert held[40] <= 1.1 * held[5], held
+
+
+def test_loaded_log_replays_the_in_process_tables(tmp_path):
+    """The delta-committed manifest, replayed by a fresh store, holds
+    exactly the entries the writing store holds in memory — keys,
+    ranges, payload offsets and CRC pairs — after edits that splice,
+    miss and carry entries across generations."""
+    memo = str(tmp_path / "memo")
+    versions = [PROGRAM, swap_middle_let(PROGRAM)]
+    stmts = versions[-1].split(" ;\n")
+    versions.append(" ;\n".join(stmts[:20] + ["print x1 + 4"] + stmts[20:]))
+    versions.append(edit_last_statement(versions[-1]))
+    with make_translator() as tr:
+        for text in versions:
+            tr.translate(text, memo_dir=memo)
+        live = tr._memo_stores[os.path.abspath(memo)]
+
+        def fields(store):
+            return {
+                k: {
+                    key: (e.out_start, e.out_len, e.n_skip, e.data_start,
+                          e.data_len, e.crc_from, e.crc_to, e.blob)
+                    for key, e in table.by_key.items()
+                }
+                for k, table in store.entries.items()
+            }
+
+        loaded = incremental.MemoStore(
+            memo, tr.ag, tr.linguist.plans, library=tr.library
+        )
+        try:
+            assert loaded.load_error is None
+            assert fields(loaded) == fields(live)
+        finally:
+            loaded.close()
+    with open(os.path.join(memo, MEMO_LOG), "rb") as f:
+        kinds = re.findall(rb'"e":"(\w+)"', f.read())
+    assert kinds.count(b"gen") == len(versions)  # appended, not rewritten
+    assert kinds.count(b"carry") > 0
+
+
+def test_old_format_memo_is_a_typed_cold_miss(tmp_path):
+    """A MEMO1 manifest (the format before generations were logged)
+    fails the MEMO2 header check: fsck names reason ``header``, and a
+    translation loads it as a typed cold miss and writes a MEMO2
+    manifest in its place."""
+    memo = str(tmp_path / "memo")
+    os.makedirs(memo)
+    golden = os.path.join(os.path.dirname(__file__), "golden", "memo1.ndjson.golden")
+    with open(golden, "rb") as src, open(os.path.join(memo, MEMO_LOG), "wb") as dst:
+        dst.write(src.read())
+    assert not looks_like_memo_manifest(os.path.join(memo, MEMO_LOG))
+    report = scan_memo(memo)
+    assert not report.ok and report.error.reason == "header"
+    metrics = MetricsRegistry()
+    with make_translator() as tr:
+        result = tr.translate(PROGRAM, memo_dir=memo, metrics=metrics)
+        assert tr._memo_stores[os.path.abspath(memo)].load_error.reason == "header"
+    assert counters(metrics)["invalidations"] == 1
+    assert dict(result.root_attrs)
+    assert scan_memo(memo).ok
+
+
+@pytest.mark.parametrize(
+    "bad", ["7", 1.5, [1], -1, 1 << 32, None],
+    ids=["str", "float", "list", "negative", "wide", "null"],
+)
+def test_malformed_entry_crc_is_a_cold_miss(tmp_path, bad):
+    """A memo entry whose ``d`` CRC is not a 32-bit int, in a manifest
+    whose line and seal CRCs are intact, is a ``framing`` cold miss at
+    load, not an error out of the splice."""
+    memo = str(tmp_path / "memo")
+    with make_translator() as tr:
+        cold = tr.translate(PROGRAM, memo_dir=memo)
+    path = os.path.join(memo, MEMO_LOG)
+    with open(path, encoding="utf-8") as f:
+        docs = [json.loads(line) for line in f]
+    for doc in docs:
+        doc.pop("c")
+    entries = [d for d in docs if d["e"] == "memo"]
+    assert entries
+    for doc in entries:
+        doc["d"][2] = bad
+    sealedlog.reseal(path, [sealedlog.frame(d) for d in docs if d["e"] != "seal"])
+    report = scan_memo(memo)
+    assert not report.ok and report.error.reason == "framing"
+    metrics = MetricsRegistry()
+    with make_translator() as tr:
+        again = tr.translate(PROGRAM, memo_dir=memo, metrics=metrics)
+        assert tr._memo_stores[os.path.abspath(memo)].load_error.reason == "framing"
+    c = counters(metrics)
+    assert c["invalidations"] == 1 and c["hits"] == 0
+    assert canonical_attrs(again.root_attrs) == canonical_attrs(cold.root_attrs)
+    assert scan_memo(memo).ok
+
+
+_LEAK_PROBES = {
+    # A memo translation session that closes its translator.
+    "closed-translator": """
+import sys
+from repro.core import Linguist
+from repro.grammars import load_source, scanner_and_library
+from repro.workloads.generators import generate_calc_program
+
+spec, library = scanner_and_library("calc")
+tr = Linguist(load_source("calc")).make_translator(spec, library=library)
+program = generate_calc_program(40, seed=11)
+tr.translate(program, memo_dir=sys.argv[1])
+tr.translate(program.replace(" + ", " - ", 1), memo_dir=sys.argv[1])
+tr.close()
+""",
+    # A reader whose block walk fails on a damaged block head.
+    "damaged-block-head": """
+import os, sys
+from repro.apt.storage import DiskSpool, RandomAccessReader
+from repro.errors import SpoolCorruptionError
+
+path = os.path.join(sys.argv[1], "pass1.g1.spool")
+os.makedirs(sys.argv[1])
+spool = DiskSpool(path)
+for i in range(50):
+    spool.append(("N", None, {"V": i}, False))
+spool.finalize()
+with open(path, "r+b") as f:
+    f.seek(15)  # high byte of the first block's payload length
+    byte = f.read(1)
+    f.seek(15)
+    f.write(bytes([byte[0] ^ 0xFF]))
+try:
+    RandomAccessReader(DiskSpool.open(path))
+except SpoolCorruptionError:
+    pass
+else:
+    sys.exit("the damaged block head went unnoticed")
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LEAK_PROBES))
+def test_memo_translations_leave_no_file_unclosed(tmp_path, case):
+    """Under ``-X dev -W error::ResourceWarning`` a script that
+    translates with ``memo_dir=`` and closes its translator leaves no
+    file open, also when a splice spool's damaged block head fails the
+    reader's block walk (the reader closes the file it opened)."""
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
+         _LEAK_PROBES[case], str(tmp_path / "memo")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr, proc.stderr

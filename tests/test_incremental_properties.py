@@ -379,3 +379,91 @@ def test_spine_rehash_matches_full_reindex(grammar, forward, data, n, seed):
     assert rehashed.spans == full.spans
     assert rehashed.own == full.own
     assert base.hashes == before, "the cached index must stay untouched"
+
+
+# ---------------------------------------------------------------------------
+# 5. windowed re-scan == full scan
+# ---------------------------------------------------------------------------
+
+
+def _commented_calc() -> str:
+    stmts = generate_calc_program(12, seed=3).split(" ;\n")
+    return " ;\n".join(
+        s if i % 3 else f"# note {i} ; let\n{s}" for i, s in enumerate(stmts)
+    ) + "  # trailing"
+
+
+def _commented_pascal() -> str:
+    head, _, body = generate_pascal_program(10, seed=4).partition("begin\n")
+    return head + "{ a comment\n  over two lines }\nbegin\n{x}" + body
+
+
+#: The edited documents: every scanner-generated language's comments
+#: (calc ``#`` lines, Pascal ``{...}`` blocks over lines, the grammar
+#: language's ``#`` lines) are in the text, so edits land inside them.
+_SCAN_DOCS = {
+    "calc": _commented_calc,
+    "pascal": _commented_pascal,
+    "linguist": lambda: load_source("calc"),
+}
+_SCANNERS = {}
+
+#: Fragments an edit inserts: delimiters of comments, numbers and names
+#: (so tokens merge and split), and line breaks (so locations move).
+_FRAGMENTS = ["", " ", "\n", "#", "{", "}", "(", ")", "x", "7", "42", ";",
+              ":=", "let ", "begin", "end.", "* 3", "\t"]
+
+
+def _scanner(grammar):
+    scanner = _SCANNERS.get(grammar)
+    if scanner is None:
+        from repro.frontend.lexer import LEXICAL_SPEC
+
+        spec = (
+            LEXICAL_SPEC if grammar == "linguist"
+            else scanner_and_library(grammar)[0]
+        )
+        scanner = _SCANNERS[grammar] = spec.generate()
+    return scanner
+
+
+def _as_tuples(tokens):
+    return [(t.kind, t.text, t.location, t.name_index) for t in tokens]
+
+
+@pytest.mark.parametrize("grammar", sorted(_SCAN_DOCS))
+@SETTINGS
+@given(data=st.data())
+def test_windowed_rescan_equals_a_full_scan(grammar, data):
+    """Re-lexing only the window an edit can have changed gives the
+    very tokens (kinds, texts, locations, name indices) a full scan of
+    the edited text gives, over a chain of edits anywhere: inside
+    comments and tokens, across line breaks, at the end of the file."""
+    from repro.errors import ScanError
+
+    scanner = _scanner(grammar)
+    state, _ = scanner.rescan(_SCAN_DOCS[grammar]())
+    for _ in range(data.draw(st.integers(1, 4), label="edits")):
+        n = len(state.text)
+        at = data.draw(
+            st.one_of(st.just(n), st.integers(0, n)), label="position"
+        )
+        cut = data.draw(st.integers(0, min(6, n - at)), label="deleted")
+        insert = "".join(data.draw(
+            st.lists(st.sampled_from(_FRAGMENTS), max_size=3), label="inserted"
+        ))
+        text = state.text[:at] + insert + state.text[at + cut:]
+        try:
+            full = _as_tuples(scanner.tokens(text))
+        except ScanError:
+            with pytest.raises(ScanError):
+                scanner.rescan(text, state)
+            continue
+        new, window = scanner.rescan(text, state)
+        assert _as_tuples(new.tokens) == full
+        assert new.tokens[:window.start] == state.tokens[:window.start]
+        assert new.tokens[window.moved_end:] == state.tokens[
+            len(state.tokens) - (len(new.tokens) - window.moved_end):
+        ]
+        assert new.starts == scanner.rescan(text)[0].starts
+        state = new

@@ -1,6 +1,6 @@
 """The sealed line log (``repro.util.sealedlog``) and its three formats.
 
-PROV1, SRVJ1 and MEMO1 share one framing, so its fault matrix runs
+PROV1, SRVJ1 and MEMO2 share one framing, so its fault matrix runs
 once, here, against the primitive: a bit flip on every line, torn
 tails, a truncated seal, ENOSPC at every byte, and salvage round
 trips.  The per-format suites test each schema on top of it.  The
@@ -140,6 +140,33 @@ def test_seal_mismatch_and_trailing_records_are_damage(tmp_path):
     assert scan.error.reason == "seal" and scan.error.record_index == len(lines)
 
 
+def test_seal_mark_holds_only_the_log_it_sealed(tmp_path):
+    """``SealMark.holds`` compares the seal line, not the file size: a
+    log rewritten whole by another writer to the same size fails it."""
+    path = write_log(str(tmp_path / "m.ndjson"))
+    mark = sealedlog.reseal(
+        path, [sealedlog.frame(r) for r in [HEADER] + RECORDS]
+    )
+    assert mark.holds(path)
+    size = os.path.getsize(path)
+    other = str(tmp_path / "other.ndjson")
+    for ch in "abcdefghijklmnopqrstuvwyz":
+        records = RECORDS[:-1] + [dict(RECORDS[-1], v=ch * 4 + "é")]
+        write_log(other, records)
+        if os.path.getsize(other) == size:
+            break
+    else:
+        pytest.fail("no same-size rewrite found")
+    os.replace(other, path)
+    assert not mark.holds(path)
+    write_log(path)
+    assert mark.holds(path)
+    with open(path, "ab") as f:
+        f.write(b"\n")
+    assert not mark.holds(path)
+    assert not mark.holds(str(tmp_path / "missing.ndjson"))
+
+
 def test_header_must_carry_the_format_tag(tmp_path):
     path = str(tmp_path / "h.ndjson")
     sealedlog.reseal(path, [sealedlog.frame({"e": "hdr", "format": "OTHER"})])
@@ -234,19 +261,22 @@ def write_fixed_logs(d, monkeypatch):
     store = MemoStore(memo, SimpleNamespace(name="g"), [], identity="id-1")
     spool = os.path.join(memo, "pass1.g1.spool")
     open(spool, "wb").close()
-    entries = {
-        (f"h{i}", f"x{i}"): MemoEntry(1, f"h{i}", f"x{i}", 8 * i, 8, 9, "YmxvYg==")
+    entries = [
+        MemoEntry(1, bytes([i]) * 16 + bytes([9 - i]) * 16, 8 * i, 8, 9,
+                  64 * i, 64, i, 1000 + i, "YmxvYg==")
         for i in range(3)
-    }
+    ]
     store.commit_run([(
-        SimpleNamespace(pass_k=1, new_entries=entries),
+        SimpleNamespace(
+            pass_k=1, new_entries={e.key: e for e in entries}, events=entries
+        ),
         SimpleNamespace(path=spool, n_records=24, data_bytes=512, _stream_crc=99),
     )])
     store.close()
     return {
         "prov1": (os.path.join(d, "prov", "provenance.ndjson"), salvage_provenance),
         "srvj1": (journal.path, salvage_journal),
-        "memo1": (os.path.join(memo, "memo.ndjson"), salvage_memo),
+        "memo2": (os.path.join(memo, "memo.ndjson"), salvage_memo),
     }
 
 
@@ -266,7 +296,7 @@ def test_writers_emit_the_golden_bytes(tmp_path, monkeypatch, update_golden):
             data = f.read()
         check_golden(name, data, update_golden)
         # Salvaging a copy whose seal line is torn reseals every record:
-        # PROV1 and MEMO1 come back byte for byte, the journal without
+        # PROV1 and MEMO2 come back byte for byte, the journal without
         # its gap marker.
         torn = str(tmp_path / f"{name}.torn")
         with open(torn, "wb") as f:

@@ -445,12 +445,16 @@ class _FakeTranslator:
         self.calls.append(("translate_tokens", list(tokens), memo_dir, []))
         return EvaluationResult({"OUT": []}, 1)
 
+    def close(self):
+        self.calls.append(("close", None, None, []))
+
 
 class TestWorkerLoop:
     def test_each_job_is_one_translate_call(self):
         """The worker loop runs every job through the same
         ``translate(text, memo_dir=...)`` call as sequential batch, on
-        its own thread, with no scan-ahead stage beside it."""
+        its own thread, with no scan-ahead stage beside it, and closes
+        the translator when it stops."""
         import queue
 
         from repro.serve.workers import worker_main
@@ -471,6 +475,7 @@ class TestWorkerLoop:
             ("translate", "a b", "memo-w0"),
             ("translate", "bad", "memo-w0"),
             ("translate", "c", "memo-w0"),
+            ("close", None, None),  # the stop sentinel closes the memo
         ]
         assert not any(
             "repro-worker-scan" in call[3] for call in translator.calls

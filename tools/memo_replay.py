@@ -8,7 +8,7 @@ by a process of their own::
 
     python -m repro run GRAMMAR VERSION_FILE --memo-dir DIR
 
-so every memo hit restores its post-visit state from the pickled MEMO1
+so every memo hit restores its post-visit state from the pickled MEMO2
 payload on disk, never from objects a previous translation left in
 memory.  The driver checks, per version:
 
@@ -138,7 +138,7 @@ def in_process_hits(grammar: str, texts: list) -> list:
         spec, library=library
     )
     hits = []
-    with tempfile.TemporaryDirectory() as memo:
+    with tempfile.TemporaryDirectory() as memo, translator:
         for text in texts:
             metrics = MetricsRegistry()
             translator.translate(text, memo_dir=memo, metrics=metrics)
@@ -155,7 +155,7 @@ def run(grammar: str, path: str, memo_dir=None) -> subprocess.CompletedProcess:
     if memo_dir is not None:
         argv += ["--memo-dir", memo_dir]
     proc = subprocess.run(argv, capture_output=True, env=env)
-    if proc.returncode != 0:
+    if proc.returncode != 0 or b"ResourceWarning" in proc.stderr:
         sys.exit(
             f"FAIL: {' '.join(argv[2:])} exited {proc.returncode}:\n"
             + proc.stderr.decode("utf-8", "replace")
