@@ -91,10 +91,59 @@ _BLOCK_HEAD = struct.Struct("<III")
 _BLOCK_TAIL = struct.Struct("<III")
 #: Name-table section head: payload length, payload crc32.
 _NT_HEAD = struct.Struct("<II")
+
+
+class Seal(struct.Struct):
+    """The self-checksummed footer both sealed binary formats end in
+    (v3 spools and build-cache entries): a magic, fixed fields, and a
+    CRC32 of everything before it."""
+
+    def __init__(self, magic: bytes, fields: str):
+        super().__init__("<8s" + fields + "I")
+        self.magic = magic
+
+    def seal(self, *fields) -> bytes:
+        body = self.pack(self.magic, *fields, 0)[:-4]
+        return body + _LEN.pack(zlib.crc32(body))
+
+    def verify(self, f, size: int, fail) -> List[int]:
+        """The sealed fields at the end of the ``size``-byte file ``f``.
+        ``fail(what, why)`` builds the error for a missing seal or a
+        footer that fails its own checksum."""
+        f.seek(size - self.size)
+        raw = f.read(self.size)
+        magic, *fields, crc = self.unpack(raw)
+        if magic != self.magic:
+            raise fail(
+                "missing footer seal",
+                " (truncated file or crash before finalize)",
+            )
+        if zlib.crc32(raw[:-4]) != crc:
+            raise fail("footer checksum mismatch", "")
+        return fields
+
+
+def read_header(f, header: struct.Struct, magic: bytes, version: int, fail):
+    """Read and check the header both sealed binary formats open with:
+    ``magic``, the u16 ``version``, then the format's own fields.
+    ``fail(what, value)`` builds the error for a ``"short"`` header, a
+    bad ``"magic"`` or an unknown ``"version"``."""
+    f.seek(0)
+    head = f.read(header.size)
+    if len(head) != header.size:
+        raise fail("short", len(head))
+    fields = header.unpack(head)
+    if fields[0] != magic:
+        raise fail("magic", fields[0])
+    if fields[1] != version:
+        raise fail("version", fields[1])
+    return fields
+
+
 #: Sealed footer: magic, n_records, data_bytes, n_blocks, nt_offset,
 #: nt_bytes, stream crc, footer crc.
 FOOTER_MAGIC_V3 = b"APTSEL3\n"
-_FOOTER3 = struct.Struct("<8sQQQQIII")
+_FOOTER3 = Seal(FOOTER_MAGIC_V3, "QQQQII")
 
 FORMAT_V3 = 3
 
@@ -113,18 +162,6 @@ BLOCK_OVERHEAD = _BLOCK_HEAD.size + _BLOCK_TAIL.size
 #: One framed slice of a verified block for :meth:`DiskSpool.splice_range`:
 #: ``(payload view, lo, hi, first record, end record, record offsets)``.
 SplicePiece = Tuple[memoryview, int, int, int, int, List[int]]
-
-
-def _footer3_bytes(
-    n_records: int, data_bytes: int, n_blocks: int,
-    nt_offset: int, nt_bytes: int, stream_crc: int,
-) -> bytes:
-    body = _FOOTER3.pack(
-        FOOTER_MAGIC_V3, n_records, data_bytes, n_blocks,
-        nt_offset, nt_bytes, stream_crc, 0,
-    )
-    crc = zlib.crc32(body[: _FOOTER3.size - 4])
-    return body[: _FOOTER3.size - 4] + _LEN.pack(crc)
 
 
 @dataclass
@@ -227,24 +264,15 @@ class Spool:
             )
 
     def _corrupt(
-        self,
-        message: str,
-        *,
-        record_index: Optional[int] = None,
-        byte_offset: Optional[int] = None,
-        reason: str = "corrupt",
-        block_index: Optional[int] = None,
-        block_byte_offset: Optional[int] = None,
+        self, message: str, reason: str = "corrupt", **locus
     ) -> SpoolCorruptionError:
-        """Build (and meter) a corruption error for this spool."""
+        """Build (and meter) a corruption error for this spool; ``locus``
+        holds the :class:`SpoolCorruptionError` location fields."""
         exc = SpoolCorruptionError(
             f"spool {self.channel!r}: {message}",
-            record_index=record_index,
-            byte_offset=byte_offset,
             path=getattr(self, "path", None),
             reason=reason,
-            block_index=block_index,
-            block_byte_offset=block_byte_offset,
+            **locus,
         )
         if self.metrics is not None:
             self.metrics.counter("robust.spool_corruption_detected").inc()
@@ -254,9 +282,9 @@ class Spool:
                 cat="robust",
                 channel=self.channel,
                 reason=reason,
-                record_index=record_index,
-                byte_offset=byte_offset,
-                block_index=block_index,
+                record_index=exc.record_index,
+                byte_offset=exc.byte_offset,
+                block_index=exc.block_index,
             )
         return exc
 
@@ -603,7 +631,6 @@ class DiskSpool(Spool):
         self._block_buf: Optional[bytearray] = bytearray()
         self._block_records = 0
         self._n_blocks = 0
-        self._nt_bytes = 0
         #: Record start offsets inside the block being filled, and
         #: ``(payload length, record starts)`` of every sealed block —
         #: kept only after :meth:`keep_layout`, for a reader in this
@@ -642,7 +669,6 @@ class DiskSpool(Spool):
         spool._block_buf = None
         spool._block_records = 0
         spool._n_blocks = 0
-        spool._nt_bytes = 0
         spool._starts = None
         spool.block_layout = None
         spool.block_size = DEFAULT_BLOCK_SIZE
@@ -663,17 +689,14 @@ class DiskSpool(Spool):
         ``n_records``/``data_bytes`` from the footer.
         """
         spool = cls._readonly(path, accountant, channel, tracer, metrics)
-        if not os.path.exists(path):
-            raise spool._corrupt("spool file missing", reason="truncated")
+        if not os.path.isfile(path):
+            raise spool._corrupt("spool file missing", reason="missing")
         with open(path, "rb") as f:
-            size = f.seek(0, os.SEEK_END)
-            spool._check_header(f, size)
-            footer = spool._read_footer3(f, size)
+            footer = spool._verify(f)
         spool.n_records = footer.n_records
         spool.data_bytes = footer.data_bytes
         spool._stream_crc = footer.stream_crc
         spool._n_blocks = footer.n_blocks
-        spool._nt_bytes = footer.nt_bytes
         return spool
 
     # -- writing ----------------------------------------------------------
@@ -811,13 +834,12 @@ class DiskSpool(Spool):
                 self._flush_block()
                 nt_payload = serialize_names(self._codec.names)
                 nt_offset = self._writer.tell()
-                self._nt_bytes = len(nt_payload)
                 self._writer.write(
                     _NT_HEAD.pack(len(nt_payload), zlib.crc32(nt_payload))
                 )
                 self._writer.write(nt_payload)
                 self._writer.write(
-                    _footer3_bytes(
+                    _FOOTER3.seal(
                         self.n_records, self.data_bytes, self._n_blocks,
                         nt_offset, len(nt_payload), self._stream_crc,
                     )
@@ -849,27 +871,41 @@ class DiskSpool(Spool):
 
     # -- header, footer, name table ----------------------------------------
 
+    def _verify(
+        self, f, header: bool = True,
+        errors: Optional[List[SpoolCorruptionError]] = None,
+    ) -> Optional[SpoolFooterV3]:
+        """Verify the open spool file ``f``: its header (unless
+        ``header`` is false) and its sealed footer, the one check every
+        reader makes before it trusts a sealed spool.  Returns the
+        footer and raises at the first damage; given an ``errors`` list
+        it notes each failure there instead and returns None for a
+        damaged footer, the tolerant sweep :func:`scan_spool` makes."""
+        size = f.seek(0, os.SEEK_END)
+        checks = [self._check_header] if header else []
+        checks.append(self._read_footer3)
+        footer = None
+        for check in checks:
+            try:
+                footer = check(f, size)
+            except SpoolCorruptionError as exc:
+                if errors is None:
+                    raise
+                errors.append(exc)
+        return footer
+
     def _check_header(self, f, size: int) -> None:
         """Verify the file header; any other file is a ``header``
         corruption, never a spool of some other kind."""
-        f.seek(0)
-        head = f.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise self._corrupt(
-                f"file too short for a spool header ({size} bytes)",
-                byte_offset=0, reason="header",
-            )
-        magic, version, _flags = _HEADER.unpack(head)
-        if magic != MAGIC_V3:
-            raise self._corrupt(
-                f"bad header magic {magic!r} (not a v3 spool)",
-                byte_offset=0, reason="header",
-            )
-        if version != FORMAT_V3:
-            raise self._corrupt(
-                f"unsupported spool format version {version}",
-                byte_offset=0, reason="header",
-            )
+
+        def fail(what, value):
+            return self._corrupt({
+                "short": f"file too short for a spool header ({size} bytes)",
+                "magic": f"bad header magic {value!r} (not a v3 spool)",
+                "version": f"unsupported spool format version {value}",
+            }[what], byte_offset=0, reason="header")
+
+        read_header(f, _HEADER, MAGIC_V3, FORMAT_V3, fail)
 
     def _read_footer3(self, f, size: int) -> SpoolFooterV3:
         """Read and verify the sealed footer (raises on any damage)."""
@@ -880,30 +916,21 @@ class DiskSpool(Spool):
                 byte_offset=size,
                 reason="truncated",
             )
-        f.seek(size - _FOOTER3.size)
-        raw = f.read(_FOOTER3.size)
-        (magic, n_records, data_bytes, n_blocks,
-         nt_offset, nt_bytes, stream_crc, footer_crc) = _FOOTER3.unpack(raw)
-        if magic != FOOTER_MAGIC_V3:
-            raise self._corrupt(
-                "missing footer seal (truncated file or crash before finalize)",
-                byte_offset=size - _FOOTER3.size,
-                reason="footer",
-            )
-        if zlib.crc32(raw[: _FOOTER3.size - 4]) != footer_crc:
-            raise self._corrupt(
-                "footer checksum mismatch",
-                byte_offset=size - _FOOTER3.size,
-                reason="footer",
-            )
-        expected = nt_offset + _NT_HEAD.size + nt_bytes + _FOOTER3.size
-        data_region = nt_offset - _HEADER.size
-        expected_data = (
-            data_bytes
-            + RECORD_OVERHEAD * n_records
-            + BLOCK_OVERHEAD * n_blocks
+        footer = SpoolFooterV3(*_FOOTER3.verify(
+            f, size, lambda what, why: self._corrupt(
+                what + why, byte_offset=size - _FOOTER3.size, reason="footer"
+            ),
+        ))
+        expected = (
+            footer.nt_offset + _NT_HEAD.size + footer.nt_bytes + _FOOTER3.size
         )
-        if expected != size or nt_offset < _HEADER.size or \
+        data_region = footer.nt_offset - _HEADER.size
+        expected_data = (
+            footer.data_bytes
+            + RECORD_OVERHEAD * footer.n_records
+            + BLOCK_OVERHEAD * footer.n_blocks
+        )
+        if expected != size or footer.nt_offset < _HEADER.size or \
                 data_region != expected_data:
             raise self._corrupt(
                 f"footer inconsistent with file size "
@@ -912,17 +939,32 @@ class DiskSpool(Spool):
                 byte_offset=size - _FOOTER3.size,
                 reason="footer",
             )
-        return SpoolFooterV3(
-            n_records, data_bytes, n_blocks, nt_offset, nt_bytes, stream_crc
-        )
+        return footer
 
     def _load_codec(self) -> RecordCodec:
-        """Load the sealed name-table section and build the read codec."""
+        """Load the sealed name-table section and build the read codec.
+        The header is not checked: a damaged header costs no record."""
         with open(self.path, "rb") as f:
-            size = f.seek(0, os.SEEK_END)
-            footer = self._read_footer3(f, size)
+            footer = self._verify(f, header=False)
+            # The verified footer pins the section's end: the file size
+            # less the footer.
+            nt_end = footer.nt_offset + _NT_HEAD.size + footer.nt_bytes
             return self._read_nametable(
-                f, footer.nt_offset, size, footer.nt_bytes
+                f, footer.nt_offset, nt_end, footer.nt_bytes
+            )
+
+    def _promised(
+        self, footer: SpoolFooterV3, records: int, blocks: int,
+        byte_offset: int,
+    ) -> None:
+        """Raise unless a full walk met the records and blocks the
+        footer promises."""
+        if records != footer.n_records or blocks != footer.n_blocks:
+            raise self._corrupt(
+                f"footer promises {footer.n_records} records in "
+                f"{footer.n_blocks} blocks, walked {records} in {blocks}",
+                record_index=records, byte_offset=byte_offset,
+                block_index=blocks, reason="footer",
             )
 
     def _read_nametable(
@@ -932,53 +974,39 @@ class DiskSpool(Spool):
         build a codec over it.  ``sealed_len`` is the footer's promise;
         salvage passes None when the footer is damaged and the section
         must vouch for itself through its own length/crc framing."""
+
+        def fail(message: str) -> SpoolCorruptionError:
+            return self._corrupt(message, "nametable", byte_offset=nt_offset)
+
         f.seek(nt_offset)
         head = f.read(_NT_HEAD.size)
         if len(head) != _NT_HEAD.size:
-            raise self._corrupt(
-                "name-table section head truncated",
-                byte_offset=nt_offset, reason="nametable",
-            )
+            raise fail("name-table section head truncated")
         nt_len, nt_crc = _NT_HEAD.unpack(head)
         if sealed_len is not None and nt_len != sealed_len:
-            raise self._corrupt(
+            raise fail(
                 f"name-table length {nt_len} disagrees with the "
-                f"footer ({sealed_len})",
-                byte_offset=nt_offset, reason="nametable",
+                f"footer ({sealed_len})"
             )
         # Bound the read by the file before trusting the length word.
         if nt_offset + _NT_HEAD.size + nt_len > size:
-            raise self._corrupt(
-                f"name-table length {nt_len} overruns the file",
-                byte_offset=nt_offset, reason="nametable",
-            )
+            raise fail(f"name-table length {nt_len} overruns the file")
         payload = f.read(nt_len)
         if len(payload) != nt_len:
-            raise self._corrupt(
-                "name-table payload truncated",
-                byte_offset=nt_offset, reason="nametable",
-            )
+            raise fail("name-table payload truncated")
         if zlib.crc32(payload) != nt_crc:
-            raise self._corrupt(
-                "name-table checksum mismatch (bit rot or torn write)",
-                byte_offset=nt_offset, reason="nametable",
-            )
+            raise fail("name-table checksum mismatch (bit rot or torn write)")
         try:
             names = deserialize_names(payload)
         except ValueError as exc:
-            raise self._corrupt(
-                f"name-table payload undecodable: {exc}",
-                byte_offset=nt_offset, reason="nametable",
-            ) from exc
+            raise fail(f"name-table payload undecodable: {exc}") from exc
         return RecordCodec(names)
 
     # -- forward reading ---------------------------------------------------
 
     def _iter_blobs_forward(self) -> Iterator[bytes]:
         with open(self.path, "rb") as f:
-            size = f.seek(0, os.SEEK_END)
-            self._check_header(f, size)
-            footer = self._read_footer3(f, size)
+            footer = self._verify(f)
             index = 0
             block_index = 0
             crc = 0
@@ -988,14 +1016,7 @@ class DiskSpool(Spool):
                     yield blob
                 index += len(blobs)
                 block_index += 1
-            if index != footer.n_records or block_index != footer.n_blocks:
-                raise self._corrupt(
-                    f"footer promises {footer.n_records} records in "
-                    f"{footer.n_blocks} blocks, walked {index} in "
-                    f"{block_index}",
-                    record_index=index, byte_offset=footer.nt_offset,
-                    block_index=block_index, reason="footer",
-                )
+            self._promised(footer, index, block_index, footer.nt_offset)
             if crc != footer.stream_crc:
                 raise self._corrupt(
                     "whole-file stream checksum mismatch",
@@ -1008,53 +1029,53 @@ class DiskSpool(Spool):
         block_index: int, block_start: int, first_record_index: int,
     ) -> List[bytes]:
         """Split a checksum-verified block payload into its records."""
+
+        def fail(message: str, i: int) -> SpoolCorruptionError:
+            return self._corrupt(
+                message, "framing", record_index=first_record_index + i,
+                byte_offset=block_start + _BLOCK_HEAD.size + pos,
+                block_index=block_index, block_byte_offset=pos,
+            )
+
         blobs: List[bytes] = []
         pos = 0
         end = len(payload)
         for i in range(n_records):
             if pos + _LEN.size > end:
-                raise self._corrupt(
-                    f"record length prefix overruns the block payload",
-                    record_index=first_record_index + i,
-                    byte_offset=block_start + _BLOCK_HEAD.size + pos,
-                    block_index=block_index, block_byte_offset=pos,
-                    reason="framing",
-                )
+                raise fail("record length prefix overruns the block payload", i)
             (length,) = _LEN.unpack_from(payload, pos)
             pos += _LEN.size
             if pos + length > end:
-                raise self._corrupt(
-                    f"record length {length} overruns the block payload",
-                    record_index=first_record_index + i,
-                    byte_offset=block_start + _BLOCK_HEAD.size + pos,
-                    block_index=block_index, block_byte_offset=pos,
-                    reason="framing",
-                )
+                raise fail(f"record length {length} overruns the block payload", i)
             blobs.append(payload[pos:pos + length])
             pos += length
         if pos != end:
-            raise self._corrupt(
+            raise fail(
                 f"block payload has {end - pos} trailing bytes after "
-                f"its {n_records} records",
-                record_index=first_record_index + n_records - 1,
-                byte_offset=block_start + _BLOCK_HEAD.size + pos,
-                block_index=block_index, block_byte_offset=pos,
-                reason="framing",
+                f"its {n_records} records", n_records - 1,
             )
         return blobs
 
-    def _read_block_forward(
+    def _block_head(
         self, f, pos: int, data_end: int, block_index: int,
         first_record_index: int,
-    ) -> Tuple[List[bytes], int]:
-        """Read + verify one block at ``pos``; return (records, end pos)."""
-        payload, n_records = self._read_block_payload(
-            f, pos, data_end, block_index, first_record_index
+    ) -> Tuple[int, int, int]:
+        """Read the head of the block at ``pos`` (where ``f`` stands) and
+        bound its payload by ``data_end``: (payload_len, n_records, crc)."""
+        locus = dict(
+            record_index=first_record_index, byte_offset=pos,
+            block_index=block_index,
         )
-        blobs = self._split_block(
-            payload, n_records, block_index, pos, first_record_index
-        )
-        return blobs, pos + BLOCK_OVERHEAD + len(payload)
+        head = f.read(_BLOCK_HEAD.size)
+        if len(head) != _BLOCK_HEAD.size:
+            raise self._corrupt("block header truncated", "truncated", **locus)
+        payload_len, n_records, crc = _BLOCK_HEAD.unpack(head)
+        if payload_len > data_end - pos - BLOCK_OVERHEAD:
+            raise self._corrupt(
+                f"block payload length {payload_len} overruns the sealed "
+                f"data region", "framing", **locus,
+            )
+        return payload_len, n_records, crc
 
     def _read_block_payload(
         self, f, pos: int, data_end: int, block_index: int,
@@ -1062,48 +1083,29 @@ class DiskSpool(Spool):
     ) -> Tuple[bytes, int]:
         """Read + verify one block's frame and checksum at ``pos``;
         return its payload and record count."""
-        head = f.read(_BLOCK_HEAD.size)
-        if len(head) != _BLOCK_HEAD.size:
-            raise self._corrupt(
-                "block header truncated",
-                record_index=first_record_index, byte_offset=pos,
-                block_index=block_index, reason="truncated",
-            )
-        payload_len, n_records, want_crc = _BLOCK_HEAD.unpack(head)
-        if payload_len > data_end - pos - BLOCK_OVERHEAD:
-            raise self._corrupt(
-                f"block payload length {payload_len} overruns the sealed "
-                f"data region",
-                record_index=first_record_index, byte_offset=pos,
-                block_index=block_index, reason="framing",
-            )
+        payload_len, n_records, want_crc = self._block_head(
+            f, pos, data_end, block_index, first_record_index
+        )
+        locus = dict(
+            record_index=first_record_index, byte_offset=pos,
+            block_index=block_index,
+        )
         payload = f.read(payload_len)
         if len(payload) != payload_len:
-            raise self._corrupt(
-                "block payload truncated",
-                record_index=first_record_index, byte_offset=pos,
-                block_index=block_index, reason="truncated",
-            )
+            raise self._corrupt("block payload truncated", "truncated", **locus)
         tail = f.read(_BLOCK_TAIL.size)
         if len(tail) != _BLOCK_TAIL.size:
-            raise self._corrupt(
-                "block trailer truncated",
-                record_index=first_record_index, byte_offset=pos,
-                block_index=block_index, reason="truncated",
-            )
+            raise self._corrupt("block trailer truncated", "truncated", **locus)
         tail_crc, tail_n, tail_len = _BLOCK_TAIL.unpack(tail)
         if tail_len != payload_len or tail_n != n_records or \
                 tail_crc != want_crc:
             raise self._corrupt(
-                "block head/tail framing mismatch",
-                record_index=first_record_index, byte_offset=pos,
-                block_index=block_index, reason="framing",
+                "block head/tail framing mismatch", "framing", **locus
             )
         if zlib.crc32(payload) != want_crc:
             raise self._corrupt(
                 "block checksum mismatch (bit rot or torn write)",
-                record_index=first_record_index, byte_offset=pos,
-                block_index=block_index, reason="checksum",
+                "checksum", **locus,
             )
         return payload, n_records
 
@@ -1122,11 +1124,12 @@ class DiskSpool(Spool):
         index = 0
         block_index = 0
         while pos < data_end:
-            blobs, end = self._read_block_forward(
+            payload, n = self._read_block_payload(
                 f, pos, data_end, block_index, index
             )
-            yield blobs, end
-            pos = end
+            blobs = self._split_block(payload, n, block_index, pos, index)
+            pos += BLOCK_OVERHEAD + len(payload)
+            yield blobs, pos
             index += len(blobs)
             block_index += 1
 
@@ -1138,9 +1141,7 @@ class DiskSpool(Spool):
         and yield its records reversed — memory stays bounded by one
         block, not the file."""
         with open(self.path, "rb") as f:
-            size = f.seek(0, os.SEEK_END)
-            self._check_header(f, size)
-            footer = self._read_footer3(f, size)
+            footer = self._verify(f)
             pos = footer.nt_offset  # end of the block region
             blocks_seen = 0
             records_seen = 0
@@ -1171,22 +1172,17 @@ class DiskSpool(Spool):
                     f.read(_BLOCK_HEAD.size)
                 )
                 f.seek(start)
-                blobs, _end = self._read_block_forward(
-                    f, start, pos, block_index,
-                    max(footer.n_records - records_seen - n_records, 0),
+                first = max(footer.n_records - records_seen - n_records, 0)
+                payload, n = self._read_block_payload(
+                    f, start, pos, block_index, first
                 )
-                yield from reversed(blobs)
+                yield from reversed(self._split_block(
+                    payload, n, block_index, start, first
+                ))
                 blocks_seen += 1
                 records_seen += n_records
                 pos = start
-            if blocks_seen != footer.n_blocks or \
-                    records_seen != footer.n_records:
-                raise self._corrupt(
-                    f"footer promises {footer.n_records} records in "
-                    f"{footer.n_blocks} blocks, walked {records_seen} in "
-                    f"{blocks_seen}",
-                    byte_offset=pos, reason="footer",
-                )
+            self._promised(footer, records_seen, blocks_seen, pos)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -1226,12 +1222,26 @@ def spool_descriptor(spool: Spool) -> Dict[str, int]:
     }
 
 
-def matches_descriptor(spool: Spool, desc: Dict[str, Any]) -> bool:
-    """True when the reopened ``spool`` is the one ``desc`` was written
-    for; a same-shaped stand-in differs at least in its stream CRC."""
-    return all(
-        desc.get(key) == value for key, value in spool_descriptor(spool).items()
-    )
+def open_listed_spool(
+    path: str, desc: Dict[str, Any], channel: str = "", tracer=None,
+    metrics=None,
+) -> DiskSpool:
+    """Open the sealed spool a manifest lists under ``desc``, the one
+    check resume, the memo, ``repro doctor`` and ``repro debug`` make:
+    present, header and footer verified, and the very spool ``desc``
+    describes (else reason ``"stale"``: a same-shaped stand-in differs
+    at least in its stream CRC).  Raises :class:`SpoolCorruptionError`;
+    each caller words its own error."""
+    spool = DiskSpool.open(path, channel=channel, tracer=tracer, metrics=metrics)
+    if any(desc.get(k) != v for k, v in spool_descriptor(spool).items()):
+        want = desc.get("stream_crc")
+        want = f"{want:#010x}" if isinstance(want, int) else repr(want)
+        raise SpoolCorruptionError(
+            f"expected {desc.get('n_records')} records / crc {want}, "
+            f"found {spool.n_records} / {spool._stream_crc:#010x}",
+            path=path, reason="stale",
+        )
+    return spool
 
 
 # ---------------------------------------------------------------------------
@@ -1341,9 +1351,7 @@ class RandomAccessReader:
         #: Record start offsets inside each block's payload, once known.
         self._records: List[Optional[List[int]]] = []
         try:
-            size = self._f.seek(0, os.SEEK_END)
-            footer = spool._read_footer3(self._f, size)
-            self._data_end = footer.nt_offset
+            self._data_end = spool._verify(self._f, header=False).nt_offset
             if layout is None:
                 self._walk_heads()
             else:
@@ -1353,26 +1361,13 @@ class RandomAccessReader:
             raise
 
     def _walk_heads(self) -> None:
-        spool = self.spool
         pos = _HEADER.size
         index = framed = 0
         while pos < self._data_end:
             self._f.seek(pos)
-            head = self._f.read(_BLOCK_HEAD.size)
-            if len(head) != _BLOCK_HEAD.size:
-                raise spool._corrupt(
-                    "block header truncated",
-                    record_index=index, byte_offset=pos,
-                    block_index=len(self._starts), reason="truncated",
-                )
-            payload_len, n_records, _crc = _BLOCK_HEAD.unpack(head)
-            if payload_len > self._data_end - pos - BLOCK_OVERHEAD:
-                raise spool._corrupt(
-                    f"block payload length {payload_len} overruns the "
-                    "sealed data region",
-                    record_index=index, byte_offset=pos,
-                    block_index=len(self._starts), reason="framing",
-                )
+            payload_len, n_records, _crc = self.spool._block_head(
+                self._f, pos, self._data_end, len(self._starts), index
+            )
             self._add_block(pos, index, framed, None)
             index += n_records
             framed += payload_len
@@ -1526,13 +1521,17 @@ class RandomAccessReader:
         self.close()
 
 
-def scan_spool(path: str, metrics=None, tracer=None) -> SpoolScanReport:
+def scan_spool(
+    path: str, metrics=None, tracer=None,
+    keep: Optional[List[bytes]] = None,
+) -> SpoolScanReport:
     """Sweep ``path`` forward, verifying every record; never raises.
 
     Returns a :class:`SpoolScanReport` whose ``error`` (if any) is the
     first :class:`SpoolCorruptionError` encountered, and whose
     ``n_valid``/``valid_end_offset`` describe the longest
-    checksum-valid prefix — the unit :func:`salvage_spool` recovers.
+    checksum-valid prefix — the unit :func:`salvage_spool` recovers,
+    whose records the sweep appends to ``keep`` when given a list.
     A damaged header or footer is recorded and the blocks are walked
     anyway, so the report still measures what survives.
     """
@@ -1543,48 +1542,36 @@ def scan_spool(path: str, metrics=None, tracer=None) -> SpoolScanReport:
     try:
         size = os.path.getsize(path)
     except OSError:
-        report.error = spool._corrupt("spool file missing", reason="truncated")
+        report.error = spool._corrupt("spool file missing", reason="missing")
         return report
     report.file_bytes = size
     report.valid_end_offset = _HEADER.size
+    errors: List[SpoolCorruptionError] = []
     with open(path, "rb") as f:
-        try:
-            spool._check_header(f, size)
-        except SpoolCorruptionError as exc:
-            report.error = exc
+        footer = spool._verify(f, errors=errors)
         # Under an intact footer the data region ends where the
         # name-table section begins.
         data_end = size
-        try:
-            footer = spool._read_footer3(f, size)
+        if footer is not None:
             report.sealed_records = footer.n_records
             report.sealed_blocks = footer.n_blocks
             report.footer_ok = True
             data_end = footer.nt_offset
-        except SpoolCorruptionError as exc:
-            if report.error is None:
-                report.error = exc
         try:
             for blobs, end in spool._walk_blocks(f, data_end):
                 report.n_blocks_valid += 1
                 report.n_valid += len(blobs)
                 report.valid_data_bytes += sum(map(len, blobs))
                 report.valid_end_offset = end - _BLOCK_TAIL.size
+                if keep is not None:
+                    keep.extend(blobs)
+            if not errors:
+                spool._promised(
+                    footer, report.n_valid, report.n_blocks_valid,
+                    report.valid_end_offset,
+                )
         except SpoolCorruptionError as exc:
-            if report.error is None:
-                report.error = exc
-        if (
-            report.error is None
-            and report.sealed_records is not None
-            and report.n_valid != report.sealed_records
-        ):
-            report.error = spool._corrupt(
-                f"footer promises {report.sealed_records} records, "
-                f"walked {report.n_valid}",
-                record_index=report.n_valid,
-                byte_offset=report.valid_end_offset,
-                reason="footer",
-            )
+            errors.append(exc)
     if report.footer_ok:
         # The records are only decodable through the sealed name table,
         # so its integrity is part of the fsck verdict.
@@ -1593,8 +1580,8 @@ def scan_spool(path: str, metrics=None, tracer=None) -> SpoolScanReport:
             report.nametable_ok = True
         except SpoolCorruptionError as exc:
             report.nametable_ok = False
-            if report.error is None:
-                report.error = exc
+            errors.append(exc)
+    report.error = errors[0] if errors else None
     return report
 
 
@@ -1618,38 +1605,32 @@ def salvage_spool(
     Returns the scan report of the *source*; the number of records
     actually recovered is reported via the ``robust.*`` metrics.
     """
-    report = scan_spool(src, metrics=metrics, tracer=tracer)
+    blobs_ok: List[bytes] = []
+    report = scan_spool(src, metrics=metrics, tracer=tracer, keep=blobs_ok)
     out = DiskSpool(dst, channel=os.path.basename(dst), tracer=tracer,
                     metrics=metrics)
     spool = DiskSpool._readonly(src, channel=os.path.basename(src))
     recovered = 0
     try:
-        size = report.file_bytes
-        with open(src, "rb") as f:
-            if report.footer_ok:
-                data_end = spool._read_footer3(f, size).nt_offset
-            else:
-                data_end = size
-            blobs_ok: List[bytes] = []
-            nt_start = _HEADER.size
-            try:
-                for blobs, nt_start in spool._walk_blocks(f, data_end):
-                    blobs_ok.extend(blobs)
-            except SpoolCorruptionError:
-                pass  # the prefix up to the damage is what salvage copies
-            if report.nametable_ok:
-                # Seed the output codec with the source's sealed name
-                # table so copied blobs decode identically.
-                codec: Optional[RecordCodec] = spool._load_codec()
-            elif not report.footer_ok:
-                # Under a damaged footer the name-table section is best
-                # guessed to start where the valid blocks end.
+        if report.nametable_ok:
+            # Seed the output codec with the source's sealed name
+            # table so copied blobs decode identically.
+            codec: Optional[RecordCodec] = spool._load_codec()
+        elif not report.footer_ok:
+            # Under a damaged footer the name-table section is best
+            # guessed to start where the valid blocks end.
+            nt_start = report.valid_end_offset
+            if report.n_blocks_valid:
+                nt_start += _BLOCK_TAIL.size
+            with open(src, "rb") as f:
                 try:
-                    codec = spool._read_nametable(f, nt_start, size)
+                    codec = spool._read_nametable(
+                        f, nt_start, report.file_bytes
+                    )
                 except SpoolCorruptionError:
                     codec = None
-            else:
-                codec = None  # sealed name table failed its crc
+        else:
+            codec = None  # sealed name table failed its crc
         if codec is not None:
             out._codec = codec
             for blob in blobs_ok:

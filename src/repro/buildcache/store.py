@@ -1,8 +1,8 @@
 """The on-disk artifact store: sealed, checksummed, atomically written.
 
-One cache *entry* is one file under ``<root>/<kind>/<key>.l86c`` whose
-layout reuses the sealed-header + CRC discipline of the durable spool
-format (``apt/storage.py``)::
+One cache *entry* is one file under ``<root>/<kind>/<key>.l86c``,
+checked and sealed by the same header check and self-checksummed
+footer as the durable spool format (``apt/storage.py``)::
 
     header   "L86BCHE\\n" magic + u16 format version + u16 flags
              + 64-byte ASCII key                                (76 B)
@@ -40,14 +40,15 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from repro.apt.storage import Seal, read_header
 from repro.errors import CacheCorruptionError
 from repro.util.atomic_write import atomic_write
 
 MAGIC = b"L86BCHE\n"
 FOOTER_MAGIC = b"L86SEAL\n"
 _HEADER = struct.Struct("<8sHH64s")
-_FOOTER = struct.Struct("<8sQII")
-_U32 = struct.Struct("<I")
+#: Sealed footer: magic, payload bytes, payload crc32, footer crc32.
+_FOOTER = Seal(FOOTER_MAGIC, "QI")
 
 #: On-disk entry format version (independent of the *key* format
 #: version in ``key.py``; both must match for a hit).
@@ -69,6 +70,75 @@ def default_cache_root() -> str:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = xdg if xdg else os.path.join(os.path.expanduser("~"), ".cache")
     return os.path.join(base, "repro-linguist")
+
+
+def read_entry(path: str, want_key: str) -> Dict[str, Any]:
+    """The payload of the sealed entry at ``path``, which must have been
+    stored under ``want_key``.  Raises :class:`CacheCorruptionError`
+    naming any damage (``FileNotFoundError`` when the file is gone)."""
+    with open(path, "rb") as f:
+        size = f.seek(0, os.SEEK_END)
+        if size < _HEADER.size + _FOOTER.size:
+            raise CacheCorruptionError(
+                f"cache entry too short ({size} bytes): {path}",
+                path=path, reason="truncated",
+            )
+
+        def fail(what, value):
+            if what == "version":
+                return CacheCorruptionError(
+                    f"unsupported cache entry format v{value} in {path}",
+                    path=path, reason="version",
+                )
+            return CacheCorruptionError(
+                f"bad cache magic in {path}", path=path, reason="header"
+            )
+
+        key_bytes = read_header(f, _HEADER, MAGIC, ENTRY_FORMAT, fail)[3]
+        stored_key = key_bytes.rstrip(b"\x00").decode("ascii", "replace")
+        if stored_key != want_key:
+            raise CacheCorruptionError(
+                f"cache entry key mismatch in {path} "
+                f"(sealed {stored_key[:12]}…, looked up {want_key[:12]}…)",
+                path=path, reason="key",
+            )
+        payload_bytes, payload_crc = _FOOTER.verify(
+            f, size, lambda what, why: CacheCorruptionError(
+                f"{what} in {path}{why}", path=path, reason="footer"
+            ),
+        )
+        if _HEADER.size + payload_bytes + _FOOTER.size != size:
+            raise CacheCorruptionError(
+                f"footer inconsistent with file size in {path} "
+                f"({size} bytes on disk, "
+                f"{_HEADER.size + payload_bytes + _FOOTER.size} sealed)",
+                path=path, reason="footer",
+            )
+        f.seek(_HEADER.size)
+        blob = f.read(payload_bytes)
+        if len(blob) != payload_bytes:
+            raise CacheCorruptionError(
+                f"payload truncated in {path}", path=path, reason="truncated"
+            )
+        if zlib.crc32(blob) != payload_crc:
+            raise CacheCorruptionError(
+                f"payload checksum mismatch in {path} "
+                "(bit rot or torn write)",
+                path=path, reason="checksum",
+            )
+    try:
+        payload = pickle.loads(blob)
+    except Exception as exc:  # unpicklable despite a valid checksum
+        raise CacheCorruptionError(
+            f"cache payload does not unpickle in {path}: {exc}",
+            path=path, reason="payload",
+        ) from exc
+    if not isinstance(payload, dict):
+        raise CacheCorruptionError(
+            f"cache payload is not a mapping in {path}",
+            path=path, reason="payload",
+        )
+    return payload
 
 
 @dataclass
@@ -133,7 +203,7 @@ class BuildCache:
         """
         path = self.path_for(kind, key)
         try:
-            payload = self._read_sealed(path, key)
+            payload = read_entry(path, key)
         except FileNotFoundError:
             self._count("miss", kind, metrics)
             self._instant("miss", kind, key, tracer)
@@ -161,83 +231,6 @@ class BuildCache:
             pass
         return payload
 
-    def _read_sealed(self, path: str, want_key: str) -> Dict[str, Any]:
-        with open(path, "rb") as f:
-            size = f.seek(0, os.SEEK_END)
-            f.seek(0)
-            if size < _HEADER.size + _FOOTER.size:
-                raise CacheCorruptionError(
-                    f"cache entry too short ({size} bytes): {path}",
-                    path=path, reason="truncated",
-                )
-            magic, version, _flags, key_bytes = _HEADER.unpack(
-                f.read(_HEADER.size)
-            )
-            if magic != MAGIC:
-                raise CacheCorruptionError(
-                    f"bad cache magic in {path}", path=path, reason="header"
-                )
-            if version != ENTRY_FORMAT:
-                raise CacheCorruptionError(
-                    f"unsupported cache entry format v{version} in {path}",
-                    path=path, reason="version",
-                )
-            stored_key = key_bytes.rstrip(b"\x00").decode("ascii", "replace")
-            if stored_key != want_key:
-                raise CacheCorruptionError(
-                    f"cache entry key mismatch in {path} "
-                    f"(sealed {stored_key[:12]}…, looked up {want_key[:12]}…)",
-                    path=path, reason="key",
-                )
-            f.seek(size - _FOOTER.size)
-            raw_footer = f.read(_FOOTER.size)
-            fmagic, payload_bytes, payload_crc, footer_crc = _FOOTER.unpack(
-                raw_footer
-            )
-            if fmagic != FOOTER_MAGIC:
-                raise CacheCorruptionError(
-                    f"missing footer seal in {path} "
-                    "(truncated file or crash before finalize)",
-                    path=path, reason="footer",
-                )
-            if zlib.crc32(raw_footer[: _FOOTER.size - 4]) != footer_crc:
-                raise CacheCorruptionError(
-                    f"footer checksum mismatch in {path}",
-                    path=path, reason="footer",
-                )
-            if _HEADER.size + payload_bytes + _FOOTER.size != size:
-                raise CacheCorruptionError(
-                    f"footer inconsistent with file size in {path} "
-                    f"({size} bytes on disk, "
-                    f"{_HEADER.size + payload_bytes + _FOOTER.size} sealed)",
-                    path=path, reason="footer",
-                )
-            f.seek(_HEADER.size)
-            blob = f.read(payload_bytes)
-            if len(blob) != payload_bytes:
-                raise CacheCorruptionError(
-                    f"payload truncated in {path}", path=path, reason="truncated"
-                )
-            if zlib.crc32(blob) != payload_crc:
-                raise CacheCorruptionError(
-                    f"payload checksum mismatch in {path} "
-                    "(bit rot or torn write)",
-                    path=path, reason="checksum",
-                )
-        try:
-            payload = pickle.loads(blob)
-        except Exception as exc:  # unpicklable despite a valid checksum
-            raise CacheCorruptionError(
-                f"cache payload does not unpickle in {path}: {exc}",
-                path=path, reason="payload",
-            ) from exc
-        if not isinstance(payload, dict):
-            raise CacheCorruptionError(
-                f"cache payload is not a mapping in {path}",
-                path=path, reason="payload",
-            )
-        return payload
-
     # -- writing -----------------------------------------------------------
 
     def store(
@@ -255,9 +248,6 @@ class BuildCache:
         key_bytes = key.encode("ascii")
         if len(key_bytes) > 64:
             raise ValueError(f"cache key too long ({len(key_bytes)} > 64)")
-        footer_body = _FOOTER.pack(
-            FOOTER_MAGIC, len(blob), zlib.crc32(blob), 0
-        )[: _FOOTER.size - 4]
         # The tmp name must be unique per writer (``unique=True``):
         # concurrent processes (e.g. restarted serve/batch workers
         # racing to rebuild the same grammar after a cache clear) may
@@ -268,8 +258,7 @@ class BuildCache:
         with atomic_write(path, unique=True) as f:
             f.write(_HEADER.pack(MAGIC, ENTRY_FORMAT, 0, key_bytes.ljust(64, b"\x00")))
             f.write(blob)
-            f.write(footer_body)
-            f.write(_U32.pack(zlib.crc32(footer_body)))
+            f.write(_FOOTER.seal(len(blob), zlib.crc32(blob)))
         self._count("write", kind, metrics)
         self._instant(
             "write", kind, key, tracer,

@@ -52,12 +52,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.apt.storage import (
     MAGIC_V3,
-    DiskSpool,
-    matches_descriptor,
+    open_listed_spool,
     salvage_spool,
     scan_spool,
 )
-from repro.buildcache.store import ENTRY_SUFFIX, MAGIC as CACHE_MAGIC
+from repro.buildcache.store import ENTRY_SUFFIX, MAGIC as CACHE_MAGIC, read_entry
+from repro.errors import CacheCorruptionError, SpoolCorruptionError
 from repro.obs.provenance import (
     PROV_FORMAT,
     salvage_provenance,
@@ -231,14 +231,10 @@ def _repair_spool(path: str, metrics) -> str:
 
 
 def _classify_cache_entry(path: str) -> Tuple[str, str]:
-    from repro.buildcache.store import BuildCache
-    from repro.errors import CacheCorruptionError
-
     name = os.path.basename(path)
     key = name[: -len(ENTRY_SUFFIX)] if name.endswith(ENTRY_SUFFIX) else name
-    cache = BuildCache.__new__(BuildCache)
     try:
-        cache._read_sealed(path, key)
+        read_entry(path, key)
     except FileNotFoundError:
         return ArtifactState.CORRUPT, "vanished mid-scan"
     except CacheCorruptionError as exc:
@@ -471,18 +467,17 @@ def sniff_format(path: str) -> str:
 def _verify_manifest_entry(
     directory: str, entry: Dict[str, Any]
 ) -> Tuple[bool, str]:
-    spool_name = entry.get("spool", "")
-    spool_path = os.path.join(directory, spool_name)
-    if not spool_name or not os.path.exists(spool_path):
-        return False, f"pass {entry.get('pass')}: spool missing"
-    report = scan_spool(spool_path)
-    if not report.ok:
+    spool_path = os.path.join(directory, entry.get("spool") or "")
+    try:
+        open_listed_spool(spool_path, entry)
+    except SpoolCorruptionError as exc:
+        why = {
+            "missing": "spool missing",
+            "stale": "spool does not match the manifest (stale or swapped)",
+        }.get(exc.reason, "spool damaged")
+        return False, f"pass {entry.get('pass')}: {why}"
+    if not scan_spool(spool_path).ok:
         return False, f"pass {entry.get('pass')}: spool damaged"
-    if not matches_descriptor(DiskSpool.open(spool_path), entry):
-        return False, (
-            f"pass {entry.get('pass')}: spool does not match the "
-            "manifest (stale or swapped)"
-        )
     return True, ""
 
 
@@ -520,8 +515,8 @@ def run_doctor(
     if repair:
         for art in doctor.artifacts:
             _repair_artifact(art, metrics=metrics)
-        for path, doc in manifests:
-            _repair_manifest(path, doc, referenced, metrics=metrics)
+    for path, doc in manifests:
+        _check_manifest(path, doc, referenced, repair, metrics=metrics)
     if metrics is not None:
         metrics.counter("governance.doctor_runs").inc()
         for art in doctor.artifacts:
@@ -655,15 +650,18 @@ def _unlink_as_repair(art: ArtifactReport) -> None:
         pass
 
 
-def _repair_manifest(
+def _check_manifest(
     manifest_path: str,
     doc: Dict[str, Any],
     referenced: Dict[str, ArtifactReport],
+    repair: bool,
     metrics=None,
 ) -> None:
-    """Truncate the completed-pass list at the first damaged entry and
-    rewrite the manifest atomically, so ``--resume`` restarts from the
-    last verified pass instead of refusing the whole directory."""
+    """Verify every spool the manifest lists.  A manifest listing a
+    missing, damaged or stale spool is ``corrupt``; ``repair``
+    truncates its completed-pass list at the first such entry and
+    rewrites it atomically, so ``--resume`` restarts from the last
+    verified pass instead of refusing the whole directory."""
     from repro.util.atomic_write import atomic_write
 
     directory = os.path.dirname(manifest_path)
@@ -681,11 +679,19 @@ def _repair_manifest(
             )
     if not dropped:
         return
+    art = referenced.get(manifest_path)
+    if not repair:
+        if art is not None:
+            art.state = ArtifactState.CORRUPT
+            art.detail = (
+                f"{'; '.join(dropped)}; --repair keeps "
+                f"{len(kept)}/{len(completed)} pass(es)"
+            )
+        return
     doc = dict(doc)
     doc["completed"] = kept
     with atomic_write(manifest_path, text=True, encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
-    art = referenced.get(manifest_path)
     if art is not None:
         art.action = "truncated-manifest"
         art.detail = (

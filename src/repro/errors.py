@@ -208,7 +208,8 @@ class SpoolCorruptionError(CorruptionError, EvaluationError):
     ``byte_offset`` is the file offset where the inconsistency was
     detected, and ``reason`` is a short machine-readable tag
     (``"checksum"``, ``"truncated"``, ``"framing"``, ``"header"``,
-    ``"footer"``, ``"nametable"``).
+    ``"footer"``, ``"nametable"``, ``"missing"``; a manifest-listed
+    spool that is not the one listed is ``"stale"``).
 
     Spools are block-framed, so errors also carry a block-relative
     locus: ``block_index`` is the 0-based index of the damaged block

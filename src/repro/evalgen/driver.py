@@ -30,7 +30,7 @@ from repro.apt.storage import (
     DiskSpool,
     Spool,
     adaptive_spool_factory,
-    matches_descriptor,
+    open_listed_spool,
     spool_descriptor,
 )
 from repro.errors import EvaluationError, ResumeError, SpoolCorruptionError
@@ -224,21 +224,18 @@ class CheckpointManager:
         last = completed[-1]
         path = os.path.join(self.directory, last.get("spool", ""))
         try:
-            spool = DiskSpool.open(
-                path, channel=f"pass{k}.out",
+            spool = open_listed_spool(
+                path, last, channel=f"pass{k}.out",
                 tracer=self.tracer, metrics=self.metrics,
             )
         except SpoolCorruptionError as exc:
             raise ResumeError(
-                f"checkpointed spool for pass {k} failed verification: {exc}"
+                f"checkpointed spool for pass {k} " + (
+                    f"does not match the manifest ({exc})"
+                    if exc.reason == "stale"
+                    else f"failed verification: {exc}"
+                )
             ) from exc
-        if not matches_descriptor(spool, last):
-            raise ResumeError(
-                f"checkpointed spool for pass {k} does not match the "
-                f"manifest (expected {last.get('n_records')} records / "
-                f"crc {last.get('stream_crc'):#010x}, found "
-                f"{spool.n_records} / {spool._stream_crc:#010x})"
-            )
         # Full sweep: every record's framing and checksum must hold
         # before we trust the file as pass k's output.
         try:

@@ -559,17 +559,34 @@ class DebugSession:
     # -- spool access ------------------------------------------------------
 
     def _reader(self, pass_k: int):
-        """RandomAccessReader over pass ``k``'s sealed spool, or None."""
+        """RandomAccessReader over pass ``k``'s sealed spool once the
+        checkpoint manifest vouches for it, or None when the manifest
+        lists no pass ``k``.  A listed spool that is missing, damaged or
+        not the one recorded is an error: a debugger answers only from
+        the attribute instances actually recorded."""
         if pass_k in self._readers:
             return self._readers[pass_k]
-        from repro.apt.storage import DiskSpool, RandomAccessReader
+        from repro.apt.storage import RandomAccessReader, open_listed_spool
+        from repro.errors import ResumeError, SpoolCorruptionError
+        from repro.evalgen.driver import CheckpointManager
 
-        path = os.path.join(self.directory, f"pass{pass_k}.spool")
+        try:
+            doc = CheckpointManager(self.directory).load_manifest()
+        except ResumeError:
+            doc = {}
         reader = None
-        if os.path.exists(path):
-            reader = RandomAccessReader(
-                DiskSpool.open(path, channel=f"pass{pass_k}.debug")
-            )
+        for entry in doc.get("completed", []):
+            if entry.get("pass") == pass_k:
+                path = os.path.join(self.directory, entry.get("spool") or "")
+                try:
+                    reader = RandomAccessReader(open_listed_spool(
+                        path, entry, channel=f"pass{pass_k}.debug"
+                    ))
+                except SpoolCorruptionError as exc:
+                    raise ProvenanceError(
+                        f"recorded spool for pass {pass_k} failed "
+                        f"verification [{exc.reason}]: {exc}"
+                    ) from exc
         self._readers[pass_k] = reader
         return reader
 

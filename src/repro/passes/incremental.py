@@ -67,7 +67,7 @@ from repro.apt.storage import (
     DiskSpool,
     RandomAccessReader,
     Spool,
-    matches_descriptor,
+    open_listed_spool,
     spool_descriptor,
 )
 from repro.errors import MemoCorruptionError
@@ -950,26 +950,22 @@ class MemoStore:
                     os.path.basename(desc.get("spool", "")),
                 )
                 try:
-                    spool = DiskSpool.open(
-                        spool_path, channel="memo.splice",
+                    spool = open_listed_spool(
+                        spool_path, desc, channel="memo.splice",
                         tracer=self.tracer, metrics=self.metrics,
                     )
                     self.readers[pass_k] = RandomAccessReader(spool)
                 except Exception as exc:
+                    stale = getattr(exc, "reason", None) == "stale"
                     raise MemoCorruptionError(
-                        f"memo splice spool for pass {pass_k} failed "
-                        f"verification: {exc}",
+                        f"memo splice spool for pass {pass_k} " + (
+                            "does not match the sealed manifest (stale or "
+                            "swapped generation)" if stale
+                            else f"failed verification: {exc}"
+                        ),
                         path=spool_path,
-                        reason="spool",
+                        reason="stale" if stale else "spool",
                     ) from exc
-                if not matches_descriptor(spool, desc):
-                    raise MemoCorruptionError(
-                        f"memo splice spool for pass {pass_k} does not "
-                        "match the sealed manifest (stale or swapped "
-                        "generation)",
-                        path=spool_path,
-                        reason="stale",
-                    )
             n_entries = 0
             for pass_k, table in tables.items():
                 reader = self.readers.get(pass_k)

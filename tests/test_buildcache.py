@@ -26,7 +26,7 @@ from repro.buildcache import (
     scanner_key,
     source_key,
 )
-from repro.buildcache.store import _HEADER, ENTRY_SUFFIX
+from repro.buildcache.store import _HEADER, ENTRY_SUFFIX, read_entry
 from repro.core import Linguist
 from repro.errors import CacheCorruptionError
 from repro.grammars import load_source, scanner_and_library
@@ -156,20 +156,18 @@ class TestCorruption:
         # Re-seal with a non-pickle blob through the store's own writer
         # by pickling a non-dict (valid pickle, wrong shape).
         cache.store("unit", KEY_B, {"v": 2})
-        import struct, zlib
+        import zlib
         from repro.buildcache.store import (
-            _FOOTER, _U32, ENTRY_FORMAT, FOOTER_MAGIC, MAGIC,
+            _FOOTER, ENTRY_FORMAT, MAGIC,
         )
 
         blob = b"not a pickle at all"
         path = cache.path_for("unit", KEY_A)
-        footer_body = _FOOTER.pack(FOOTER_MAGIC, len(blob), zlib.crc32(blob), 0)[:-4]
         with open(path, "wb") as f:
             f.write(_HEADER.pack(MAGIC, ENTRY_FORMAT, 0,
                                  KEY_A.encode().ljust(64, b"\x00")))
             f.write(blob)
-            f.write(footer_body)
-            f.write(_U32.pack(zlib.crc32(footer_body)))
+            f.write(_FOOTER.seal(len(blob), zlib.crc32(blob)))
         assert cache.load("unit", KEY_A) is None
 
     def test_non_dict_payload_is_corrupt(self, tmp_path):
@@ -178,17 +176,15 @@ class TestCorruption:
         # splice in a pickled list with a correct checksum
         import zlib
         from repro.buildcache.store import (
-            _FOOTER, _U32, ENTRY_FORMAT, FOOTER_MAGIC, MAGIC,
+            _FOOTER, ENTRY_FORMAT, MAGIC,
         )
 
         blob = pickle.dumps([1, 2, 3])
-        footer_body = _FOOTER.pack(FOOTER_MAGIC, len(blob), zlib.crc32(blob), 0)[:-4]
         with open(path, "wb") as f:
             f.write(_HEADER.pack(MAGIC, ENTRY_FORMAT, 0,
                                  KEY_A.encode().ljust(64, b"\x00")))
             f.write(blob)
-            f.write(footer_body)
-            f.write(_U32.pack(zlib.crc32(footer_body)))
+            f.write(_FOOTER.seal(len(blob), zlib.crc32(blob)))
         assert cache.load("unit", KEY_A) is None
 
     def test_corruption_error_is_typed(self, tmp_path):
@@ -196,7 +192,7 @@ class TestCorruption:
         path = cache.store("unit", KEY_A, {"v": 1})
         _corrupt(path, _flip_payload_byte)
         with pytest.raises(CacheCorruptionError) as exc:
-            cache._read_sealed(path, KEY_A)
+            read_entry(path, KEY_A)
         assert exc.value.reason == "checksum"
         assert exc.value.path == path
 

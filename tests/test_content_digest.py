@@ -20,7 +20,7 @@ import hashlib
 import pickle
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from repro.obs.provenance import canonical_value
 from repro.util import lists
@@ -142,14 +142,27 @@ def test_changing_one_element_changes_the_digest(items, data):
     assert digest(tuple(items)) != digest(tuple(changed))
 
 
+def shape_blind(value) -> str:
+    """``canonical_value`` of ``value`` with every rope flattened, as
+    the digest sees it: a ``CatSeq`` pickles to the ``Sequence`` of its
+    elements."""
+    return canonical_value(
+        pickle.loads(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+    )
+
+
 @SETTINGS
-@given(st.lists(values, min_size=2, max_size=10), st.data())
-def test_moving_one_element_changes_the_digest(items, data):
-    i = data.draw(st.integers(0, len(items) - 1))
-    j = data.draw(st.integers(0, len(items) - 1))
+@given(st.lists(values, min_size=2, max_size=10), st.integers(0, 9),
+       st.integers(0, 9))
+@example(
+    items=[Sequence.from_iterable([None, None]), rope([None, None], [1])],
+    i=0, j=1,
+)
+def test_moving_one_element_changes_the_digest(items, i, j):
+    i, j = i % len(items), j % len(items)
     moved = list(items)
     moved.insert(j, moved.pop(i))
-    assume(canonical_value(moved) != canonical_value(items))
+    assume(shape_blind(moved) != shape_blind(items))
     assert content_digest(Sequence.from_iterable(items)) != content_digest(
         Sequence.from_iterable(moved)
     )

@@ -492,6 +492,94 @@ class TestCorruptionProperties:
                 assert not scan_spool(path).ok
 
 
+def _damages(clean: bytes):
+    """Every single-byte XOR 0x01 / 0x80 and every truncation of ``clean``."""
+    for i in range(len(clean)):
+        for mask in (0x01, 0x80):
+            damaged = bytearray(clean)
+            damaged[i] ^= mask
+            yield f"byte {i} ^ {mask:#04x}", bytes(damaged)
+    for n in range(len(clean)):
+        yield f"truncated to {n}", clean[:n]
+
+
+def _outcome(read):
+    """``read()``'s result, or the SpoolCorruptionError it raised."""
+    try:
+        return read()
+    except SpoolCorruptionError as exc:
+        return exc
+
+
+def _locus(exc: SpoolCorruptionError):
+    return (exc.reason, exc.record_index, exc.block_index, exc.byte_offset)
+
+
+class TestDamageConsistency:
+    """Every reader of a sealed file gives the same verdict on the same
+    damage: the forward and backward readers, ``scan_spool`` and
+    :class:`RandomAccessReader` over a multi-block spool, and
+    ``BuildCache.load`` over a cache entry."""
+
+    RECORDS = [("S", i % 3, {"X": i}, i % 7 == 0) for i in range(40)]
+
+    def test_every_spool_reader_agrees_on_every_damage(self, tmp_path):
+        from repro.apt.storage import RandomAccessReader
+
+        path = str(tmp_path / "p.spool")
+        spool = DiskSpool(path, block_size=64)
+        for record in self.RECORDS:
+            spool.append(record)
+        spool.finalize()
+        with open(path, "rb") as f:
+            clean = f.read()
+        assert scan_spool(path).sealed_blocks > 4
+
+        def random_access():
+            with RandomAccessReader(DiskSpool.open(path)) as reader:
+                return [reader.record(i) for i in range(reader.n_records)]
+
+        readers = {
+            "forward": lambda: list(DiskSpool.open(path).read_forward()),
+            "backward": lambda: list(DiskSpool.open(path).read_backward())[::-1],
+            "random access": random_access,
+        }
+        for damage, data in _damages(clean):
+            with open(path, "wb") as f:
+                f.write(data)
+            got = {name: _outcome(read) for name, read in readers.items()}
+            report = scan_spool(path)
+            if report.ok:
+                assert got == dict.fromkeys(readers, self.RECORDS), damage
+                continue
+            for name, outcome in got.items():
+                assert isinstance(outcome, SpoolCorruptionError), (damage, name)
+            assert _locus(got["forward"]) == _locus(report.error), damage
+
+    def test_a_damaged_cache_entry_never_loads_another_payload(self, tmp_path):
+        from repro.buildcache import BuildCache
+        from repro.obs import MetricsRegistry
+
+        cache = BuildCache(str(tmp_path))
+        payload = {"v": list(range(12)), "name": "calc"}
+        key = "ab" * 32
+        path = cache.store("unit", key, payload)
+        with open(path, "rb") as f:
+            clean = f.read()
+        for damage, data in _damages(clean):
+            if len(data) != len(clean):
+                continue  # byte flips only
+            with open(path, "wb") as f:
+                f.write(data)
+            metrics = MetricsRegistry()
+            got = cache.load("unit", key, metrics=metrics)
+            corrupt = metrics.snapshot().get("cache.corrupt", 0)
+            if got is None:
+                assert corrupt == 1, damage
+            else:
+                assert (got, corrupt) == (payload, 0), damage
+
+
 # ---------------------------------------------------------------------------
 # fsck / salvage
 # ---------------------------------------------------------------------------

@@ -394,13 +394,10 @@ class TestDoctor:
         assert not os.path.exists(os.path.join(d, "pass2.spool"))
         assert run_doctor([d]).clean
 
-    def test_repair_drops_a_same_shaped_swapped_spool_so_resume_runs(
-        self, tmp_path
-    ):
-        """A pass spool swapped for another input's spool of the same
-        shape passes a record-count check; the doctor must compare the
-        whole sealed descriptor, or ``--resume`` refuses the directory
-        the repair was meant to save."""
+    @staticmethod
+    def _swap_pass1(tmp_path):
+        """Checkpoint two calc runs into ``a`` and ``b`` whose pass-1
+        spools have the same shape, then copy b's spool over a's."""
         from repro.core import Linguist
         from repro.grammars import load_source, scanner_and_library
 
@@ -421,17 +418,47 @@ class TestDoctor:
             str(tmp_path / "b" / "pass1.spool"),
             str(tmp_path / "a" / "pass1.spool"),
         )
+        return tr, texts["a"]
+
+    def test_repair_drops_a_same_shaped_swapped_spool_so_resume_runs(
+        self, tmp_path
+    ):
+        """A pass spool swapped for another input's spool of the same
+        shape passes a record-count check; the doctor must compare the
+        whole sealed descriptor, or ``--resume`` refuses the directory
+        the repair was meant to save."""
+        tr, text = self._swap_pass1(tmp_path)
         report = run_doctor([str(tmp_path / "a")], repair=True)
         resumed = tr.translate(
-            texts["a"], checkpoint_dir=str(tmp_path / "a"), resume=True
+            text, checkpoint_dir=str(tmp_path / "a"), resume=True
         )
-        assert resumed.root_attrs == tr.translate(texts["a"]).root_attrs
+        assert resumed.root_attrs == tr.translate(text).root_attrs
         # The repair says why it dropped the pass.
         (manifest,) = [
             a for a in report.artifacts if a.action == "truncated-manifest"
         ]
         assert "kept 0/1 pass(es), dropped pass 1: spool does not match " \
             "the manifest (stale or swapped)" in manifest.detail
+
+    def test_report_only_calls_a_swapped_spool_manifest_corrupt(
+        self, tmp_path
+    ):
+        """Without ``--repair`` the doctor gives the manifest of a
+        swapped pass spool the verdict ``--repair`` acts on: corrupt,
+        for the same reason, and the sweep is not clean."""
+        self._swap_pass1(tmp_path)
+        report = run_doctor([str(tmp_path / "a")])
+        (manifest,) = [
+            a for a in report.artifacts
+            if a.format == ArtifactFormat.MANIFEST
+        ]
+        assert manifest.state == ArtifactState.CORRUPT
+        assert manifest.detail.startswith(
+            "pass 1: spool does not match the manifest (stale or swapped)"
+        )
+        assert not report.clean
+        with open(str(tmp_path / "a" / "checkpoint.json")) as f:
+            assert len(json.load(f)["completed"]) == 1  # nothing touched
 
     def test_orphaned_pass_spool_detected(self, tmp_path):
         d = str(tmp_path)

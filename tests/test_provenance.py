@@ -488,6 +488,31 @@ def test_cli_debug_on_damaged_log_exits_with_typed_error(
     assert "error:" in err and "record" in err
 
 
+def test_cli_debug_refuses_a_swapped_pass_spool(tmp_path, capsys):
+    """A pass spool copied in from another recording has the same shape
+    but not the recorded values: ``repro debug`` must refuse it, as
+    ``--resume`` does, instead of answering from it."""
+    from repro.cli import main
+
+    translator = Linguist(load_source("calc")).make_translator(
+        calc_scanner_spec(), library=library_for("calc")
+    )
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    translator.translate("let x = 1 ; print x + 2", record=a)
+    translator.translate("let x = 5 ; print x + 7", record=b)
+    assert main(["debug", "history", a, "root.OUT"]) == 0
+    assert "[3]" in capsys.readouterr().out
+    with open(os.path.join(b, "pass1.spool"), "rb") as f:
+        swapped = f.read()
+    with open(os.path.join(a, "pass1.spool"), "wb") as f:
+        f.write(swapped)
+    assert main(["debug", "history", a, "root.OUT"]) == 1
+    captured = capsys.readouterr()
+    assert "[12]" not in captured.out
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "pass 1" in line
+
+
 def test_disabled_mode_emits_no_artifacts(tmp_path):
     """Without record=, translation leaves no provenance machinery
     behind (the recorder must be pay-for-use)."""
